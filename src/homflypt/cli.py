@@ -35,7 +35,6 @@ from .skein import (
     ResourceLimitExceeded,
     SkeinEngine,
     coeff_table,
-    homfly,
 )
 
 VERIFY_TARGETS = ("prop31", "thm13", "thm14", "thm15", "lemmas", "skeinF", "splitF", "all")
@@ -113,14 +112,13 @@ def _homfly_payload(label: str, diagram: LinkDiagram, max_nodes: int) -> dict:
     engine = SkeinEngine(max_nodes=max_nodes)
     framed = engine.framed_invariant(diagram)
     table = coeff_table(diagram, engine=engine)
-    poly = homfly(diagram, engine=engine)
     return {
         "link": label,
         "components": table.components,
         "writhe": table.writhe,
         "total_linking": table.total_linking,
         "framed": framed,
-        "homfly": poly,
+        "homfly": table.polynomial(),
         "table": table,
     }
 
@@ -256,7 +254,9 @@ def cmd_verify(args, out) -> int:
         reports.extend(_lemma_reports(args))
 
     if target != "lemmas":
-        links = _resolve_links(args, allow_stdin=True)
+        # `verify all` with no link flags runs the catalog; it never reads
+        # stdin, which may be an open pipe that never closes.
+        links = _resolve_links(args, allow_stdin=target != "all")
         if not links:
             if target == "all":
                 links = [(entry.name, entry.diagram()) for entry in catalog.CATALOG]
@@ -396,7 +396,9 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     except (_InputError, ParseError, DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ResourceLimitExceeded as exc:
+    except (ResourceLimitExceeded, RecursionError) as exc:
+        # the skein recursion is as deep as the diagram; Python's stack
+        # limit is a resource limit like the node budget
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

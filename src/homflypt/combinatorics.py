@@ -169,11 +169,7 @@ def surjection_count_enumerated(m: int, n: int) -> int:
         raise InvalidRange(f"need m, n >= 1, got m={m}, n={n}")
     if n > m:
         return 0
-    total = 0
-    for blocks in set_partitions(range(1, m + 1)):
-        if len(blocks) == n:
-            total += math.factorial(n)
-    return total
+    return _decomposition_counts_enumerated(m).get(n, 0)
 
 
 def _decomposition_counts_enumerated(m: int) -> dict[int, int]:

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .combinatorics import set_partitions
-from .laurent import BivarLaurent, T, UnivarLaurentT
+from .laurent import BivarLaurent, T
 from .links import LinkDiagram
 from .report import VerificationReport
 from .skein import CoeffTable, SkeinEngine, coeff_table
@@ -83,8 +83,8 @@ class FValue:
                     f"F of an {self.components}-component link cannot have a z^{ez} term"
                 )
 
-    def coeff_at_g(self, g: int) -> UnivarLaurentT:
-        """The z**(2g - L) coefficient."""
+    def coeff_at_g(self, g: int) -> BivarLaurent:
+        """The z**(2g - L) coefficient, as a z-free polynomial in t."""
         return self.poly.coeff_of_z(2 * g - self.components)
 
 
@@ -140,13 +140,13 @@ def intermediate_F(
 def f_coefficients(
     diagram: LinkDiagram,
     engine: SkeinEngine | None = None,
-) -> dict[int, UnivarLaurentT]:
+) -> dict[int, BivarLaurent]:
     """Nonzero coefficients of F by genus index: g -> z**(2g-L) coefficient.
 
     Absent keys are zero; for a knot this is exactly the h-table.
     """
     value = intermediate_F(diagram, engine=engine)
-    out: dict[int, UnivarLaurentT] = {}
+    out: dict[int, BivarLaurent] = {}
     for ez, coeff in value.poly.by_z():
         out[(ez + value.components) // 2] = coeff
     return out
@@ -182,7 +182,7 @@ def verify_prop31(
     low = [value.coeff_at_g(g) for g in range(L - 1)]
     lhs = BivarLaurent.zero()
     for g, coeff in enumerate(low):
-        lhs = lhs + coeff.to_bivar(2 * g - L)
+        lhs = lhs + coeff.shift(2 * g - L)
     min_deg = value.poly.min_z_degree()
     context = _context(
         diagram,
@@ -193,20 +193,20 @@ def verify_prop31(
     return _poly_report("prop31", lhs, BivarLaurent.zero(), context)
 
 
-def _thm13_rhs(tables: dict[tuple[int, ...], CoeffTable], L: int, g: int) -> UnivarLaurentT:
+def _thm13_rhs(tables: dict[tuple[int, ...], CoeffTable], L: int, g: int) -> BivarLaurent:
     """Alternating decomposition sum of sublink h-coefficients.
 
     Grouped over unordered partitions: each partition into l blocks stands
     for l! ordered decompositions, so its weight is (-1)**l * (l-1)!.
     """
-    total = UnivarLaurentT.zero()
+    total = BivarLaurent.zero()
     for blocks in set_partitions(range(L)):
         l = len(blocks)
         if l < 2:
             continue
         weight = (-1) ** l * math.factorial(l - 1)
         for assignment in _compositions(g, l):
-            product = UnivarLaurentT.one()
+            product = BivarLaurent.one()
             for block, gs in zip(blocks, assignment):
                 product = product * tables[block].h_at(gs)
                 if product.is_zero():
@@ -265,13 +265,13 @@ def verify_thm14(
     full = tuple(range(L))
 
     h_lhs = tables[full].h_at(0)
-    h_rhs = UnivarLaurentT.one()
+    h_rhs = BivarLaurent.one()
     for alpha in range(L):
         h_rhs = h_rhs * tables[(alpha,)].h_at(0)
 
     lk = diagram.total_linking()
     p_lhs = tables[full].p_at(0)
-    p_rhs = (_T_FACTOR ** (L - 1)).coeff_of_z(0).shift(-2 * lk)
+    p_rhs = (_T_FACTOR ** (L - 1)).shift(0, -2 * lk)
     for alpha in range(L):
         p_rhs = p_rhs * tables[(alpha,)].p_at(0)
 
@@ -315,46 +315,28 @@ def verify_thm15(
     tables = _subset_tables(diagram, eng)
     full = tuple(range(L))
 
+    def subset_sum(size, at, twist=lambda subset: 0):
+        """Sum over the `size`-subsets S of at(S, 1) * t**twist(S) times the
+        product of at(alpha, 0) over the components alpha outside S."""
+        total = BivarLaurent.zero()
+        for subset in itertools.combinations(range(L), size):
+            term = at(tables[subset], 1).shift(0, twist(subset))
+            for alpha in range(L):
+                if alpha not in subset:
+                    term = term * at(tables[(alpha,)], 0)
+            total = total + term
+        return total
+
     h_lhs = tables[full].h_at(1)
-    h_pairs = UnivarLaurentT.zero()
-    for beta, gamma in itertools.combinations(range(L), 2):
-        term = tables[(beta, gamma)].h_at(1)
-        for alpha in range(L):
-            if alpha in (beta, gamma):
-                continue
-            term = term * tables[(alpha,)].h_at(0)
-        h_pairs = h_pairs + term
-    h_single = UnivarLaurentT.zero()
-    for beta in range(L):
-        term = tables[(beta,)].h_at(1)
-        for alpha in range(L):
-            if alpha == beta:
-                continue
-            term = term * tables[(alpha,)].h_at(0)
-        h_single = h_single + term
-    h_rhs = h_pairs - h_single * (L - 2)
+    h_rhs = subset_sum(2, CoeffTable.h_at) - subset_sum(1, CoeffTable.h_at) * (L - 2)
 
     lk = diagram.total_linking()
-    tfac = _T_FACTOR.coeff_of_z(0)
     p_lhs = tables[full].p_at(1)
-    p_pairs = UnivarLaurentT.zero()
-    for beta, gamma in itertools.combinations(range(L), 2):
-        pair_lk = diagram.linking_number(beta, gamma)
-        term = tables[(beta, gamma)].p_at(1).shift(2 * pair_lk)
-        for alpha in range(L):
-            if alpha in (beta, gamma):
-                continue
-            term = term * tables[(alpha,)].p_at(0)
-        p_pairs = p_pairs + term
-    p_single = UnivarLaurentT.zero()
-    for beta in range(L):
-        term = tables[(beta,)].p_at(1)
-        for alpha in range(L):
-            if alpha == beta:
-                continue
-            term = term * tables[(alpha,)].p_at(0)
-        p_single = p_single + term
-    p_rhs = (p_pairs * tfac ** (L - 2) - p_single * tfac ** (L - 1) * (L - 2)).shift(-2 * lk)
+    p_pairs = subset_sum(2, CoeffTable.p_at, lambda pair: 2 * diagram.linking_number(*pair))
+    p_single = subset_sum(1, CoeffTable.p_at)
+    p_rhs = (
+        p_pairs * _T_FACTOR ** (L - 2) - p_single * _T_FACTOR ** (L - 1) * (L - 2)
+    ).shift(0, -2 * lk)
 
     h_pass = h_lhs == h_rhs
     p_pass = p_lhs == p_rhs

@@ -1,5 +1,11 @@
 """Exact sparse Laurent-polynomial arithmetic in the variables z and t.
 
+There is one polynomial type, `BivarLaurent`.  A polynomial in t alone (a
+coefficient of one power of z, such as the h- and p-coefficients of a
+link) is a `BivarLaurent` whose terms all have z exponent 0; `coeff_of_z`
+and `by_z` return such z-free values, `shift(ez)` puts one back at the
+power z**ez, and `to_triples` serializes one without the z exponent.
+
 Coefficients are exact rationals: plain `int` while integral (the common
 case, and much faster), `fractions.Fraction` otherwise.  The two mix
 transparently and there is no floating point anywhere.  Terms are stored
@@ -15,7 +21,6 @@ from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "BivarLaurent",
-    "UnivarLaurentT",
     "NotDivisible",
     "PoleAtZero",
     "Z",
@@ -46,11 +51,18 @@ def _ratio(a: Rational, b: Rational) -> Rational:
     return _coerce(Fraction(a) / Fraction(b))
 
 
-def _format_t_terms(items: list[tuple[int, Rational]]) -> str:
+def _wrap(data: dict[tuple[int, int], Rational]) -> "BivarLaurent":
+    """A polynomial on a term dict that already holds no zero coefficients."""
+    out = BivarLaurent.__new__(BivarLaurent)
+    out._terms = data
+    return out
+
+
+def _format_t_terms(terms: dict[tuple[int, int], Rational]) -> str:
     # Human-readable form uses descending powers of t (math convention);
     # the canonical serialization order stays ascending.
     parts: list[str] = []
-    for et, c in sorted(items, reverse=True):
+    for (_, et), c in sorted(terms.items(), reverse=True):
         mag = abs(c)
         base = "" if et == 0 else ("t" if et == 1 else f"t^{et}")
         if base and mag == 1:
@@ -64,170 +76,6 @@ def _format_t_terms(items: list[tuple[int, Rational]]) -> str:
         else:
             parts.append(f" + {body}" if c > 0 else f" - {body}")
     return "".join(parts) if parts else "0"
-
-
-class UnivarLaurentT:
-    """A Laurent polynomial in t alone, with exact rational coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]] = ()):
-        data: dict[int, Rational] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for et, c in items:
-            c = _coerce(c)
-            if not c:
-                continue
-            key = int(et)
-            total = data.get(key, 0) + c
-            if total:
-                data[key] = total
-            else:
-                data.pop(key, None)
-        self._terms = data
-
-    @classmethod
-    def zero(cls) -> "UnivarLaurentT":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "UnivarLaurentT":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, et: int, coeff: Rational = 1) -> "UnivarLaurentT":
-        return cls({et: coeff})
-
-    def terms(self) -> Iterator[tuple[int, Rational]]:
-        """Terms in canonical order (ascending t exponent)."""
-        for et in sorted(self._terms):
-            yield et, self._terms[et]
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def coeff(self, et: int) -> Rational:
-        return self._terms.get(et, 0)
-
-    def min_degree(self) -> int | None:
-        return min(self._terms) if self._terms else None
-
-    def max_degree(self) -> int | None:
-        return max(self._terms) if self._terms else None
-
-    def __add__(self, other: "UnivarLaurentT | Rational") -> "UnivarLaurentT":
-        if isinstance(other, (int, Fraction)):
-            other = UnivarLaurentT({0: other})
-        if not isinstance(other, UnivarLaurentT):
-            return NotImplemented
-        data = dict(self._terms)
-        for et, c in other._terms.items():
-            total = data.get(et, 0) + c
-            if total:
-                data[et] = total
-            else:
-                data.pop(et, None)
-        out = UnivarLaurentT.__new__(UnivarLaurentT)
-        out._terms = data
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "UnivarLaurentT":
-        out = UnivarLaurentT.__new__(UnivarLaurentT)
-        out._terms = {et: -c for et, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "UnivarLaurentT | Rational") -> "UnivarLaurentT":
-        if isinstance(other, (int, Fraction)):
-            other = UnivarLaurentT({0: other})
-        return self + (-other)
-
-    def __rsub__(self, other: Rational) -> "UnivarLaurentT":
-        return (-self) + other
-
-    def __mul__(self, other: "UnivarLaurentT | Rational") -> "UnivarLaurentT":
-        if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            if not c:
-                return UnivarLaurentT()
-            out = UnivarLaurentT.__new__(UnivarLaurentT)
-            out._terms = {et: v * c for et, v in self._terms.items()}
-            return out
-        if not isinstance(other, UnivarLaurentT):
-            return NotImplemented
-        data: dict[int, Rational] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = e1 + e2
-                total = data.get(key, 0) + c1 * c2
-                if total:
-                    data[key] = total
-                else:
-                    data.pop(key, None)
-        out = UnivarLaurentT.__new__(UnivarLaurentT)
-        out._terms = data
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UnivarLaurentT":
-        if n < 0:
-            if len(self._terms) != 1:
-                raise ValueError("only monomials can be raised to a negative power")
-            ((et, c),) = self._terms.items()
-            return UnivarLaurentT({et * n: Fraction(c) ** n})
-        result = UnivarLaurentT.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def shift(self, et: int) -> "UnivarLaurentT":
-        """Multiply by the monomial t**et."""
-        out = UnivarLaurentT.__new__(UnivarLaurentT)
-        out._terms = {e + et: c for e, c in self._terms.items()}
-        return out
-
-    def reciprocal_t(self) -> "UnivarLaurentT":
-        """Substitute t -> 1/t."""
-        out = UnivarLaurentT.__new__(UnivarLaurentT)
-        out._terms = {-e: c for e, c in self._terms.items()}
-        return out
-
-    def to_bivar(self, ez: int = 0) -> "BivarLaurent":
-        """Embed as a bivariate polynomial, optionally times z**ez."""
-        return BivarLaurent({(ez, et): c for et, c in self._terms.items()})
-
-    def to_triples(self) -> list[list[int]]:
-        """Canonical serialization: [e_t, numerator, denominator] per term."""
-        return [[et, c.numerator, c.denominator] for et, c in self.terms()]
-
-    @classmethod
-    def from_triples(cls, triples: Iterable[Iterable[int]]) -> "UnivarLaurentT":
-        return cls({int(et): Fraction(int(num), int(den)) for et, num, den in triples})
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = UnivarLaurentT({0: other})
-        if not isinstance(other, UnivarLaurentT):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.terms()))
-
-    def __str__(self) -> str:
-        return _format_t_terms(list(self._terms.items()))
-
-    def __repr__(self) -> str:
-        return f"UnivarLaurentT({self})"
 
 
 class BivarLaurent:
@@ -259,11 +107,11 @@ class BivarLaurent:
 
     @classmethod
     def zero(cls) -> "BivarLaurent":
-        return cls()
+        return _wrap({})
 
     @classmethod
     def one(cls) -> "BivarLaurent":
-        return cls({(0, 0): 1})
+        return _wrap({(0, 0): 1})
 
     @classmethod
     def monomial(cls, ez: int = 0, et: int = 0, coeff: Rational = 1) -> "BivarLaurent":
@@ -292,16 +140,12 @@ class BivarLaurent:
                 data[key] = total
             else:
                 data.pop(key, None)
-        out = BivarLaurent.__new__(BivarLaurent)
-        out._terms = data
-        return out
+        return _wrap(data)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivarLaurent":
-        out = BivarLaurent.__new__(BivarLaurent)
-        out._terms = {key: -c for key, c in self._terms.items()}
-        return out
+        return _wrap({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: "BivarLaurent | Rational") -> "BivarLaurent":
         if isinstance(other, (int, Fraction)):
@@ -315,10 +159,8 @@ class BivarLaurent:
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
             if not c:
-                return BivarLaurent()
-            out = BivarLaurent.__new__(BivarLaurent)
-            out._terms = {key: v * c for key, v in self._terms.items()}
-            return out
+                return _wrap({})
+            return _wrap({key: v * c for key, v in self._terms.items()})
         if not isinstance(other, BivarLaurent):
             return NotImplemented
         data: dict[tuple[int, int], Rational] = {}
@@ -330,9 +172,7 @@ class BivarLaurent:
                     data[key] = total
                 else:
                     data.pop(key, None)
-        out = BivarLaurent.__new__(BivarLaurent)
-        out._terms = data
-        return out
+        return _wrap(data)
 
     __rmul__ = __mul__
 
@@ -353,29 +193,29 @@ class BivarLaurent:
 
     def shift(self, ez: int, et: int = 0) -> "BivarLaurent":
         """Multiply by the monomial z**ez * t**et."""
-        out = BivarLaurent.__new__(BivarLaurent)
-        out._terms = {(z + ez, t + et): c for (z, t), c in self._terms.items()}
-        return out
+        return _wrap({(z + ez, t + et): c for (z, t), c in self._terms.items()})
 
-    def coeff_of_z(self, k: int) -> UnivarLaurentT:
-        """The coefficient of z**k, as a polynomial in t (zero if absent)."""
-        return UnivarLaurentT({et: c for (ez, et), c in self._terms.items() if ez == k})
+    def reciprocal_t(self) -> "BivarLaurent":
+        """Substitute t -> 1/t."""
+        return _wrap({(ez, -et): c for (ez, et), c in self._terms.items()})
 
-    def by_z(self) -> Iterator[tuple[int, UnivarLaurentT]]:
-        """Nonzero z-levels in ascending order with their t-coefficients."""
-        for ez in sorted({ez for ez, _ in self._terms}):
-            yield ez, self.coeff_of_z(ez)
+    def coeff_of_z(self, k: int) -> "BivarLaurent":
+        """The coefficient of z**k, as a z-free polynomial in t (zero if absent)."""
+        return _wrap({(0, et): c for (ez, et), c in self._terms.items() if ez == k})
+
+    def by_z(self) -> Iterator[tuple[int, "BivarLaurent"]]:
+        """Nonzero z-levels in ascending order with their z-free t-coefficients."""
+        levels: dict[int, dict[tuple[int, int], Rational]] = {}
+        for (ez, et), c in self._terms.items():
+            levels.setdefault(ez, {})[(0, et)] = c
+        for ez in sorted(levels):
+            yield ez, _wrap(levels[ez])
 
     def min_z_degree(self) -> int | None:
         """Lowest z exponent over nonzero terms, or None for the zero polynomial."""
         if not self._terms:
             return None
         return min(ez for ez, _ in self._terms)
-
-    def max_z_degree(self) -> int | None:
-        if not self._terms:
-            return None
-        return max(ez for ez, _ in self._terms)
 
     def is_even_nonneg_in_z(self) -> bool:
         """True iff every nonzero term has an even, nonnegative z exponent."""
@@ -392,7 +232,7 @@ class BivarLaurent:
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return BivarLaurent()
+            return _wrap({})
         # Strip monomial units so both operands become honest polynomials
         # in Q[z, t]; divisibility is unchanged and the quotient of honest
         # polynomials is honest (lowest-degree slices multiply).
@@ -419,9 +259,7 @@ class BivarLaurent:
                     rem[key] = total
                 else:
                     rem.pop(key, None)
-        out = BivarLaurent.__new__(BivarLaurent)
-        out._terms = quot
-        return out.shift(a_z - d_z, a_t - d_t)
+        return _wrap(quot).shift(a_z - d_z, a_t - d_t)
 
     def evaluate(self, z0: Rational, t0: Rational) -> Fraction:
         """Exact value of the substitution z -> z0, t -> t0."""
@@ -439,6 +277,13 @@ class BivarLaurent:
     def to_quadruples(self) -> list[list[int]]:
         """Canonical serialization: [e_z, e_t, numerator, denominator] per term."""
         return [[ez, et, c.numerator, c.denominator] for (ez, et), c in self.terms()]
+
+    def to_triples(self) -> list[list[int]]:
+        """Canonical serialization of a z-free polynomial: [e_t, numerator,
+        denominator] per term.  Raises ValueError if any term has a power of z."""
+        if any(ez for ez, _ in self._terms):
+            raise ValueError(f"{self} is not a polynomial in t alone")
+        return [[et, c.numerator, c.denominator] for (_, et), c in self.terms()]
 
     @classmethod
     def from_quadruples(cls, quadruples: Iterable[Iterable[int]]) -> "BivarLaurent":
@@ -461,7 +306,7 @@ class BivarLaurent:
             return "0"
         parts = []
         for ez, ct in self.by_z():
-            t_str = str(ct)
+            t_str = _format_t_terms(ct._terms)
             if ez == 0:
                 parts.append(t_str)
             else:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from .laurent import BivarLaurent, UnivarLaurentT
+from .laurent import BivarLaurent
 
 __all__ = ["VerificationReport"]
 
@@ -15,9 +15,6 @@ def _encode(value: Any):
     """JSON-encode polynomials and exact rationals canonically."""
     if isinstance(value, BivarLaurent):
         return value.to_quadruples()
-    if isinstance(value, UnivarLaurentT):
-        # promoted to the quadruple form at z-power 0
-        return value.to_bivar().to_quadruples()
     if isinstance(value, Fraction):
         return [value.numerator, value.denominator]
     if isinstance(value, dict):
@@ -28,7 +25,7 @@ def _encode(value: Any):
 
 
 def _render(value: Any) -> str:
-    if isinstance(value, (BivarLaurent, UnivarLaurentT, Fraction)):
+    if isinstance(value, (BivarLaurent, Fraction)):
         return str(value)
     return repr(value)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .laurent import BivarLaurent, UnivarLaurentT, T, Z
+from .laurent import BivarLaurent, T, Z
 from .links import OVER, LinkDiagram
 
 __all__ = [
@@ -171,17 +171,24 @@ class CoeffTable:
     components: int
     writhe: int
     total_linking: int
-    h: dict[int, UnivarLaurentT] = field(repr=False)
-    p: dict[int, UnivarLaurentT] = field(repr=False)
+    h: dict[int, BivarLaurent] = field(repr=False)
+    p: dict[int, BivarLaurent] = field(repr=False)
 
-    def h_at(self, g: int) -> UnivarLaurentT:
-        return self.h.get(g, UnivarLaurentT.zero())
+    def h_at(self, g: int) -> BivarLaurent:
+        return self.h.get(g, BivarLaurent.zero())
 
-    def p_at(self, g: int) -> UnivarLaurentT:
-        return self.p.get(g, UnivarLaurentT.zero())
+    def p_at(self, g: int) -> BivarLaurent:
+        return self.p.get(g, BivarLaurent.zero())
 
     def genus_range(self) -> list[int]:
         return sorted(self.h)
+
+    def polynomial(self) -> BivarLaurent:
+        """The HOMFLY-PT polynomial: the sum of p[g] * z**(2g+1-L)."""
+        total = BivarLaurent.zero()
+        for g in self.genus_range():
+            total = total + self.p[g].shift(2 * g + 1 - self.components)
+        return total
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,13 +211,12 @@ def coeff_table(diagram: LinkDiagram, engine: SkeinEngine | None = None) -> Coef
             "framed invariant left Z[z^2, t^(+-1)]; the diagram data is not realizable"
         )
     w = diagram.writhe()
-    h: dict[int, UnivarLaurentT] = {}
-    p: dict[int, UnivarLaurentT] = {}
+    h: dict[int, BivarLaurent] = {}
+    p: dict[int, BivarLaurent] = {}
     for ez, coeff in value.by_z():
         g = ez // 2
         h[g] = coeff
-        shifted = coeff.to_bivar().shift(0, -w)
-        p[g] = shifted.divide_exact(_T_FACTOR).coeff_of_z(0)
+        p[g] = coeff.shift(0, -w).divide_exact(_T_FACTOR)
     return CoeffTable(
         components=diagram.num_components,
         writhe=w,
@@ -222,8 +228,4 @@ def coeff_table(diagram: LinkDiagram, engine: SkeinEngine | None = None) -> Coef
 
 def homfly(diagram: LinkDiagram, engine: SkeinEngine | None = None) -> BivarLaurent:
     """The HOMFLY-PT polynomial, assembled from the coefficient table."""
-    table = coeff_table(diagram, engine=engine)
-    total = BivarLaurent.zero()
-    for g in table.genus_range():
-        total = total + table.p[g].to_bivar(2 * g + 1 - table.components)
-    return total
+    return coeff_table(diagram, engine=engine).polynomial()

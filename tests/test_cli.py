@@ -68,6 +68,14 @@ class TestHomfly:
         code, _ = run_cli(["homfly", "--catalog", "borromean", "--max-nodes", "100000"])
         assert code == EXIT_OK
 
+    def test_deep_braid_is_a_resource_error(self, capsys):
+        # 120 letters nest the skein recursion past Python's stack limit
+        code, _ = run_cli(["homfly", "--braid", "strands=2; " + " ".join(["1"] * 120)])
+        assert code == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_two_link_flags_rejected(self, capsys):
         code, _ = run_cli(["homfly", "--catalog", "unknot", "--braid", "strands=1;"])
         assert code == EXIT_INPUT
@@ -130,6 +138,20 @@ class TestVerify:
         code, text = run_cli(["verify", "prop31"], stdin_text=braids, monkeypatch=monkeypatch)
         assert code == EXIT_OK
         assert "SKIP" in text
+
+    def test_all_does_not_read_open_stdin(self, monkeypatch):
+        # a non-TTY stdin that never closes must not block `verify all`
+        class OpenPipe:
+            def isatty(self):
+                return False
+
+            def read(self):
+                raise AssertionError("verify all read stdin")
+
+        monkeypatch.setattr("sys.stdin", OpenPipe())
+        code, text = run_cli(["verify", "all", "--m-max", "2", "--n-max", "2"])
+        assert code == EXIT_OK
+        assert "thm14 [trefoil]: PASS" in text  # the catalog ran
 
     def test_all_on_one_link(self):
         code, text = run_cli(["verify", "all", "--catalog", "borromean", "--m-max", "4"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homflypt import BivarLaurent, NotDivisible, PoleAtZero, T, UnivarLaurentT, Z
+from homflypt import BivarLaurent, NotDivisible, PoleAtZero, T, Z
 
 TFAC = T - T**-1  # t - t^-1
 
@@ -42,10 +42,10 @@ class TestExamples:
         assert BivarLaurent.one().shift(2) == Z**2
 
     def test_coeff_of_z(self):
-        assert TFAC.coeff_of_z(0) == UnivarLaurentT({1: 1, -1: -1})
+        assert TFAC.coeff_of_z(0) == TFAC
         assert TFAC.coeff_of_z(2).is_zero()
         hopf = TFAC**2 + T * TFAC * Z**2
-        assert hopf.coeff_of_z(2) == UnivarLaurentT({2: 1, 0: -1})
+        assert hopf.coeff_of_z(2) == T**2 - 1
 
     def test_divide_exact(self):
         assert (T**2 - T**-2).divide_exact(TFAC) == T + T**-1
@@ -113,7 +113,9 @@ class TestRingProperties:
     def test_coeff_of_z_reconstructs(self, a):
         total = BivarLaurent.zero()
         for ez, ct in a.by_z():
-            total = total + ct.to_bivar(ez)
+            assert ct == a.coeff_of_z(ez)
+            assert all(key[0] == 0 for key, _ in ct.terms())  # z-free
+            total = total + ct.shift(ez)
         assert total == a
 
     @given(bivar, bivar)
@@ -131,20 +133,19 @@ class TestRingProperties:
 
 
 class TestUnivar:
+    """Polynomials in t alone: the z-free slice of BivarLaurent."""
+
     def test_roundtrip_triples(self):
-        p = UnivarLaurentT({-3: Fraction(1, 2), 2: -4})
-        assert UnivarLaurentT.from_triples(p.to_triples()) == p
+        p = Fraction(1, 2) * T**-3 - 4 * T**2
+        assert p.to_triples() == [[-3, 1, 2], [2, -4, 1]]
+        assert BivarLaurent.from_quadruples([0, *t] for t in p.to_triples()) == p
+        with pytest.raises(ValueError):
+            (T * Z).to_triples()
 
     def test_reciprocal(self):
-        p = UnivarLaurentT({2: 1, -1: 3})
-        assert p.reciprocal_t() == UnivarLaurentT({-2: 1, 1: 3})
+        p = T**2 + 3 * T**-1
+        assert p.reciprocal_t() == T**-2 + 3 * T
 
     def test_shift_and_pow(self):
-        t = UnivarLaurentT.monomial(1)
-        assert (t - t**-1) * (t + t**-1) == t**2 - t**-2
-        assert (t**-1).shift(2) == t
-
-    def test_embed(self):
-        p = UnivarLaurentT({1: 1, -1: -1})
-        assert p.to_bivar() == T - T**-1
-        assert p.to_bivar(-1) == (T - T**-1) * Z**-1
+        assert (T - T**-1) * (T + T**-1) == T**2 - T**-2
+        assert (T**-1).shift(0, 2) == T

@@ -19,7 +19,6 @@ from homflypt import (
     parse_braid,
 )
 from homflypt import catalog as cat
-from homflypt.laurent import UnivarLaurentT
 
 from conftest import markov_variant, seeded_closures
 
@@ -64,21 +63,18 @@ class TestFrozenValues:
 
     def test_hopf_table(self):
         table = coeff_table(cat.diagram("hopf+"))
-        t = UnivarLaurentT.monomial(1)
-        assert table.p_at(0) == t**-1 - t**-3
-        assert table.p_at(1) == t**-1
+        assert table.p_at(0) == T**-1 - T**-3
+        assert table.p_at(1) == T**-1
 
     def test_trefoil_table(self):
         table = coeff_table(cat.diagram("trefoil"))
-        t = UnivarLaurentT.monomial(1)
-        assert table.p_at(0) == 2 * t**-2 - t**-4
-        assert table.p_at(1) == t**-2
+        assert table.p_at(0) == 2 * T**-2 - T**-4
+        assert table.p_at(1) == T**-2
 
     def test_unknot_table(self):
         table = coeff_table(cat.diagram("unknot"))
-        t = UnivarLaurentT.monomial(1)
-        assert table.h_at(0) == t - t**-1
-        assert table.p_at(0) == UnivarLaurentT.one()
+        assert table.h_at(0) == TFAC
+        assert table.p_at(0) == BivarLaurent.one()
 
     def test_homfly_values(self):
         assert homfly(cat.diagram("unknot")) == BivarLaurent.one()
@@ -132,11 +128,10 @@ class TestStructuralProperties:
 
     def test_table_relation(self):
         # h[g] == p[g] * t^writhe * (t - t^-1) at every g
-        tfac = UnivarLaurentT({1: 1, -1: -1})
         for _, diagram in seeded_closures(seed=6, count=20):
             table = coeff_table(diagram)
             for g in table.genus_range():
-                assert table.h_at(g) == table.p_at(g).shift(table.writhe) * tfac
+                assert table.h_at(g) == table.p_at(g).shift(0, table.writhe) * TFAC
 
     def test_skein_triple(self):
         rng = SplitMix64(99)

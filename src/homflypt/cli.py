@@ -44,6 +44,12 @@ EXIT_INPUT = 1
 EXIT_RESOURCE = 2
 EXIT_FAILED = 3
 
+# Largest accepted --m-max and --n-max.  Lemma 5.1 enumerates Bell(m) set
+# partitions (about 4 s for all lemmas at m = 11, six times that per further
+# step); the enumerated route of lemma 5.4 walks 2^n subsets.
+LEMMA_M_LIMIT = 11
+LEMMA_N_LIMIT = 20
+
 
 class _InputError(Exception):
     pass
@@ -172,6 +178,10 @@ def _lemma_reports(args) -> list[VerificationReport]:
     reports = []
     m_max = args.m_max
     n_max = args.n_max
+    if m_max > LEMMA_M_LIMIT:
+        raise _InputError(f"--m-max must be at most {LEMMA_M_LIMIT}, got {m_max}")
+    if n_max > LEMMA_N_LIMIT:
+        raise _InputError(f"--n-max must be at most {LEMMA_N_LIMIT}, got {n_max}")
     for m in range(2, m_max + 1):
         reports.append(verify_lemma("5.1", m))
     for m in range(3, m_max + 1):

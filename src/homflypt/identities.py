@@ -88,51 +88,65 @@ class FValue:
         return self.poly.coeff_of_z(2 * g - self.components)
 
 
-def _subset_framed_values(
-    diagram: LinkDiagram, engine: SkeinEngine
+def _sublink_H(
+    diagram: LinkDiagram, engine: SkeinEngine | None
 ) -> dict[tuple[int, ...], BivarLaurent]:
-    """Framed invariant of every nonempty component subset (2^L - 1 calls)."""
-    indices = range(diagram.num_components)
-    values: dict[tuple[int, ...], BivarLaurent] = {}
-    for size in range(1, diagram.num_components + 1):
-        for subset in itertools.combinations(indices, size):
-            values[subset] = engine.framed_invariant(diagram.sublink(subset))
-    return values
-
-
-def _subset_tables(
-    diagram: LinkDiagram, engine: SkeinEngine
-) -> dict[tuple[int, ...], CoeffTable]:
-    indices = range(diagram.num_components)
-    tables: dict[tuple[int, ...], CoeffTable] = {}
-    for size in range(1, diagram.num_components + 1):
-        for subset in itertools.combinations(indices, size):
-            tables[subset] = coeff_table(diagram.sublink(subset), engine=engine)
-    return tables
+    """H(S) = z**(-|S|) Hf(S) of every nonempty component subset S, in
+    increasing size (2^L - 1 engine calls)."""
+    if diagram.num_components < 1:
+        raise ValueError("F needs at least one component")
+    eng = engine if engine is not None else SkeinEngine()
+    return {
+        subset: eng.framed_invariant(diagram.sublink(subset)).shift(-size)
+        for size in range(1, diagram.num_components + 1)
+        for subset in itertools.combinations(range(diagram.num_components), size)
+    }
 
 
 def intermediate_F(
     diagram: LinkDiagram,
     engine: SkeinEngine | None = None,
 ) -> FValue:
-    """Compute F by summing over component-set partitions.
+    """Compute F as the joint cumulant of the sublink invariants H.
+
+    The partition sum of the module docstring is the moment-cumulant
+    inversion of H, so F obeys the subset recursion
+
+        F(S) = H(S) - sum over T containing min S, T != S, of F(T) * H(S - T),
+
+    evaluated here for every subset in increasing size (3^L products, no
+    partition sum).
+    """
+    H = _sublink_H(diagram, engine)
+    F: dict[tuple[int, ...], BivarLaurent] = {}
+    for subset, value in H.items():
+        head, rest = subset[0], subset[1:]
+        for size in range(len(rest)):
+            for others in itertools.combinations(rest, size):
+                complement = tuple(i for i in rest if i not in others)
+                value = value - F[(head,) + others] * H[complement]
+        F[subset] = value
+    return FValue(diagram.num_components, F[tuple(range(diagram.num_components))])
+
+
+def _F_partition_sum(
+    diagram: LinkDiagram,
+    engine: SkeinEngine | None = None,
+) -> FValue:
+    """F summed over component-set partitions: the independent oracle for
+    `intermediate_F`, called by the tests only.
 
     Ordered decompositions with the same underlying blocks contribute the
     same product, so each unordered partition into l blocks is counted once
-    with the integer weight (-1)**(l-1) * (l-1)!.  Sublink values are
-    computed once per subset and reused.
+    with the integer weight (-1)**(l-1) * (l-1)!.
     """
-    if diagram.num_components < 1:
-        raise ValueError("F needs at least one component")
-    eng = engine if engine is not None else SkeinEngine()
-    framed = _subset_framed_values(diagram, eng)
-    unframed = {s: v.shift(-len(s)) for s, v in framed.items()}
+    H = _sublink_H(diagram, engine)
     total = BivarLaurent.zero()
     for blocks in set_partitions(range(diagram.num_components)):
         weight = (-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1)
         product = BivarLaurent.one()
         for block in blocks:
-            product = product * unframed[block]
+            product = product * H[block]
         total = total + product * weight
     return FValue(diagram.num_components, total)
 
@@ -193,56 +207,46 @@ def verify_prop31(
     return _poly_report("prop31", lhs, BivarLaurent.zero(), context)
 
 
-def _thm13_rhs(tables: dict[tuple[int, ...], CoeffTable], L: int, g: int) -> BivarLaurent:
-    """Alternating decomposition sum of sublink h-coefficients.
-
-    Grouped over unordered partitions: each partition into l blocks stands
-    for l! ordered decompositions, so its weight is (-1)**l * (l-1)!.
-    """
-    total = BivarLaurent.zero()
-    for blocks in set_partitions(range(L)):
-        l = len(blocks)
-        if l < 2:
-            continue
-        weight = (-1) ** l * math.factorial(l - 1)
-        for assignment in _compositions(g, l):
-            product = BivarLaurent.one()
-            for block, gs in zip(blocks, assignment):
-                product = product * tables[block].h_at(gs)
-                if product.is_zero():
-                    break
-            total = total + product * weight
-    return total
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def verify_thm13(
     diagram: LinkDiagram,
     g: int,
     engine: SkeinEngine | None = None,
     label: str | None = None,
 ) -> VerificationReport:
-    """h[g] of the link against the decomposition sum, for 0 <= g <= L-2."""
+    """h[g] of the link against the decomposition sum, for 0 <= g <= L-2.
+
+    The decomposition sum is h[g] minus the z**(2g-L) coefficient of F, so
+    the residual is that coefficient, which prop31 says vanishes.
+    """
     L = diagram.num_components
     if L < 2:
         raise ValueError("the decomposition identity needs at least 2 components")
     if not 0 <= g <= L - 2:
         raise GOutOfRange(f"g must lie in 0..{L - 2}, got {g}")
     eng = engine if engine is not None else SkeinEngine()
-    tables = _subset_tables(diagram, eng)
-    full = tuple(range(L))
-    lhs = tables[full].h_at(g)
-    rhs = _thm13_rhs(tables, L, g)
+    value = intermediate_F(diagram, engine=eng)
+    lhs = coeff_table(diagram, engine=eng).h_at(g)
+    rhs = lhs - value.coeff_at_g(g)
     return _poly_report("thm13", lhs, rhs, _context(diagram, label, g=g))
+
+
+def _two_form_report(
+    identity: str, diagram: LinkDiagram, label: str | None, g: int, h_lhs, h_rhs, p_lhs, p_rhs
+) -> VerificationReport:
+    """Report on the h-form sides; the p-form sides travel in the context,
+    and both forms must hold for a pass."""
+    h_pass, p_pass = h_lhs == h_rhs, p_lhs == p_rhs
+    context = _context(
+        diagram,
+        label,
+        g=g,
+        h_form_pass=h_pass,
+        p_form_pass=p_pass,
+        p_lhs=p_lhs,
+        p_rhs=p_rhs,
+        p_residual=p_lhs - p_rhs,
+    )
+    return VerificationReport(identity, h_pass and p_pass, h_lhs, h_rhs, h_lhs - h_rhs, context)
 
 
 def verify_thm14(
@@ -261,35 +265,21 @@ def verify_thm14(
     if L < 1:
         raise ValueError("needs at least one component")
     eng = engine if engine is not None else SkeinEngine()
-    tables = _subset_tables(diagram, eng)
-    full = tuple(range(L))
+    knots = [coeff_table(diagram.sublink([alpha]), engine=eng) for alpha in range(L)]
+    full = coeff_table(diagram, engine=eng)
 
-    h_lhs = tables[full].h_at(0)
+    h_lhs = full.h_at(0)
     h_rhs = BivarLaurent.one()
-    for alpha in range(L):
-        h_rhs = h_rhs * tables[(alpha,)].h_at(0)
+    for knot in knots:
+        h_rhs = h_rhs * knot.h_at(0)
 
     lk = diagram.total_linking()
-    p_lhs = tables[full].p_at(0)
+    p_lhs = full.p_at(0)
     p_rhs = (_T_FACTOR ** (L - 1)).shift(0, -2 * lk)
-    for alpha in range(L):
-        p_rhs = p_rhs * tables[(alpha,)].p_at(0)
+    for knot in knots:
+        p_rhs = p_rhs * knot.p_at(0)
 
-    h_pass = h_lhs == h_rhs
-    p_pass = p_lhs == p_rhs
-    context = _context(
-        diagram,
-        label,
-        g=0,
-        h_form_pass=h_pass,
-        p_form_pass=p_pass,
-        p_lhs=p_lhs,
-        p_rhs=p_rhs,
-        p_residual=p_lhs - p_rhs,
-    )
-    return VerificationReport(
-        "thm14", h_pass and p_pass, h_lhs, h_rhs, h_lhs - h_rhs, context
-    )
+    return _two_form_report("thm14", diagram, label, 0, h_lhs, h_rhs, p_lhs, p_rhs)
 
 
 def verify_thm15(
@@ -312,8 +302,12 @@ def verify_thm15(
     if L < 2:
         raise ValueError("the pair-sum identity needs at least 2 components")
     eng = engine if engine is not None else SkeinEngine()
-    tables = _subset_tables(diagram, eng)
-    full = tuple(range(L))
+    tables = {
+        subset: coeff_table(diagram.sublink(subset), engine=eng)
+        for size in (1, 2)
+        for subset in itertools.combinations(range(L), size)
+    }
+    full = coeff_table(diagram, engine=eng)
 
     def subset_sum(size, at, twist=lambda subset: 0):
         """Sum over the `size`-subsets S of at(S, 1) * t**twist(S) times the
@@ -327,32 +321,18 @@ def verify_thm15(
             total = total + term
         return total
 
-    h_lhs = tables[full].h_at(1)
+    h_lhs = full.h_at(1)
     h_rhs = subset_sum(2, CoeffTable.h_at) - subset_sum(1, CoeffTable.h_at) * (L - 2)
 
     lk = diagram.total_linking()
-    p_lhs = tables[full].p_at(1)
+    p_lhs = full.p_at(1)
     p_pairs = subset_sum(2, CoeffTable.p_at, lambda pair: 2 * diagram.linking_number(*pair))
     p_single = subset_sum(1, CoeffTable.p_at)
     p_rhs = (
         p_pairs * _T_FACTOR ** (L - 2) - p_single * _T_FACTOR ** (L - 1) * (L - 2)
     ).shift(0, -2 * lk)
 
-    h_pass = h_lhs == h_rhs
-    p_pass = p_lhs == p_rhs
-    context = _context(
-        diagram,
-        label,
-        g=1,
-        h_form_pass=h_pass,
-        p_form_pass=p_pass,
-        p_lhs=p_lhs,
-        p_rhs=p_rhs,
-        p_residual=p_lhs - p_rhs,
-    )
-    return VerificationReport(
-        "thm15", h_pass and p_pass, h_lhs, h_rhs, h_lhs - h_rhs, context
-    )
+    return _two_form_report("thm15", diagram, label, 1, h_lhs, h_rhs, p_lhs, p_rhs)
 
 
 def verify_skein_F(

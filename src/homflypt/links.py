@@ -459,7 +459,7 @@ class LinkDiagram:
         if not isinstance(obj["crossings"], list):
             fail("crossings", "expected a list")
         signs: dict[int, int] = {}
-        declared: dict[int, dict] = {}
+        declared: dict[int, tuple[int, dict]] = {}
         for ki, rec in enumerate(obj["crossings"]):
             where = f"crossings[{ki}]"
             if not isinstance(rec, dict):
@@ -474,16 +474,16 @@ class LinkDiagram:
             if rec["id"] in signs:
                 fail(f"{where}.id", f"duplicate crossing id {rec['id']}")
             signs[rec["id"]] = rec["sign"]
-            declared[rec["id"]] = rec
+            declared[rec["id"]] = (ki, rec)
         try:
             diagram = cls(comps, signs)
         except DiagramError as exc:
             raise DiagramError(f"$: {exc}") from None
         for cid in sorted(declared):
-            rec = declared[cid]
+            ki, rec = declared[cid]
             for role, key in ((OVER, "over"), (UNDER, "under")):
                 ref = rec[key]
-                where = f"crossings[{cid}].{key}"
+                where = f"crossings[{ki}].{key}"
                 if (
                     not isinstance(ref, (list, tuple))
                     or len(ref) != 2

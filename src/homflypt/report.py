@@ -35,8 +35,11 @@ class VerificationReport:
     """Outcome of one exact identity check.
 
     `lhs`, `rhs` and `residual` are polynomials or exact rationals with
-    ``residual == lhs - rhs``; `passed` holds exactly when the residual is
-    zero.  `context` carries the link description and parameters.
+    ``residual == lhs - rhs``.  `passed` requires the residual to be zero,
+    and for some identities more: thm14 and thm15 also require the p-form
+    to hold (its sides travel in `context`), and the counting lemmas also
+    require the enumerated and closed-form left sides to agree.  `context`
+    carries the link description and parameters.
     """
 
     identity: str

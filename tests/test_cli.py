@@ -115,6 +115,23 @@ class TestVerify:
         assert "lemma5.1(m=8): PASS" in text
         assert "partition-identity(m=8): PASS" in text
 
+    def test_eight_component_chain(self):
+        chain = "strands=8; " + " ".join(f"{i} {i}" for i in range(1, 8))
+        for target in ("prop31", "thm13", "skeinF"):
+            code, text = run_cli(["verify", target, "--braid", chain])
+            assert code == EXIT_OK, target
+            assert "FAIL" not in text
+
+    def test_lemma_bounds(self, capsys):
+        for target in ("lemmas", "all"):
+            for flag in ("--m-max", "--n-max"):
+                code, text = run_cli(["verify", target, flag, "1000"])
+                assert code == EXIT_INPUT and text == ""
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+        code, _ = run_cli(["verify", "lemmas", "--m-max", "3", "--n-max", "20"])
+        assert code == EXIT_OK
+
     def test_lemma54_n1_is_excluded_by_default(self):
         code, text = run_cli(["verify", "lemmas", "--m-max", "4"])
         assert code == EXIT_OK

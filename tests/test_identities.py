@@ -68,23 +68,30 @@ class TestIntermediateF:
 
 
 class TestFAgainstDecompositionSum:
-    def test_f_equals_h_minus_sum_at_every_g(self):
-        # the z-expansion of F must reproduce, at every g (also beyond the
-        # vanishing range), the link's h[g] minus the alternating sublink sum
-        from homflypt.identities import _subset_tables, _thm13_rhs
-        from homflypt.skein import SkeinEngine as Engine
+    def test_recursion_equals_partition_sum(self):
+        # the subset recursion against the partition-sum oracle; equal
+        # polynomials agree at every g, also beyond the vanishing range
+        from homflypt.identities import _F_partition_sum
 
-        engine = Engine()
-        for name in ("hopf+", "t24", "borromean", "trefoil-hopf+"):
-            diagram = cat.diagram(name)
-            L = diagram.num_components
-            coeffs = f_coefficients(diagram, engine=engine)
-            tables = _subset_tables(diagram, engine)
-            full = tuple(range(L))
-            top = max(list(coeffs) + tables[full].genus_range())
-            for g in range(top + 1):
-                expected = tables[full].h_at(g) - _thm13_rhs(tables, L, g)
-                assert coeffs.get(g, BivarLaurent.zero()) == expected, (name, g)
+        engine = SkeinEngine()
+        diagrams = [entry.diagram() for entry in cat.CATALOG]
+        for L in range(2, 7):
+            corpus = seeded_links_with_components(940 + L, 4, L, (L, L + 1), max_length=12)
+            diagrams += [d for _, d in corpus]
+            # short random closures with many components are mostly split, so
+            # add two chains whose F is nonzero: all positive, and alternating
+            # signs with the first pair linked twice
+            positive = " ".join(f"{i} {i}" for i in range(1, L))
+            signed = [(-1) ** (i + 1) * i for i in range(2, L)]
+            mixed = " ".join(["1 1 1 1"] + [f"{s} {s}" for s in signed])
+            for word in (positive, mixed):
+                diagrams.append(close_braid(parse_braid(f"strands={L}; {word}")))
+        nonzero = 0
+        for diagram in diagrams:
+            expected = _F_partition_sum(diagram, engine=engine).poly
+            assert intermediate_F(diagram, engine=engine).poly == expected, diagram
+            nonzero += not expected.is_zero()
+        assert nonzero >= 20
 
 
 class TestProp31:

@@ -291,6 +291,21 @@ class TestJson:
         with pytest.raises(DiagramError, match=r"crossings\[0\]\.over"):
             LinkDiagram.from_json_dict(bad)
 
+    def test_reference_errors_name_the_list_index(self):
+        # ids 7 and 3 in a 2-element list: the path must be the list index
+        good = {
+            "components": [[[7, "o"], [3, "u"]], [[7, "u"], [3, "o"]]],
+            "crossings": [
+                {"id": 7, "sign": 1, "over": [0, 0], "under": [1, 0]},
+                {"id": 3, "sign": 1, "over": [1, 1], "under": [0, 1]},
+            ],
+        }
+        assert LinkDiagram.from_json_dict(good).num_crossings == 2
+        bad = json.loads(json.dumps(good))
+        bad["crossings"][1]["under"] = [0, 0]
+        with pytest.raises(DiagramError, match=r"^crossings\[1\]\.under:"):
+            LinkDiagram.from_json_dict(bad)
+
     def test_validation_catches_broken_diagrams(self):
         with pytest.raises(DiagramError):
             LinkDiagram([((0, OVER),)], {0: 1})  # missing under passage

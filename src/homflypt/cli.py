@@ -44,9 +44,10 @@ EXIT_INPUT = 1
 EXIT_RESOURCE = 2
 EXIT_FAILED = 3
 
-# Largest accepted --m-max and --n-max.  Lemma 5.1 enumerates Bell(m) set
-# partitions (about 4 s for all lemmas at m = 11, six times that per further
-# step); the enumerated route of lemma 5.4 walks 2^n subsets.
+# Largest accepted --m-max and --n-max; the least is 1.  Lemma 5.1
+# enumerates Bell(m) set partitions (about 4 s for all lemmas at m = 11,
+# six times that per further step); the enumerated route of lemma 5.4
+# walks 2^n subsets.
 LEMMA_M_LIMIT = 11
 LEMMA_N_LIMIT = 20
 
@@ -57,14 +58,18 @@ class _InputError(Exception):
 
 def _max_nodes(args) -> int:
     if args.max_nodes is not None:
-        return args.max_nodes
-    env = os.environ.get("SKEIN_MAX_NODES")
-    if env is not None:
+        source, budget = "--max-nodes", args.max_nodes
+    else:
+        source, env = "SKEIN_MAX_NODES", os.environ.get("SKEIN_MAX_NODES")
+        if env is None:
+            return DEFAULT_MAX_NODES
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise _InputError(f"SKEIN_MAX_NODES must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_NODES
+    if budget < 1:
+        raise _InputError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def _load_file(path: str) -> LinkDiagram:
@@ -114,37 +119,6 @@ def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, LinkDiagram]]:
 # -- homfly ------------------------------------------------------------------
 
 
-def _homfly_payload(label: str, diagram: LinkDiagram, max_nodes: int) -> dict:
-    engine = SkeinEngine(max_nodes=max_nodes)
-    framed = engine.framed_invariant(diagram)
-    table = coeff_table(diagram, engine=engine)
-    return {
-        "link": label,
-        "components": table.components,
-        "writhe": table.writhe,
-        "total_linking": table.total_linking,
-        "framed": framed,
-        "homfly": table.polynomial(),
-        "table": table,
-    }
-
-
-def _print_homfly_text(payload: dict, out) -> None:
-    table = payload["table"]
-    print(f"link: {payload['link']}", file=out)
-    print(
-        f"components: {table.components}  writhe: {table.writhe}"
-        f"  total_linking: {table.total_linking}",
-        file=out,
-    )
-    print(f"framed: {payload['framed']}", file=out)
-    print(f"homfly: {payload['homfly']}", file=out)
-    for g in table.genus_range():
-        print(f"h[g={g}] (z^{2 * g - table.components}): {table.h_at(g)}", file=out)
-    for g in table.genus_range():
-        print(f"p[g={g}] (z^{2 * g + 1 - table.components}): {table.p_at(g)}", file=out)
-
-
 def cmd_homfly(args, out) -> int:
     links = _resolve_links(args, allow_stdin=False)
     if not links:
@@ -152,22 +126,31 @@ def cmd_homfly(args, out) -> int:
     label, diagram = links[0]
     if diagram.num_components == 0:
         raise _InputError("the empty diagram has no coefficient table")
-    payload = _homfly_payload(label, diagram, _max_nodes(args))
+    engine = SkeinEngine(max_nodes=_max_nodes(args))
+    framed = engine.framed_invariant(diagram)
+    table = coeff_table(diagram, engine=engine)
+    homfly = table.polynomial()
     if args.format == "json":
-        table = payload["table"]
-        obj = {
-            "link": payload["link"],
-            "components": table.components,
-            "writhe": table.writhe,
-            "total_linking": table.total_linking,
-            "framed": payload["framed"].to_quadruples(),
-            "homfly": payload["homfly"].to_quadruples(),
-            "h": {str(g): table.h_at(g).to_triples() for g in table.genus_range()},
-            "p": {str(g): table.p_at(g).to_triples() for g in table.genus_range()},
-        }
+        obj = dict(
+            table.to_json_dict(),
+            link=label,
+            framed=framed.to_quadruples(),
+            homfly=homfly.to_quadruples(),
+        )
         print(json.dumps(obj, sort_keys=True, indent=2), file=out)
-    else:
-        _print_homfly_text(payload, out)
+        return EXIT_OK
+    print(f"link: {label}", file=out)
+    print(
+        f"components: {table.components}  writhe: {table.writhe}"
+        f"  total_linking: {table.total_linking}",
+        file=out,
+    )
+    print(f"framed: {framed}", file=out)
+    print(f"homfly: {homfly}", file=out)
+    for g in table.genus_range():
+        print(f"h[g={g}] (z^{2 * g - table.components}): {table.h_at(g)}", file=out)
+    for g in table.genus_range():
+        print(f"p[g={g}] (z^{2 * g + 1 - table.components}): {table.p_at(g)}", file=out)
     return EXIT_OK
 
 
@@ -178,10 +161,12 @@ def _lemma_reports(args) -> list[VerificationReport]:
     reports = []
     m_max = args.m_max
     n_max = args.n_max
-    if m_max > LEMMA_M_LIMIT:
-        raise _InputError(f"--m-max must be at most {LEMMA_M_LIMIT}, got {m_max}")
-    if n_max > LEMMA_N_LIMIT:
-        raise _InputError(f"--n-max must be at most {LEMMA_N_LIMIT}, got {n_max}")
+    bounds = (("--m-max", m_max, LEMMA_M_LIMIT), ("--n-max", n_max, LEMMA_N_LIMIT))
+    for flag, value, limit in bounds:
+        if value < 1:
+            raise _InputError(f"{flag} must be at least 1, got {value}")
+        if value > limit:
+            raise _InputError(f"{flag} must be at most {limit}, got {value}")
     for m in range(2, m_max + 1):
         reports.append(verify_lemma("5.1", m))
     for m in range(3, m_max + 1):
@@ -196,62 +181,70 @@ def _lemma_reports(args) -> list[VerificationReport]:
     return reports
 
 
+def _needs_two_components(diagram: LinkDiagram) -> str | None:
+    return "needs >= 2 components" if diagram.num_components < 2 else None
+
+
+def _inter_crossings(diagram: LinkDiagram) -> list[int]:
+    return [cid for cid in diagram.crossing_ids() if not diagram.is_self_crossing(cid)]
+
+
+# link target -> (skip reason of a nonempty diagram or None, report builder);
+# `verify all` walks the targets in this order
+_LINK_TARGETS = {
+    "prop31": (
+        _needs_two_components,
+        lambda d, engine, label: [verify_prop31(d, engine=engine, label=label)],
+    ),
+    "thm13": (
+        _needs_two_components,
+        lambda d, engine, label: [
+            verify_thm13(d, g, engine=engine, label=label) for g in range(d.num_components - 1)
+        ],
+    ),
+    "thm14": (
+        lambda d: None,
+        lambda d, engine, label: [verify_thm14(d, engine=engine, label=label)],
+    ),
+    "thm15": (
+        _needs_two_components,
+        lambda d, engine, label: [verify_thm15(d, engine=engine, label=label)],
+    ),
+    "skeinF": (
+        lambda d: None if _inter_crossings(d) else "no inter-component crossings",
+        lambda d, engine, label: [
+            verify_skein_F(d, cid, engine=engine, label=f"{label} c{cid}")
+            for cid in _inter_crossings(d)
+        ],
+    ),
+    "splitF": (
+        _needs_two_components,
+        lambda d, engine, label: [
+            verify_split_F(
+                [d.sublink([alpha]) for alpha in range(d.num_components)],
+                engine=engine,
+                label=f"{label} (components split)",
+            )
+        ],
+    ),
+}
+
+
 def _link_reports(
     target: str, label: str, diagram: LinkDiagram, max_nodes: int
 ) -> tuple[list[VerificationReport], list[str]]:
+    if diagram.num_components == 0:
+        return [], [f"{target} [{label}]: SKIP (empty diagram)"]
     engine = SkeinEngine(max_nodes=max_nodes)
-    L = diagram.num_components
     reports: list[VerificationReport] = []
     skipped: list[str] = []
-
-    def skip(name: str, why: str) -> None:
-        skipped.append(f"{name} [{label}]: SKIP ({why})")
-
-    want = (
-        (target,)
-        if target != "all"
-        else ("prop31", "thm13", "thm14", "thm15", "skeinF", "splitF")
-    )
-    if L == 0:
-        skip(target, "empty diagram")
-        return reports, skipped
-    for name in want:
-        if name == "prop31":
-            if L < 2:
-                skip(name, "needs >= 2 components")
-            else:
-                reports.append(verify_prop31(diagram, engine=engine, label=label))
-        elif name == "thm13":
-            if L < 2:
-                skip(name, "needs >= 2 components")
-            else:
-                for g in range(L - 1):
-                    reports.append(verify_thm13(diagram, g, engine=engine, label=label))
-        elif name == "thm14":
-            reports.append(verify_thm14(diagram, engine=engine, label=label))
-        elif name == "thm15":
-            if L < 2:
-                skip(name, "needs >= 2 components")
-            else:
-                reports.append(verify_thm15(diagram, engine=engine, label=label))
-        elif name == "skeinF":
-            inter = [
-                cid for cid in diagram.crossing_ids() if not diagram.is_self_crossing(cid)
-            ]
-            if not inter:
-                skip(name, "no inter-component crossings")
-            for cid in inter:
-                reports.append(
-                    verify_skein_F(diagram, cid, engine=engine, label=f"{label} c{cid}")
-                )
-        elif name == "splitF":
-            if L < 2:
-                skip(name, "needs >= 2 components")
-            else:
-                knots = [diagram.sublink([alpha]) for alpha in range(L)]
-                reports.append(
-                    verify_split_F(knots, engine=engine, label=f"{label} (components split)")
-                )
+    for name in _LINK_TARGETS if target == "all" else (target,):
+        skip_reason, build = _LINK_TARGETS[name]
+        why = skip_reason(diagram)
+        if why:
+            skipped.append(f"{name} [{label}]: SKIP ({why})")
+        else:
+            reports.extend(build(diagram, engine, label))
     return reports, skipped
 
 
@@ -260,9 +253,8 @@ def cmd_verify(args, out) -> int:
     reports: list[VerificationReport] = []
     skipped: list[str] = []
 
-    if target in ("lemmas", "all"):
-        reports.extend(_lemma_reports(args))
-
+    # every link input and the node budget are checked before the lemmas run
+    links: list[tuple[str, LinkDiagram]] = []
     if target != "lemmas":
         # `verify all` with no link flags runs the catalog; it never reads
         # stdin, which may be an open pipe that never closes.
@@ -275,10 +267,13 @@ def cmd_verify(args, out) -> int:
                     "give one of --catalog, --braid, --file, or pipe braid lines on stdin"
                 )
         max_nodes = _max_nodes(args)
-        for label, diagram in links:
-            link_reports, link_skips = _link_reports(target, label, diagram, max_nodes)
-            reports.extend(link_reports)
-            skipped.extend(link_skips)
+
+    if target in ("lemmas", "all"):
+        reports.extend(_lemma_reports(args))
+    for label, diagram in links:
+        link_reports, link_skips = _link_reports(target, label, diagram, max_nodes)
+        reports.extend(link_reports)
+        skipped.extend(link_skips)
 
     all_passed = all(r.passed for r in reports)
     if args.format == "json":

@@ -32,7 +32,9 @@ __all__ = [
     "LEMMA_IDS",
 ]
 
-LEMMA_IDS = ("5.1", "5.2", "5.3", "5.4")
+# lemma id -> (parameter name, least parameter)
+_LEMMA_RANGES = {"5.1": ("m", 2), "5.2": ("m", 3), "5.3": ("m", 1), "5.4": ("n", 1)}
+LEMMA_IDS = tuple(_LEMMA_RANGES)
 
 
 class InvalidRange(ValueError):
@@ -182,32 +184,29 @@ def _decomposition_counts_enumerated(m: int) -> dict[int, int]:
     return counts
 
 
-def _report(identity: str, lhs, rhs, context: dict) -> VerificationReport:
-    residual = lhs - rhs
-    return VerificationReport(
-        identity=identity,
-        passed=residual == 0,
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        context=context,
-    )
+def _subsets_enumerated(n: int, k: int) -> int:
+    """C(n, k) by walking the k-subsets of {0..n-1}."""
+    return sum(1 for _ in itertools.combinations(range(n), k))
 
 
-def _two_path_report(identity: str, lhs_enum, lhs_closed, rhs, context: dict) -> VerificationReport:
-    # pass requires the two left-side evaluations to agree AND match the right side
-    residual = lhs_closed - rhs
-    passed = residual == 0 and lhs_enum == lhs_closed
-    context = dict(context, lhs_enumerated=lhs_enum, lhs_closed_form=lhs_closed)
-    return VerificationReport(identity, passed, lhs_closed, rhs, residual, context)
+def _lemma_lhs(lemma_id: str, p: int, count) -> Fraction | int:
+    """The left side of a lemma at parameter p, from a count: D(m, n) for
+    5.1-5.3, C(n, k) for 5.4.  5.1 sums Fractions, the others integers."""
+    if lemma_id == "5.1":
+        return sum((Fraction((-1) ** n, n) * count(p, n) for n in range(2, p + 1)), Fraction(0))
+    if lemma_id == "5.2":
+        return sum((-1) ** n * (count(p - 1, n - 1) + count(p - 1, n)) for n in range(2, p + 1))
+    if lemma_id == "5.3":
+        return sum((-1) ** n * count(p, n) for n in range(1, p + 1))
+    return sum((-1) ** k * (k + 1) * count(p, k) for k in range(p))
 
 
 def verify_lemma(lemma_id: str | float, parameter: int) -> VerificationReport:
     """Check one counting lemma at one parameter value, two ways.
 
     The left side is evaluated both from explicitly enumerated structures
-    and from the closed-form surjection counts; both values and the right
-    side are reported exactly.  Lemma ids:
+    and from the closed-form counts (surjection counts, binomials); both
+    values and the right side are reported exactly.  Lemma ids:
 
     * ``"5.1"`` (m >= 2):  sum_{n=2..m} (-1)^n / n * D(m, n) == 1
     * ``"5.2"`` (m >= 3):  sum_{n=2..m} (-1)^n * (D(m-1, n-1) + D(m-1, n)) == 1
@@ -222,54 +221,20 @@ def verify_lemma(lemma_id: str | float, parameter: int) -> VerificationReport:
     if lid not in LEMMA_IDS:
         raise InvalidRange(f"unknown lemma id {lemma_id!r}")
     p = int(parameter)
-
-    if lid == "5.1":
-        if p < 2:
-            raise InvalidRange("lemma 5.1 needs m >= 2")
-        enum_counts = _decomposition_counts_enumerated(p)
-        lhs_enum = sum(
-            (Fraction((-1) ** n, n) * enum_counts.get(n, 0) for n in range(2, p + 1)),
-            Fraction(0),
-        )
-        lhs_closed = sum(
-            (Fraction((-1) ** n, n) * surjection_count(p, n) for n in range(2, p + 1)),
-            Fraction(0),
-        )
-        return _two_path_report(f"lemma5.1(m={p})", lhs_enum, lhs_closed, Fraction(1), {"m": p})
-
-    if lid == "5.2":
-        if p < 3:
-            raise InvalidRange("lemma 5.2 needs m >= 3")
-        enum_counts = _decomposition_counts_enumerated(p - 1)
-        lhs_enum = sum(
-            (-1) ** n * (enum_counts.get(n - 1, 0) + enum_counts.get(n, 0))
-            for n in range(2, p + 1)
-        )
-        lhs_closed = sum(
-            (-1) ** n
-            * (surjection_count(p - 1, n - 1) + surjection_count(p - 1, n))
-            for n in range(2, p + 1)
-        )
-        return _two_path_report(f"lemma5.2(m={p})", lhs_enum, lhs_closed, 1, {"m": p})
-
-    if lid == "5.3":
-        if p < 1:
-            raise InvalidRange("lemma 5.3 needs m >= 1")
-        enum_counts = _decomposition_counts_enumerated(p)
-        lhs_enum = sum((-1) ** n * enum_counts.get(n, 0) for n in range(1, p + 1))
-        lhs_closed = sum((-1) ** n * surjection_count(p, n) for n in range(1, p + 1))
-        return _two_path_report(f"lemma5.3(m={p})", lhs_enum, lhs_closed, (-1) ** p, {"m": p})
-
-    # lemma 5.4 is a binomial sum; the enumeration route counts the subsets.
-    if p < 1:
-        raise InvalidRange("lemma 5.4 needs n >= 1")
-    lhs_closed = sum((-1) ** k * (k + 1) * math.comb(p, k) for k in range(p))
-    lhs_enum = sum(
-        (-1) ** k * (k + 1) * sum(1 for _ in itertools.combinations(range(p), k))
-        for k in range(p)
+    name, least = _LEMMA_RANGES[lid]
+    if p < least:
+        raise InvalidRange(f"lemma {lid} needs {name} >= {least}")
+    if lid == "5.4":
+        enumerated, closed = _subsets_enumerated, math.comb
+    else:
+        sweep = lru_cache(maxsize=None)(_decomposition_counts_enumerated)  # one sweep per m
+        enumerated, closed = (lambda m, n: sweep(m).get(n, 0)), surjection_count
+    lhs_enum, lhs_closed = _lemma_lhs(lid, p, enumerated), _lemma_lhs(lid, p, closed)
+    rhs = {"5.1": Fraction(1), "5.2": 1, "5.3": (-1) ** p, "5.4": (-1) ** (p + 1) * (p + 1)}[lid]
+    context = {name: p, "lhs_enumerated": lhs_enum, "lhs_closed_form": lhs_closed}
+    return VerificationReport.of(
+        f"lemma{lid}({name}={p})", lhs_closed, rhs, context, also=lhs_enum == lhs_closed
     )
-    rhs = (-1) ** (p + 1) * (p + 1)
-    return _two_path_report(f"lemma5.4(n={p})", lhs_enum, lhs_closed, rhs, {"n": p})
 
 
 def verify_partition_identity(m: int) -> VerificationReport:
@@ -292,4 +257,4 @@ def verify_partition_identity(m: int) -> VerificationReport:
             * math.factorial(m)
             / denom
         )
-    return _report(f"partition-identity(m={m})", total, Fraction(1), {"m": m})
+    return VerificationReport.of(f"partition-identity(m={m})", total, Fraction(1), {"m": m})

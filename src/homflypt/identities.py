@@ -178,11 +178,6 @@ def _context(diagram: LinkDiagram, label: str | None, **extra) -> dict:
     return ctx
 
 
-def _poly_report(identity: str, lhs, rhs, context: dict) -> VerificationReport:
-    residual = lhs - rhs
-    return VerificationReport(identity, not residual, lhs, rhs, residual, context)
-
-
 def verify_prop31(
     diagram: LinkDiagram,
     engine: SkeinEngine | None = None,
@@ -204,7 +199,7 @@ def verify_prop31(
         vanishing_range=f"g=0..{L - 2}",
         min_z_degree=min_deg if min_deg is not None else "none (F = 0)",
     )
-    return _poly_report("prop31", lhs, BivarLaurent.zero(), context)
+    return VerificationReport.of("prop31", lhs, BivarLaurent.zero(), context)
 
 
 def verify_thm13(
@@ -227,7 +222,7 @@ def verify_thm13(
     value = intermediate_F(diagram, engine=eng)
     lhs = coeff_table(diagram, engine=eng).h_at(g)
     rhs = lhs - value.coeff_at_g(g)
-    return _poly_report("thm13", lhs, rhs, _context(diagram, label, g=g))
+    return VerificationReport.of("thm13", lhs, rhs, _context(diagram, label, g=g))
 
 
 def _two_form_report(
@@ -235,18 +230,18 @@ def _two_form_report(
 ) -> VerificationReport:
     """Report on the h-form sides; the p-form sides travel in the context,
     and both forms must hold for a pass."""
-    h_pass, p_pass = h_lhs == h_rhs, p_lhs == p_rhs
+    p_residual = p_lhs - p_rhs
     context = _context(
         diagram,
         label,
         g=g,
-        h_form_pass=h_pass,
-        p_form_pass=p_pass,
+        h_form_pass=h_lhs == h_rhs,
+        p_form_pass=not p_residual,
         p_lhs=p_lhs,
         p_rhs=p_rhs,
-        p_residual=p_lhs - p_rhs,
+        p_residual=p_residual,
     )
-    return VerificationReport(identity, h_pass and p_pass, h_lhs, h_rhs, h_lhs - h_rhs, context)
+    return VerificationReport.of(identity, h_lhs, h_rhs, context, also=not p_residual)
 
 
 def verify_thm14(
@@ -355,9 +350,7 @@ def verify_skein_F(
     f_zero = intermediate_F(zero_smoothing, engine=eng).poly
     lhs = f_plus - f_minus
     rhs = f_zero.shift(1)
-    return _poly_report(
-        "skeinF", lhs, rhs, _context(diagram, label, crossing=cid)
-    )
+    return VerificationReport.of("skeinF", lhs, rhs, _context(diagram, label, crossing=cid))
 
 
 def verify_split_F(
@@ -376,4 +369,4 @@ def verify_split_F(
         union = union.disjoint_union(d)
     value = intermediate_F(union, engine=engine)
     context = _context(union, label, factors=len(knots))
-    return _poly_report("splitF", value.poly, BivarLaurent.zero(), context)
+    return VerificationReport.of("splitF", value.poly, BivarLaurent.zero(), context)

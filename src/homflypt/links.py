@@ -163,6 +163,16 @@ def close_braid(word: BraidWord) -> "LinkDiagram":
     return LinkDiagram(components, signs)
 
 
+def _trusted(components: Iterable[tuple[Passage, ...]], signs: dict[int, int]) -> "LinkDiagram":
+    """A diagram on data an internal surgery derived from a valid diagram:
+    tuples of (int, str) passages and an int -> int sign dict.  Skips the
+    conversion and validation of the public constructor."""
+    out = LinkDiagram.__new__(LinkDiagram)
+    object.__setattr__(out, "components", tuple(components))
+    object.__setattr__(out, "signs", signs)
+    return out
+
+
 class LinkDiagram:
     """An oriented link diagram as component passage sequences plus signs.
 
@@ -172,26 +182,11 @@ class LinkDiagram:
 
     __slots__ = ("components", "signs")
 
-    def __init__(
-        self,
-        components: Iterable[Iterable[Passage]],
-        signs: Mapping[int, int],
-        validate: bool = True,
-    ):
-        if validate:
-            comps = tuple(
-                tuple((int(cid), role) for cid, role in comp) for comp in components
-            )
-            sgns = {int(cid): int(s) for cid, s in signs.items()}
-        else:
-            # trusted caller (internal surgeries): data is already
-            # tuples of (int, str) passages and an int->int sign dict
-            comps = tuple(components)
-            sgns = signs if isinstance(signs, dict) else dict(signs)
+    def __init__(self, components: Iterable[Iterable[Passage]], signs: Mapping[int, int]):
+        comps = tuple(tuple((int(cid), role) for cid, role in comp) for comp in components)
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "signs", sgns)
-        if validate:
-            self._validate()
+        object.__setattr__(self, "signs", {int(cid): int(s) for cid, s in signs.items()})
+        self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("LinkDiagram is immutable")
@@ -309,7 +304,7 @@ class LinkDiagram:
             tuple(p for p in self.components[ci] if p[0] in keep_ids) for ci in kept
         )
         signs = {cid: self.signs[cid] for cid in sorted(keep_ids)}
-        return LinkDiagram(comps, signs, validate=False)
+        return _trusted(comps, signs)
 
     def switch_crossing(self, cid: int) -> "LinkDiagram":
         """Swap the over/under roles of one crossing and negate its sign."""
@@ -321,7 +316,7 @@ class LinkDiagram:
         )
         signs = dict(self.signs)
         signs[cid] = -signs[cid]
-        return LinkDiagram(comps, signs, validate=False)
+        return _trusted(comps, signs)
 
     def smooth_crossing(self, cid: int) -> "LinkDiagram":
         """Delete one crossing and rejoin the strands respecting orientation.
@@ -343,7 +338,7 @@ class LinkDiagram:
             merged = a[p1 + 1 :] + a[:p1] + b[p2 + 1 :] + b[:p2]
             comps[c1] = merged
             del comps[c2]
-        return LinkDiagram(comps, signs, validate=False)
+        return _trusted(comps, signs)
 
     def disjoint_union(self, other: "LinkDiagram") -> "LinkDiagram":
         """Place two diagrams side by side; no new crossings."""
@@ -355,7 +350,7 @@ class LinkDiagram:
         signs = dict(self.signs)
         for cid, s in sorted(other.signs.items()):
             signs[relabel[cid]] = s
-        return LinkDiagram(comps, signs, validate=False)
+        return _trusted(comps, signs)
 
     def add_kink(self, comp: int, sign: int, over_first: bool = True) -> "LinkDiagram":
         """Append a one-crossing curl (R1 loop) to a component."""
@@ -369,7 +364,7 @@ class LinkDiagram:
         comps[comp] = comps[comp] + pair
         signs = dict(self.signs)
         signs[cid] = sign
-        return LinkDiagram(comps, signs, validate=False)
+        return _trusted(comps, signs)
 
     def rotate_base_point(self, comp: int, shift: int) -> "LinkDiagram":
         """Move a component's base point along its cyclic sequence."""
@@ -381,7 +376,7 @@ class LinkDiagram:
             seq = seq[k:] + seq[:k]
         comps = list(self.components)
         comps[comp] = seq
-        return LinkDiagram(comps, self.signs, validate=False)
+        return _trusted(comps, self.signs)
 
     # -- identity and serialization -----------------------------------------
 

@@ -35,11 +35,8 @@ class VerificationReport:
     """Outcome of one exact identity check.
 
     `lhs`, `rhs` and `residual` are polynomials or exact rationals with
-    ``residual == lhs - rhs``.  `passed` requires the residual to be zero,
-    and for some identities more: thm14 and thm15 also require the p-form
-    to hold (its sides travel in `context`), and the counting lemmas also
-    require the enumerated and closed-form left sides to agree.  `context`
-    carries the link description and parameters.
+    ``residual == lhs - rhs``.  Reports are built by `of`, which holds the
+    one pass rule.  `context` carries the link description and parameters.
     """
 
     identity: str
@@ -48,6 +45,15 @@ class VerificationReport:
     rhs: Any
     residual: Any
     context: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, identity: str, lhs, rhs, context: dict, also: bool = True) -> "VerificationReport":
+        """The report on ``lhs == rhs``: it passes when the residual is zero
+        and `also` holds.  `also` is the second condition some identities
+        carry: the p-form of thm14 and thm15, and for the counting lemmas the
+        agreement of the enumerated and closed-form left sides."""
+        residual = lhs - rhs
+        return cls(identity, not residual and also, lhs, rhs, residual, context)
 
     def to_json_dict(self) -> dict:
         return {

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_NODES = 10_000_000
+# Memo entries an engine stores; once full, further values are recomputed.
+MEMO_CAP = 1_000_000
 
 _T_FACTOR = T - T**-1  # t - t^-1
 _Z2 = Z * Z
@@ -92,13 +94,11 @@ class SkeinEngine:
     The memo table is keyed on `LinkDiagram.canonical_key`, so equal
     diagrams up to crossing relabeling share one entry.  `max_nodes` bounds
     the number of expanded (non-memoized) resolution nodes; exceeding it
-    raises ResourceLimitExceeded.  `cache_cap` bounds the table size; once
-    full, further values are recomputed rather than stored.
+    raises ResourceLimitExceeded.  The table holds at most MEMO_CAP entries.
     """
 
-    def __init__(self, max_nodes: int | None = None, cache_cap: int = 1_000_000):
+    def __init__(self, max_nodes: int | None = None):
         self.max_nodes = DEFAULT_MAX_NODES if max_nodes is None else int(max_nodes)
-        self.cache_cap = int(cache_cap)
         self.nodes = 0
         self._memo: dict[bytes, BivarLaurent] = {}
 
@@ -123,7 +123,7 @@ class SkeinEngine:
                 value = switched + eps_factor * smoothed
             else:
                 value = switched - eps_factor * smoothed
-        if len(self._memo) < self.cache_cap:
+        if len(self._memo) < MEMO_CAP:
             self._memo[key] = value
         return value
 

@@ -76,6 +76,24 @@ class TestHomfly:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_max_nodes_below_one_is_bad_input(self, monkeypatch, capsys):
+        for argv in (
+            ["homfly", "--catalog", "unknot", "--max-nodes", "0"],
+            ["homfly", "--catalog", "unknot", "--max-nodes", "-3"],
+            ["verify", "all", "--max-nodes", "0"],
+        ):
+            code, text = run_cli(argv)
+            assert code == EXIT_INPUT and text == ""
+            err = capsys.readouterr().err
+            assert err.startswith("error: --max-nodes must be at least 1") and err.count("\n") == 1
+        monkeypatch.setenv("SKEIN_MAX_NODES", "-1")
+        code, text = run_cli(["verify", "thm14", "--catalog", "unknot"])
+        assert code == EXIT_INPUT and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: SKEIN_MAX_NODES must be at least 1") and err.count("\n") == 1
+        code, _ = run_cli(["homfly", "--catalog", "unknot", "--max-nodes", "1"])
+        assert code == EXIT_OK
+
     def test_two_link_flags_rejected(self, capsys):
         code, _ = run_cli(["homfly", "--catalog", "unknot", "--braid", "strands=1;"])
         assert code == EXIT_INPUT
@@ -125,12 +143,35 @@ class TestVerify:
     def test_lemma_bounds(self, capsys):
         for target in ("lemmas", "all"):
             for flag in ("--m-max", "--n-max"):
-                code, text = run_cli(["verify", target, flag, "1000"])
-                assert code == EXIT_INPUT and text == ""
-                err = capsys.readouterr().err
-                assert err.startswith("error: ") and err.count("\n") == 1, err
+                for value in ("1000", "0", "-4"):
+                    code, text = run_cli(["verify", target, flag, value])
+                    assert code == EXIT_INPUT and text == ""
+                    err = capsys.readouterr().err
+                    assert err.startswith(f"error: {flag} must be at") and err.count("\n") == 1, err
         code, _ = run_cli(["verify", "lemmas", "--m-max", "3", "--n-max", "20"])
         assert code == EXIT_OK
+        code, text = run_cli(["verify", "lemmas", "--m-max", "1", "--n-max", "1"])
+        assert code == EXIT_OK and text == "lemma5.3(m=1): PASS\n1/1 checks passed\n"
+
+    def test_skip_lines_are_exact(self, tmp_path):
+        small = ["--m-max", "2", "--n-max", "2"]
+        code, text = run_cli(["verify", "all", "--catalog", "trefoil", *small])
+        assert code == EXIT_OK
+        assert [line for line in text.splitlines() if "SKIP" in line] == [
+            "prop31 [trefoil]: SKIP (needs >= 2 components)",
+            "thm13 [trefoil]: SKIP (needs >= 2 components)",
+            "thm15 [trefoil]: SKIP (needs >= 2 components)",
+            "skeinF [trefoil]: SKIP (no inter-component crossings)",
+            "splitF [trefoil]: SKIP (needs >= 2 components)",
+        ]
+        path = tmp_path / "empty.json"
+        path.write_text('{"components": [], "crossings": []}')
+        code, text = run_cli(["verify", "all", "--file", str(path), *small, "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(text)["skipped"] == [f"all [{path}]: SKIP (empty diagram)"]
+        code, text = run_cli(["verify", "thm14", "--file", str(path)])
+        assert code == EXIT_OK
+        assert text == f"thm14 [{path}]: SKIP (empty diagram)\n0/0 checks passed\n"
 
     def test_lemma54_n1_is_excluded_by_default(self):
         code, text = run_cli(["verify", "lemmas", "--m-max", "4"])

@@ -1,5 +1,7 @@
 """The decomposition-sum invariant F and the coefficient identities."""
 
+from fractions import Fraction
+
 import pytest
 
 from homflypt import (
@@ -9,6 +11,7 @@ from homflypt import (
     NotInterComponent,
     SkeinEngine,
     T,
+    VerificationReport,
     close_braid,
     coeff_table,
     f_coefficients,
@@ -251,6 +254,16 @@ class TestReportShape:
         assert set(obj) == {"identity", "pass", "lhs", "rhs", "residual", "context"}
         assert obj["pass"] is True
         assert obj["residual"] == []
+
+    def test_of_is_the_one_pass_rule(self):
+        one = BivarLaurent.one()
+        report = VerificationReport.of("x", one, one, {}, also=False)
+        assert not report.residual and not report.passed
+        assert VerificationReport.of("x", one, one, {}).passed
+        report = VerificationReport.of("x", one + one, one, {"m": 2})
+        assert report.residual == one and not report.passed
+        assert VerificationReport.of("x", Fraction(1, 2), Fraction(1, 2), {}).passed
+        assert not VerificationReport.of("x", 3, 3, {}, also=False).passed
 
     def test_pass_iff_residual_zero(self, catalog_diagrams):
         for name in ("hopf+", "borromean"):

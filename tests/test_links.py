@@ -249,7 +249,9 @@ class TestSurgeries:
                     break
                 cid = ids[rng.below(len(ids))]
                 d = d.switch_crossing(cid) if rng.below(2) else d.smooth_crossing(cid)
-                LinkDiagram(d.components, d.signs)  # validate=True
+                # the public constructor always validates, and the trusted
+                # surgeries already hold its normalized data
+                assert LinkDiagram(d.components, d.signs) == d
 
 
 class TestCanonicalKey:

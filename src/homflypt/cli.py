@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 bad input, 2 resource limit exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,20 +23,16 @@ from .identities import (
     verify_prop31,
     verify_skein_F,
     verify_split_F,
-    verify_thm13,
+    verify_thm13_all,
     verify_thm14,
     verify_thm15,
 )
 from .combinatorics import verify_lemma, verify_partition_identity
-from .links import DiagramError, LinkDiagram, ParseError, close_braid, parse_braid
+from .hecke import framed_homfly_braid
+from .links import BraidWord, DiagramError, LinkDiagram, ParseError, close_braid, parse_braid
 from .report import VerificationReport
 from .rng import SplitMix64, random_braid
-from .skein import (
-    DEFAULT_MAX_NODES,
-    ResourceLimitExceeded,
-    SkeinEngine,
-    coeff_table,
-)
+from .skein import DEFAULT_MAX_NODES, CoeffTable, ResourceLimitExceeded, SkeinEngine
 
 VERIFY_TARGETS = ("prop31", "thm13", "thm14", "thm15", "lemmas", "skeinF", "splitF", "all")
 
@@ -85,8 +82,11 @@ def _load_file(path: str) -> LinkDiagram:
     return LinkDiagram.from_json_dict(obj)
 
 
-def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, LinkDiagram]]:
-    """Resolve the link selection flags into labeled diagrams."""
+def _resolve_links(
+    args, allow_stdin: bool
+) -> list[tuple[str, LinkDiagram, BraidWord | None]]:
+    """Resolve the link selection flags into labeled diagrams, each with the
+    braid word it closes (None for a diagram file)."""
     given = [flag for flag in ("catalog", "braid", "file") if getattr(args, flag, None)]
     if len(given) > 1:
         raise _InputError("give exactly one of --catalog, --braid, --file")
@@ -95,11 +95,12 @@ def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, LinkDiagram]]:
             entry = catalog.get(args.catalog)
         except KeyError as exc:
             raise _InputError(str(exc.args[0])) from None
-        return [(entry.name, entry.diagram())]
+        return [(entry.name, entry.diagram(), entry.word())]
     if args.braid:
-        return [(args.braid.strip(), close_braid(parse_braid(args.braid)))]
+        word = parse_braid(args.braid)
+        return [(args.braid.strip(), close_braid(word), word)]
     if getattr(args, "file", None):
-        return [(args.file, _load_file(args.file))]
+        return [(args.file, _load_file(args.file), None)]
     if allow_stdin:
         try:
             lines = [] if sys.stdin.isatty() else sys.stdin.read().splitlines()
@@ -110,7 +111,8 @@ def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, LinkDiagram]]:
             line = line.strip()
             if not line:
                 continue
-            links.append((line, close_braid(parse_braid(line))))
+            word = parse_braid(line)
+            links.append((line, close_braid(word), word))
         if links:
             return links
     return []
@@ -123,12 +125,15 @@ def cmd_homfly(args, out) -> int:
     links = _resolve_links(args, allow_stdin=False)
     if not links:
         raise _InputError("give one of --catalog, --braid, --file")
-    label, diagram = links[0]
+    label, diagram, word = links[0]
     if diagram.num_components == 0:
         raise _InputError("the empty diagram has no coefficient table")
-    engine = SkeinEngine(max_nodes=_max_nodes(args))
-    framed = engine.framed_invariant(diagram)
-    table = coeff_table(diagram, engine=engine)
+    max_nodes = _max_nodes(args)
+    if word is None:
+        framed = SkeinEngine(max_nodes=max_nodes).framed_invariant(diagram)
+    else:
+        framed = framed_homfly_braid(word, max_nodes=max_nodes)
+    table = CoeffTable.of(diagram, framed)
     homfly = table.polynomial()
     if args.format == "json":
         obj = dict(
@@ -198,9 +203,7 @@ _LINK_TARGETS = {
     ),
     "thm13": (
         _needs_two_components,
-        lambda d, engine, label: [
-            verify_thm13(d, g, engine=engine, label=label) for g in range(d.num_components - 1)
-        ],
+        lambda d, engine, label: verify_thm13_all(d, engine=engine, label=label),
     ),
     "thm14": (
         lambda d: None,
@@ -254,14 +257,14 @@ def cmd_verify(args, out) -> int:
     skipped: list[str] = []
 
     # every link input and the node budget are checked before the lemmas run
-    links: list[tuple[str, LinkDiagram]] = []
+    links: list[tuple[str, LinkDiagram, BraidWord | None]] = []
     if target != "lemmas":
         # `verify all` with no link flags runs the catalog; it never reads
         # stdin, which may be an open pipe that never closes.
         links = _resolve_links(args, allow_stdin=target != "all")
         if not links:
             if target == "all":
-                links = [(entry.name, entry.diagram()) for entry in catalog.CATALOG]
+                links = [(entry.name, entry.diagram(), entry.word()) for entry in catalog.CATALOG]
             else:
                 raise _InputError(
                     "give one of --catalog, --braid, --file, or pipe braid lines on stdin"
@@ -270,7 +273,7 @@ def cmd_verify(args, out) -> int:
 
     if target in ("lemmas", "all"):
         reports.extend(_lemma_reports(args))
-    for label, diagram in links:
+    for label, diagram, _word in links:
         link_reports, link_skips = _link_reports(target, label, diagram, max_nodes)
         reports.extend(link_reports)
         skipped.extend(link_skips)
@@ -349,7 +352,8 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
         "--max-nodes",
         type=int,
         default=None,
-        help="skein resolution node budget (default: SKEIN_MAX_NODES or 10^7)",
+        help="node budget: skein nodes, or Hecke coefficient terms for a braid"
+        " in homfly (default: SKEIN_MAX_NODES or 10^7)",
     )
 
 
@@ -392,9 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     stream = out if out is not None else sys.stdout
     try:
         return args.func(args, stream)

@@ -13,7 +13,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .report import VerificationReport
 
@@ -174,14 +175,17 @@ def surjection_count_enumerated(m: int, n: int) -> int:
     return _decomposition_counts_enumerated(m).get(n, 0)
 
 
-def _decomposition_counts_enumerated(m: int) -> dict[int, int]:
+@lru_cache(maxsize=16)
+def _decomposition_counts_enumerated(m: int) -> Mapping[int, int]:
     """Ordered-decomposition counts for every block count n, via one
-    explicit sweep over the unordered partitions of {1..m}."""
+    explicit sweep over the unordered partitions of {1..m}.  Cached, so
+    lemmas 5.1-5.3 share one sweep per m (the CLI never passes m > 11);
+    the result is read-only because every caller shares it."""
     counts: dict[int, int] = {}
     for blocks in set_partitions(range(1, m + 1)):
         n = len(blocks)
         counts[n] = counts.get(n, 0) + math.factorial(n)
-    return counts
+    return MappingProxyType(counts)
 
 
 def _subsets_enumerated(n: int, k: int) -> int:
@@ -227,8 +231,7 @@ def verify_lemma(lemma_id: str | float, parameter: int) -> VerificationReport:
     if lid == "5.4":
         enumerated, closed = _subsets_enumerated, math.comb
     else:
-        sweep = lru_cache(maxsize=None)(_decomposition_counts_enumerated)  # one sweep per m
-        enumerated, closed = (lambda m, n: sweep(m).get(n, 0)), surjection_count
+        enumerated, closed = surjection_count_enumerated, surjection_count
     lhs_enum, lhs_closed = _lemma_lhs(lid, p, enumerated), _lemma_lhs(lid, p, closed)
     rhs = {"5.1": Fraction(1), "5.2": 1, "5.3": (-1) ** p, "5.4": (-1) ** (p + 1) * (p + 1)}[lid]
     context = {name: p, "lhs_enumerated": lhs_enum, "lhs_closed_form": lhs_closed}

@@ -48,6 +48,7 @@ __all__ = [
     "f_coefficients",
     "verify_prop31",
     "verify_thm13",
+    "verify_thm13_all",
     "verify_thm14",
     "verify_thm15",
     "verify_skein_F",
@@ -218,11 +219,27 @@ def verify_thm13(
         raise ValueError("the decomposition identity needs at least 2 components")
     if not 0 <= g <= L - 2:
         raise GOutOfRange(f"g must lie in 0..{L - 2}, got {g}")
+    return verify_thm13_all(diagram, engine=engine, label=label)[g]
+
+
+def verify_thm13_all(
+    diagram: LinkDiagram,
+    engine: SkeinEngine | None = None,
+    label: str | None = None,
+) -> list[VerificationReport]:
+    """`verify_thm13` at every g = 0..L-2, computing F and the table once."""
+    L = diagram.num_components
+    if L < 2:
+        raise ValueError("the decomposition identity needs at least 2 components")
     eng = engine if engine is not None else SkeinEngine()
     value = intermediate_F(diagram, engine=eng)
-    lhs = coeff_table(diagram, engine=eng).h_at(g)
-    rhs = lhs - value.coeff_at_g(g)
-    return VerificationReport.of("thm13", lhs, rhs, _context(diagram, label, g=g))
+    table = coeff_table(diagram, engine=eng)
+    reports = []
+    for g in range(L - 1):
+        lhs = table.h_at(g)
+        rhs = lhs - value.coeff_at_g(g)
+        reports.append(VerificationReport.of("thm13", lhs, rhs, _context(diagram, label, g=g)))
+    return reports
 
 
 def _two_form_report(

@@ -128,6 +128,10 @@ class BivarLaurent:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def __len__(self) -> int:
+        """The number of nonzero terms."""
+        return len(self._terms)
+
     def __add__(self, other: "BivarLaurent | Rational") -> "BivarLaurent":
         if isinstance(other, (int, Fraction)):
             other = BivarLaurent({(0, 0): other})

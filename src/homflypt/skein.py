@@ -17,7 +17,9 @@ The ambient HOMFLY-PT polynomial is recovered as
 ``P = t**(-writhe) * Hf / (t - t^-1) / z**(L-1)`` via the coefficient table.
 
 Both a memoized engine and a deliberately separate cache-free brute-force
-resolver are exposed; the test suite asserts their agreement.
+resolver are exposed; the test suite asserts their agreement.  A braid
+closure has a faster engine, `homflypt.hecke`, and either engine's value
+becomes a coefficient table through `CoeffTable.of`.
 """
 
 from __future__ import annotations
@@ -174,6 +176,31 @@ class CoeffTable:
     h: dict[int, BivarLaurent] = field(repr=False)
     p: dict[int, BivarLaurent] = field(repr=False)
 
+    @classmethod
+    def of(cls, diagram: LinkDiagram, framed: BivarLaurent) -> "CoeffTable":
+        """The table of a nonempty diagram from its framed invariant, computed
+        by any engine; raises ValueError if the value cannot be one."""
+        if diagram.num_components == 0:
+            raise ValueError("the empty diagram has no coefficient expansion")
+        if not framed.is_even_nonneg_in_z():
+            raise ValueError(
+                "framed invariant left Z[z^2, t^(+-1)]; the diagram data is not realizable"
+            )
+        w = diagram.writhe()
+        h: dict[int, BivarLaurent] = {}
+        p: dict[int, BivarLaurent] = {}
+        for ez, coeff in framed.by_z():
+            g = ez // 2
+            h[g] = coeff
+            p[g] = coeff.shift(0, -w).divide_exact(_T_FACTOR)
+        return cls(
+            components=diagram.num_components,
+            writhe=w,
+            total_linking=diagram.total_linking(),
+            h=h,
+            p=p,
+        )
+
     def h_at(self, g: int) -> BivarLaurent:
         return self.h.get(g, BivarLaurent.zero())
 
@@ -202,28 +229,8 @@ class CoeffTable:
 
 def coeff_table(diagram: LinkDiagram, engine: SkeinEngine | None = None) -> CoeffTable:
     """Extract the h/p coefficient table of a nonempty diagram."""
-    if diagram.num_components == 0:
-        raise ValueError("the empty diagram has no coefficient expansion")
     eng = engine if engine is not None else SkeinEngine()
-    value = eng.framed_invariant(diagram)
-    if not value.is_even_nonneg_in_z():
-        raise ValueError(
-            "framed invariant left Z[z^2, t^(+-1)]; the diagram data is not realizable"
-        )
-    w = diagram.writhe()
-    h: dict[int, BivarLaurent] = {}
-    p: dict[int, BivarLaurent] = {}
-    for ez, coeff in value.by_z():
-        g = ez // 2
-        h[g] = coeff
-        p[g] = coeff.shift(0, -w).divide_exact(_T_FACTOR)
-    return CoeffTable(
-        components=diagram.num_components,
-        writhe=w,
-        total_linking=diagram.total_linking(),
-        h=h,
-        p=p,
-    )
+    return CoeffTable.of(diagram, eng.framed_invariant(diagram))
 
 
 def homfly(diagram: LinkDiagram, engine: SkeinEngine | None = None) -> BivarLaurent:

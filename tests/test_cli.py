@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from homflypt import BivarLaurent, T, Z, close_braid, parse_braid
+from homflypt import cli
 from homflypt.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
 
 
@@ -68,13 +70,29 @@ class TestHomfly:
         code, _ = run_cli(["homfly", "--catalog", "borromean", "--max-nodes", "100000"])
         assert code == EXIT_OK
 
-    def test_deep_braid_is_a_resource_error(self, capsys):
-        # 120 letters nest the skein recursion past Python's stack limit
-        code, _ = run_cli(["homfly", "--braid", "strands=2; " + " ".join(["1"] * 120)])
+    def test_deep_braid_is_a_resource_error(self, tmp_path, capsys):
+        # a diagram file goes to the skein engine, and 120 crossings nest its
+        # recursion past Python's stack limit
+        path = tmp_path / "t2_120.json"
+        word = parse_braid("strands=2; " + " ".join(["1"] * 120))
+        path.write_text(json.dumps(close_braid(word).to_json_dict()))
+        code, _ = run_cli(["homfly", "--file", str(path)])
         assert code == EXIT_RESOURCE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_long_braid_matches_the_torus_recurrence(self):
+        # a braid word goes to the Hecke trace engine, which does not recurse;
+        # P(T(2,n)) = z t^-1 P(T(2,n-1)) + t^-2 P(T(2,n-2)) from the skein relation
+        previous, value = (T - T**-1) * Z**-1, BivarLaurent.one()
+        for _ in range(2, 121):
+            previous, value = value, (Z * value + T**-1 * previous) * T**-1
+        code, text = run_cli(
+            ["homfly", "--braid", "strands=2; " + " ".join(["1"] * 120), "--format", "json"]
+        )
+        assert code == EXIT_OK
+        assert json.loads(text)["homfly"] == value.to_quadruples()
 
     def test_max_nodes_below_one_is_bad_input(self, monkeypatch, capsys):
         for argv in (
@@ -93,6 +111,20 @@ class TestHomfly:
         assert err.startswith("error: SKEIN_MAX_NODES must be at least 1") and err.count("\n") == 1
         code, _ = run_cli(["homfly", "--catalog", "unknot", "--max-nodes", "1"])
         assert code == EXIT_OK
+
+    def test_parser_is_built_once(self, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for argv in (["homfly", "--catalog", "hopf+"], ["catalog", "--format", "json"]):
+                assert run_cli(argv)[0] == EXIT_OK
+            code, text = run_cli(["homfly", "--catalog", "unknot"])
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert code == EXIT_OK and "homfly: 1" in text
 
     def test_two_link_flags_rejected(self, capsys):
         code, _ = run_cli(["homfly", "--catalog", "unknot", "--braid", "strands=1;"])

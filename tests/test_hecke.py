@@ -1,0 +1,113 @@
+"""Hecke-algebra trace engine: agreement with the skein engine and the
+brute-force oracle, the T(2,n) recurrence, the P(t, t - 1/t) = 1 check and
+the resource limits."""
+
+from fractions import Fraction
+
+import pytest
+
+from homflypt import (
+    BraidWord,
+    CoeffTable,
+    ResourceLimitExceeded,
+    SplitMix64,
+    T,
+    Z,
+    close_braid,
+    coeff_table,
+    framed_homfly,
+    framed_homfly_braid,
+    framed_homfly_bruteforce,
+    parse_braid,
+    random_braid,
+)
+from homflypt import catalog as cat
+from homflypt import hecke
+
+TFAC = T - T**-1
+
+
+def seeded_words(seed: int, strands, lengths, per_cell: int) -> list[BraidWord]:
+    rng = SplitMix64(seed)
+    words = []
+    for n in strands:
+        for length in lengths:
+            for _ in range(per_cell):
+                words.append(random_braid(rng, n, length) if n > 1 else BraidWord(1, ()))
+    return words
+
+
+def torus_word(n: int) -> BraidWord:
+    return BraidWord(2, (1,) * n)
+
+
+def polynomial(word: BraidWord):
+    """P of the closure, read off the framed value by the coefficient table."""
+    return CoeffTable.of(close_braid(word), framed_homfly_braid(word)).polynomial()
+
+
+class TestAgreement:
+    def test_catalog_matches_skein(self):
+        for entry in cat.CATALOG:
+            assert framed_homfly_braid(entry.word()) == framed_homfly(entry.diagram()), entry.name
+
+    def test_random_words_match_skein(self):
+        words = seeded_words(11, range(1, 6), range(0, 11), 3)
+        assert len(words) == 165
+        for word in words:
+            assert framed_homfly_braid(word) == framed_homfly(close_braid(word)), word.as_text()
+
+    def test_short_words_match_bruteforce(self):
+        for word in seeded_words(12, (2, 3, 4), range(0, 9), 2):
+            assert framed_homfly_braid(word) == framed_homfly_bruteforce(close_braid(word)), (
+                word.as_text()
+            )
+
+    def test_tables_match(self):
+        for entry in cat.CATALOG:
+            table = CoeffTable.of(entry.diagram(), framed_homfly_braid(entry.word()))
+            assert table == coeff_table(entry.diagram()), entry.name
+
+
+class TestIndependentChecks:
+    def test_torus_recurrence(self):
+        # t P(T(2,n)) - t^-1 P(T(2,n-2)) = z P(T(2,n-1)), from the skein
+        # relation at one crossing; T(2,0) is the 2-component unlink and
+        # T(2,1) the unknot
+        values = [polynomial(torus_word(n)) for n in range(201)]
+        assert values[0] == TFAC * Z**-1
+        assert values[1] == 1
+        for n in range(2, 201):
+            assert T * values[n] - T**-1 * values[n - 2] == Z * values[n - 1], n
+
+    def test_unit_at_z_equals_t_minus_inverse(self):
+        for word in seeded_words(13, (7,), (40,), 3):
+            value = polynomial(word)
+            for t0 in (Fraction(2), Fraction(-3, 5)):
+                assert value.evaluate(t0 - 1 / t0, t0) == 1, word.as_text()
+
+    def test_long_word_has_no_recursion(self):
+        # a skein resolution of this word nests past Python's stack limit
+        word = parse_braid("strands=3; " + " ".join(["1 -2"] * 150))
+        assert polynomial(word).evaluate(Fraction(3, 2), Fraction(2)) == 1
+
+
+class TestLimits:
+    def test_tiny_budget_raises(self):
+        with pytest.raises(ResourceLimitExceeded):
+            framed_homfly_braid(cat.get("borromean").word(), max_nodes=3)
+
+    def test_budget_bounds_coefficient_growth(self):
+        # two basis terms throughout, but their coefficients grow with n
+        word = torus_word(400)
+        with pytest.raises(ResourceLimitExceeded):
+            framed_homfly_braid(word, max_nodes=100_000)
+        assert framed_homfly_braid(word, max_nodes=200_000)
+
+    def test_element_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(hecke, "MEMO_CAP", 5)
+        with pytest.raises(ResourceLimitExceeded):
+            framed_homfly_braid(parse_braid("strands=4; 1 1 2 2 3 3 1 1"))
+        assert framed_homfly_braid(cat.get("trefoil").word()) == framed_homfly(
+            cat.diagram("trefoil")
+        )

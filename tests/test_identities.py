@@ -22,6 +22,7 @@ from homflypt import (
     verify_skein_F,
     verify_split_F,
     verify_thm13,
+    verify_thm13_all,
     verify_thm14,
     verify_thm15,
 )
@@ -144,6 +145,17 @@ class TestThm13:
             for _, diagram in seeded_links_with_components(910 + L, 5, L, max_length=9):
                 for g in range(L - 1):
                     assert verify_thm13(diagram, g, engine=engine).passed
+
+    def test_all_g_equals_each_g(self, catalog_diagrams):
+        diagrams = [catalog_diagrams["borromean"], close_braid(parse_braid(CHAIN4))]
+        for diagram in diagrams:
+            reports = verify_thm13_all(diagram, label="x")
+            assert [r.to_json_dict() for r in reports] == [
+                verify_thm13(diagram, g, label="x").to_json_dict()
+                for g in range(diagram.num_components - 1)
+            ]
+        with pytest.raises(ValueError):
+            verify_thm13_all(catalog_diagrams["trefoil"])
 
 
 class TestThm14:

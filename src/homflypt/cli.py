@@ -28,11 +28,11 @@ from .identities import (
     verify_thm15,
 )
 from .combinatorics import verify_lemma, verify_partition_identity
-from .hecke import framed_homfly_braid
-from .links import BraidWord, DiagramError, LinkDiagram, ParseError, close_braid, parse_braid
+from .hecke import engine_for
+from .links import ClosedBraid, DiagramError, Link, LinkDiagram, ParseError, parse_braid
 from .report import VerificationReport
 from .rng import SplitMix64, random_braid
-from .skein import DEFAULT_MAX_NODES, CoeffTable, ResourceLimitExceeded, SkeinEngine
+from .skein import DEFAULT_MAX_NODES, CoeffTable, ResourceLimitExceeded
 
 VERIFY_TARGETS = ("prop31", "thm13", "thm14", "thm15", "lemmas", "skeinF", "splitF", "all")
 
@@ -82,11 +82,9 @@ def _load_file(path: str) -> LinkDiagram:
     return LinkDiagram.from_json_dict(obj)
 
 
-def _resolve_links(
-    args, allow_stdin: bool
-) -> list[tuple[str, LinkDiagram, BraidWord | None]]:
-    """Resolve the link selection flags into labeled diagrams, each with the
-    braid word it closes (None for a diagram file)."""
+def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, Link]]:
+    """Resolve the link selection flags into labeled links: a ClosedBraid
+    for a braid or catalog link, a LinkDiagram for a diagram file."""
     given = [flag for flag in ("catalog", "braid", "file") if getattr(args, flag, None)]
     if len(given) > 1:
         raise _InputError("give exactly one of --catalog, --braid, --file")
@@ -95,12 +93,11 @@ def _resolve_links(
             entry = catalog.get(args.catalog)
         except KeyError as exc:
             raise _InputError(str(exc.args[0])) from None
-        return [(entry.name, entry.diagram(), entry.word())]
+        return [(entry.name, ClosedBraid(entry.word()))]
     if args.braid:
-        word = parse_braid(args.braid)
-        return [(args.braid.strip(), close_braid(word), word)]
+        return [(args.braid.strip(), ClosedBraid(parse_braid(args.braid)))]
     if getattr(args, "file", None):
-        return [(args.file, _load_file(args.file), None)]
+        return [(args.file, _load_file(args.file))]
     if allow_stdin:
         try:
             lines = [] if sys.stdin.isatty() else sys.stdin.read().splitlines()
@@ -111,8 +108,7 @@ def _resolve_links(
             line = line.strip()
             if not line:
                 continue
-            word = parse_braid(line)
-            links.append((line, close_braid(word), word))
+            links.append((line, ClosedBraid(parse_braid(line))))
         if links:
             return links
     return []
@@ -125,15 +121,11 @@ def cmd_homfly(args, out) -> int:
     links = _resolve_links(args, allow_stdin=False)
     if not links:
         raise _InputError("give one of --catalog, --braid, --file")
-    label, diagram, word = links[0]
-    if diagram.num_components == 0:
+    label, link = links[0]
+    if link.num_components == 0:
         raise _InputError("the empty diagram has no coefficient table")
-    max_nodes = _max_nodes(args)
-    if word is None:
-        framed = SkeinEngine(max_nodes=max_nodes).framed_invariant(diagram)
-    else:
-        framed = framed_homfly_braid(word, max_nodes=max_nodes)
-    table = CoeffTable.of(diagram, framed)
+    framed = engine_for(link, _max_nodes(args)).framed_invariant(link)
+    table = CoeffTable.of(link, framed)
     homfly = table.polynomial()
     if args.format == "json":
         obj = dict(
@@ -186,11 +178,11 @@ def _lemma_reports(args) -> list[VerificationReport]:
     return reports
 
 
-def _needs_two_components(diagram: LinkDiagram) -> str | None:
+def _needs_two_components(diagram: Link) -> str | None:
     return "needs >= 2 components" if diagram.num_components < 2 else None
 
 
-def _inter_crossings(diagram: LinkDiagram) -> list[int]:
+def _inter_crossings(diagram: Link) -> list[int]:
     return [cid for cid in diagram.crossing_ids() if not diagram.is_self_crossing(cid)]
 
 
@@ -234,11 +226,11 @@ _LINK_TARGETS = {
 
 
 def _link_reports(
-    target: str, label: str, diagram: LinkDiagram, max_nodes: int
+    target: str, label: str, diagram: Link, max_nodes: int
 ) -> tuple[list[VerificationReport], list[str]]:
     if diagram.num_components == 0:
         return [], [f"{target} [{label}]: SKIP (empty diagram)"]
-    engine = SkeinEngine(max_nodes=max_nodes)
+    engine = engine_for(diagram, max_nodes)
     reports: list[VerificationReport] = []
     skipped: list[str] = []
     for name in _LINK_TARGETS if target == "all" else (target,):
@@ -257,14 +249,14 @@ def cmd_verify(args, out) -> int:
     skipped: list[str] = []
 
     # every link input and the node budget are checked before the lemmas run
-    links: list[tuple[str, LinkDiagram, BraidWord | None]] = []
+    links: list[tuple[str, Link]] = []
     if target != "lemmas":
         # `verify all` with no link flags runs the catalog; it never reads
         # stdin, which may be an open pipe that never closes.
         links = _resolve_links(args, allow_stdin=target != "all")
         if not links:
             if target == "all":
-                links = [(entry.name, entry.diagram(), entry.word()) for entry in catalog.CATALOG]
+                links = [(entry.name, ClosedBraid(entry.word())) for entry in catalog.CATALOG]
             else:
                 raise _InputError(
                     "give one of --catalog, --braid, --file, or pipe braid lines on stdin"
@@ -273,7 +265,7 @@ def cmd_verify(args, out) -> int:
 
     if target in ("lemmas", "all"):
         reports.extend(_lemma_reports(args))
-    for label, diagram, _word in links:
+    for label, diagram in links:
         link_reports, link_skips = _link_reports(target, label, diagram, max_nodes)
         reports.extend(link_reports)
         skipped.extend(link_skips)
@@ -352,8 +344,10 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
         "--max-nodes",
         type=int,
         default=None,
-        help="node budget: skein nodes, or Hecke coefficient terms for a braid"
-        " in homfly (default: SKEIN_MAX_NODES or 10^7)",
+        help="node budget per link: skein resolution nodes for --file, Hecke"
+        " coefficient terms written over all of the link's traces for --braid,"
+        " --catalog and piped braids, in homfly and verify alike"
+        " (default: SKEIN_MAX_NODES or 10^7)",
     )
 
 

@@ -30,10 +30,10 @@ exponential skein resolution of `homflypt.skein`.
 from __future__ import annotations
 
 from .laurent import BivarLaurent, T, Z
-from .links import BraidWord
-from .skein import DEFAULT_MAX_NODES, MEMO_CAP, ResourceLimitExceeded
+from .links import BraidWord, ClosedBraid, Link
+from .skein import DEFAULT_MAX_NODES, MEMO_CAP, ResourceLimitExceeded, SkeinEngine
 
-__all__ = ["framed_homfly_braid"]
+__all__ = ["HeckeEngine", "engine_for", "framed_homfly_braid"]
 
 _T_FACTOR = T - T**-1
 _DELTA = _T_FACTOR * Z**-1
@@ -41,17 +41,48 @@ _DELTA = _T_FACTOR * Z**-1
 Element = dict[tuple[int, ...], BivarLaurent]
 
 
-class _Trace:
-    """One evaluation.  Writing a coefficient into an element costs one
-    node per term of the coefficient, so the node count follows the work
-    done as the coefficients grow with the word; `max_nodes` bounds it.
-    No element holds more than MEMO_CAP permutations."""
+class HeckeEngine:
+    """The framed invariant of a `ClosedBraid`, with the interface of
+    `SkeinEngine`: `framed_invariant`, `nodes` and `max_nodes`.
 
-    def __init__(self, max_nodes: int | None):
+    Writing a coefficient into an element costs one node per term of the
+    coefficient, so the node count follows the work done as the
+    coefficients grow with the word.  `max_nodes` bounds the count over
+    every trace the engine takes, like the skein engine's budget over one
+    link's resolutions.  No element holds more than MEMO_CAP permutations.
+    Values are memoized on the word (at most MEMO_CAP of them), and
+    `f_memo` holds values of `identities.intermediate_F` under the same key.
+    """
+
+    def __init__(self, max_nodes: int | None = None):
         self.max_nodes = DEFAULT_MAX_NODES if max_nodes is None else int(max_nodes)
         self.nodes = 0
+        self._memo: dict[tuple, BivarLaurent] = {}
+        self.f_memo: dict[tuple, BivarLaurent] = {}
 
-    def add(self, element: Element, w: tuple[int, ...], c: BivarLaurent) -> None:
+    @staticmethod
+    def key(link: ClosedBraid) -> tuple:
+        """The memo key of a closure: its word."""
+        return link.strand_count, link.letters
+
+    def framed_invariant(self, link: ClosedBraid) -> BivarLaurent:
+        key = self.key(link)
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
+        element: Element = {}
+        self._add(element, tuple(range(link.strand_count)), BivarLaurent.one())
+        for letter in link.letters:
+            element = self._times(element, abs(letter) - 1, letter > 0)
+        for top in range(link.strand_count - 1, 0, -1):
+            element = self._drop_strand(element, top)
+        polynomial = element.get((0,), BivarLaurent.zero())
+        value = (polynomial * _T_FACTOR).shift(link.num_components - 1, link.writhe())
+        if len(self._memo) < MEMO_CAP:
+            self._memo[key] = value
+        return value
+
+    def _add(self, element: Element, w: tuple[int, ...], c: BivarLaurent) -> None:
         self.nodes += len(c)
         if self.nodes > self.max_nodes:
             raise ResourceLimitExceeded(f"Hecke trace exceeded {self.max_nodes} nodes")
@@ -67,23 +98,23 @@ class _Trace:
         else:
             del element[w]
 
-    def times(self, element: Element, i: int, positive: bool) -> Element:
+    def _times(self, element: Element, i: int, positive: bool) -> Element:
         """element * g_i, or element * g_i**-1 when not `positive`."""
         out: Element = {}
         for w, c in element.items():
             ws = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
             if (w[i] < w[i + 1]) == positive:
                 # g_i on an ascending pair, or g_i**-1 on a descending one
-                self.add(out, ws, c)
+                self._add(out, ws, c)
             elif positive:
-                self.add(out, w, c.shift(1, -1))
-                self.add(out, ws, c.shift(0, -2))
+                self._add(out, w, c.shift(1, -1))
+                self._add(out, ws, c.shift(0, -2))
             else:  # g_i**-1 = t**2 g_i - z t on an ascending pair
-                self.add(out, ws, c.shift(0, 2))
-                self.add(out, w, -c.shift(1, 1))
+                self._add(out, ws, c.shift(0, 2))
+                self._add(out, w, -c.shift(1, 1))
         return out
 
-    def drop_strand(self, element: Element, top: int) -> Element:
+    def _drop_strand(self, element: Element, top: int) -> Element:
         """An element of H_top with the trace of `element`, an element of
         H_{top+1} (whose last strand carries the value `top`)."""
         out: Element = {}
@@ -92,33 +123,23 @@ class _Trace:
             j = w.index(top)
             u = w[:j] + w[j + 1:]
             if j == top:
-                self.add(out, u, c * _DELTA)
+                self._add(out, u, c * _DELTA)
             else:
-                self.add(by_position.setdefault(j, {}), u, c)
+                self._add(by_position.setdefault(j, {}), u, c)
         for j, part in by_position.items():
             for i in range(top - 2, j - 1, -1):
-                part = self.times(part, i, True)
+                part = self._times(part, i, True)
             for u, c in part.items():
-                self.add(out, u, c)
+                self._add(out, u, c)
         return out
 
 
-def _cycle_count(word: BraidWord) -> int:
-    """Components of the closure: the cycles of the braid permutation."""
-    perm = list(range(word.strand_count))
-    for letter in word.letters:
-        k = abs(letter) - 1
-        perm[k], perm[k + 1] = perm[k + 1], perm[k]
-    seen: set[int] = set()
-    cycles = 0
-    for start in range(word.strand_count):
-        if start not in seen:
-            cycles += 1
-            k = start
-            while k not in seen:
-                seen.add(k)
-                k = perm[k]
-    return cycles
+def engine_for(link: Link, max_nodes: int | None = None) -> HeckeEngine | SkeinEngine:
+    """A fresh engine for `link`: the Hecke engine for a braid closure, the
+    skein engine for a diagram."""
+    if isinstance(link, ClosedBraid):
+        return HeckeEngine(max_nodes)
+    return SkeinEngine(max_nodes)
 
 
 def framed_homfly_braid(word: BraidWord, max_nodes: int | None = None) -> BivarLaurent:
@@ -129,13 +150,4 @@ def framed_homfly_braid(word: BraidWord, max_nodes: int | None = None) -> BivarL
     DEFAULT_MAX_NODES); past it, or past MEMO_CAP permutations in one
     element, ResourceLimitExceeded is raised.
     """
-    trace = _Trace(max_nodes)
-    element: Element = {}
-    trace.add(element, tuple(range(word.strand_count)), BivarLaurent.one())
-    for letter in word.letters:
-        element = trace.times(element, abs(letter) - 1, letter > 0)
-    for top in range(word.strand_count - 1, 0, -1):
-        element = trace.drop_strand(element, top)
-    polynomial = element.get((0,), BivarLaurent.zero())
-    writhe = sum(1 if letter > 0 else -1 for letter in word.letters)
-    return (polynomial * _T_FACTOR).shift(_cycle_count(word) - 1, writhe)
+    return HeckeEngine(max_nodes).framed_invariant(ClosedBraid(word))

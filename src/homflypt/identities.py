@@ -30,15 +30,17 @@ Identity ids (also the CLI vocabulary):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from .combinatorics import set_partitions
+from .hecke import HeckeEngine, engine_for
 from .laurent import BivarLaurent, T
-from .links import LinkDiagram
+from .links import Link
 from .report import VerificationReport
-from .skein import CoeffTable, SkeinEngine, coeff_table
+from .skein import MEMO_CAP, CoeffTable, SkeinEngine, coeff_table
 
 __all__ = [
     "FValue",
@@ -56,6 +58,10 @@ __all__ = [
 ]
 
 _T_FACTOR = T - T**-1
+
+# Every verifier takes a link and an engine for it; the default is
+# `engine_for(link)`: Hecke for a ClosedBraid, skein for a LinkDiagram.
+Engine = SkeinEngine | HeckeEngine
 
 
 class NotInterComponent(ValueError):
@@ -89,50 +95,51 @@ class FValue:
         return self.poly.coeff_of_z(2 * g - self.components)
 
 
-def _sublink_H(
-    diagram: LinkDiagram, engine: SkeinEngine | None
-) -> dict[tuple[int, ...], BivarLaurent]:
-    """H(S) = z**(-|S|) Hf(S) of every nonempty component subset S, in
-    increasing size (2^L - 1 engine calls)."""
-    if diagram.num_components < 1:
-        raise ValueError("F needs at least one component")
-    eng = engine if engine is not None else SkeinEngine()
-    return {
-        subset: eng.framed_invariant(diagram.sublink(subset)).shift(-size)
-        for size in range(1, diagram.num_components + 1)
-        for subset in itertools.combinations(range(diagram.num_components), size)
-    }
-
-
-def intermediate_F(
-    diagram: LinkDiagram,
-    engine: SkeinEngine | None = None,
-) -> FValue:
+def intermediate_F(diagram: Link, engine: Engine | None = None) -> FValue:
     """Compute F as the joint cumulant of the sublink invariants H.
 
     The partition sum of the module docstring is the moment-cumulant
     inversion of H, so F obeys the subset recursion
 
-        F(S) = H(S) - sum over T containing min S, T != S, of F(T) * H(S - T),
+        F(S) = H(S) - sum over T containing min S, T != S, of F(T) * H(S - T).
 
-    evaluated here for every subset in increasing size (3^L products, no
-    partition sum).
+    Only the subsets S containing component 0 need F, and each of them
+    only the smaller ones: 3^(L-1) - 2^(L-1) products, no partition sum.
+    F(S) is intrinsic to the sublink on S, so it is memoized in the
+    engine's `f_memo` on the sublink's key.  Links that share sublinks,
+    such as the two sides and the smoothing of a skeinF check, share those
+    values of F and of H.
     """
-    H = _sublink_H(diagram, engine)
-    F: dict[tuple[int, ...], BivarLaurent] = {}
-    for subset, value in H.items():
-        head, rest = subset[0], subset[1:]
-        for size in range(len(rest)):
-            for others in itertools.combinations(rest, size):
-                complement = tuple(i for i in rest if i not in others)
-                value = value - F[(head,) + others] * H[complement]
-        F[subset] = value
-    return FValue(diagram.num_components, F[tuple(range(diagram.num_components))])
+    L = diagram.num_components
+    if L < 1:
+        raise ValueError("F needs at least one component")
+    eng = engine if engine is not None else engine_for(diagram)
+
+    @functools.cache
+    def H(subset: tuple[int, ...]) -> BivarLaurent:
+        return eng.framed_invariant(diagram.sublink(subset)).shift(-len(subset))
+
+    @functools.cache
+    def F(others: tuple[int, ...]) -> BivarLaurent:
+        """F of the sublink on component 0 and `others`."""
+        sublink = diagram.sublink((0,) + others)
+        key = eng.key(sublink)
+        value = eng.f_memo.get(key)
+        if value is None:
+            value = eng.framed_invariant(sublink).shift(-1 - len(others))
+            for size in range(len(others)):
+                for part in itertools.combinations(others, size):
+                    value = value - F(part) * H(tuple(i for i in others if i not in part))
+            if len(eng.f_memo) < MEMO_CAP:
+                eng.f_memo[key] = value
+        return value
+
+    return FValue(L, F(tuple(range(1, L))))
 
 
 def _F_partition_sum(
-    diagram: LinkDiagram,
-    engine: SkeinEngine | None = None,
+    diagram: Link,
+    engine: Engine | None = None,
 ) -> FValue:
     """F summed over component-set partitions: the independent oracle for
     `intermediate_F`, called by the tests only.
@@ -141,20 +148,22 @@ def _F_partition_sum(
     same product, so each unordered partition into l blocks is counted once
     with the integer weight (-1)**(l-1) * (l-1)!.
     """
-    H = _sublink_H(diagram, engine)
+    if diagram.num_components < 1:
+        raise ValueError("F needs at least one component")
+    eng = engine if engine is not None else engine_for(diagram)
     total = BivarLaurent.zero()
     for blocks in set_partitions(range(diagram.num_components)):
         weight = (-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1)
         product = BivarLaurent.one()
         for block in blocks:
-            product = product * H[block]
+            product = product * eng.framed_invariant(diagram.sublink(block)).shift(-len(block))
         total = total + product * weight
     return FValue(diagram.num_components, total)
 
 
 def f_coefficients(
-    diagram: LinkDiagram,
-    engine: SkeinEngine | None = None,
+    diagram: Link,
+    engine: Engine | None = None,
 ) -> dict[int, BivarLaurent]:
     """Nonzero coefficients of F by genus index: g -> z**(2g-L) coefficient.
 
@@ -167,7 +176,7 @@ def f_coefficients(
     return out
 
 
-def _context(diagram: LinkDiagram, label: str | None, **extra) -> dict:
+def _context(diagram: Link, label: str | None, **extra) -> dict:
     ctx = {
         "label": label or f"{diagram.num_components}-component diagram "
         f"with {diagram.num_crossings} crossings",
@@ -180,8 +189,8 @@ def _context(diagram: LinkDiagram, label: str | None, **extra) -> dict:
 
 
 def verify_prop31(
-    diagram: LinkDiagram,
-    engine: SkeinEngine | None = None,
+    diagram: Link,
+    engine: Engine | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """Vanishing of F below z**(L-2): coefficients at g = 0..L-2 are zero."""
@@ -204,9 +213,9 @@ def verify_prop31(
 
 
 def verify_thm13(
-    diagram: LinkDiagram,
+    diagram: Link,
     g: int,
-    engine: SkeinEngine | None = None,
+    engine: Engine | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """h[g] of the link against the decomposition sum, for 0 <= g <= L-2.
@@ -223,15 +232,15 @@ def verify_thm13(
 
 
 def verify_thm13_all(
-    diagram: LinkDiagram,
-    engine: SkeinEngine | None = None,
+    diagram: Link,
+    engine: Engine | None = None,
     label: str | None = None,
 ) -> list[VerificationReport]:
     """`verify_thm13` at every g = 0..L-2, computing F and the table once."""
     L = diagram.num_components
     if L < 2:
         raise ValueError("the decomposition identity needs at least 2 components")
-    eng = engine if engine is not None else SkeinEngine()
+    eng = engine if engine is not None else engine_for(diagram)
     value = intermediate_F(diagram, engine=eng)
     table = coeff_table(diagram, engine=eng)
     reports = []
@@ -243,7 +252,7 @@ def verify_thm13_all(
 
 
 def _two_form_report(
-    identity: str, diagram: LinkDiagram, label: str | None, g: int, h_lhs, h_rhs, p_lhs, p_rhs
+    identity: str, diagram: Link, label: str | None, g: int, h_lhs, h_rhs, p_lhs, p_rhs
 ) -> VerificationReport:
     """Report on the h-form sides; the p-form sides travel in the context,
     and both forms must hold for a pass."""
@@ -262,8 +271,8 @@ def _two_form_report(
 
 
 def verify_thm14(
-    diagram: LinkDiagram,
-    engine: SkeinEngine | None = None,
+    diagram: Link,
+    engine: Engine | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """Factorization of the g = 0 coefficient over the components.
@@ -276,7 +285,7 @@ def verify_thm14(
     L = diagram.num_components
     if L < 1:
         raise ValueError("needs at least one component")
-    eng = engine if engine is not None else SkeinEngine()
+    eng = engine if engine is not None else engine_for(diagram)
     knots = [coeff_table(diagram.sublink([alpha]), engine=eng) for alpha in range(L)]
     full = coeff_table(diagram, engine=eng)
 
@@ -295,8 +304,8 @@ def verify_thm14(
 
 
 def verify_thm15(
-    diagram: LinkDiagram,
-    engine: SkeinEngine | None = None,
+    diagram: Link,
+    engine: Engine | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """Pair-sum expression for the g = 1 coefficient, in both forms.
@@ -313,7 +322,7 @@ def verify_thm15(
     L = diagram.num_components
     if L < 2:
         raise ValueError("the pair-sum identity needs at least 2 components")
-    eng = engine if engine is not None else SkeinEngine()
+    eng = engine if engine is not None else engine_for(diagram)
     tables = {
         subset: coeff_table(diagram.sublink(subset), engine=eng)
         for size in (1, 2)
@@ -348,15 +357,15 @@ def verify_thm15(
 
 
 def verify_skein_F(
-    diagram: LinkDiagram,
+    diagram: Link,
     cid: int,
-    engine: SkeinEngine | None = None,
+    engine: Engine | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """F(L+) - F(L-) = z * F(L0) at one inter-component crossing."""
     if diagram.is_self_crossing(cid):
         raise NotInterComponent(f"crossing {cid} is a self-crossing")
-    eng = engine if engine is not None else SkeinEngine()
+    eng = engine if engine is not None else engine_for(diagram)
     if diagram.signs[cid] > 0:
         plus, minus = diagram, diagram.switch_crossing(cid)
     else:
@@ -371,8 +380,8 @@ def verify_skein_F(
 
 
 def verify_split_F(
-    knots: list[LinkDiagram],
-    engine: SkeinEngine | None = None,
+    knots: list[Link],
+    engine: Engine | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """F of the split union of two or more knots equals zero."""

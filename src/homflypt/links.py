@@ -5,7 +5,13 @@ A diagram is Gauss-code-like: each component is a cyclic sequence of
 plays there (``"o"`` over / ``"u"`` under), and each crossing carries a sign
 in {+1, -1}.  No planar embedding is stored; every surgery used by the
 skein recursion (crossing switch, oriented smoothing, sublink extraction,
-disjoint union) is well defined on this data alone.
+disjoint union) is well defined on this data alone.  A diagram read from
+JSON must also be planar: `LinkDiagram.from_json_dict` rejects a signed
+Gauss code that no plane diagram realizes.
+
+A braid closure has a second representation, `ClosedBraid`, which does the
+same surgeries and answers the same queries on the braid word itself, so
+that no diagram is built for its sublinks, switches and smoothings.
 
 Sign convention, fixed once for the whole library: the braid generator with
 positive index is a positive crossing, and in its picture the strand coming
@@ -25,6 +31,8 @@ __all__ = [
     "UNDER",
     "Passage",
     "LinkDiagram",
+    "ClosedBraid",
+    "Link",
     "BraidWord",
     "parse_braid",
     "close_braid",
@@ -163,6 +171,73 @@ def close_braid(word: BraidWord) -> "LinkDiagram":
     return LinkDiagram(components, signs)
 
 
+def _total_linking(crossings: Iterable[tuple[int, int, int]]) -> int:
+    """Sum of the linking numbers given the (component, component, sign) of
+    every crossing between two distinct components; raises OddCrossingParity
+    for the first pair (a, b), a < b, whose signed count is odd."""
+    signed: dict[tuple[int, int], int] = {}
+    for a, b, sign in crossings:
+        pair = (a, b) if a < b else (b, a)
+        signed[pair] = signed.get(pair, 0) + sign
+    for (a, b), count in sorted(signed.items()):
+        if count % 2:
+            raise OddCrossingParity(
+                f"odd signed crossing count {count} between components {a} and {b}"
+            )
+    return sum(signed.values()) // 2
+
+
+# The four ends of a crossing counterclockwise, by its sign: the in ("i")
+# and out ("o") ends of the over ("o") and under ("u") strands.  The over
+# strand's two ends face each other and the sign says on which side the
+# under strand comes in.  The mirror convention reverses every rotation at
+# once, which leaves every face count unchanged.
+_ROTATION = {1: ("oi", "ui", "oo", "uo"), -1: ("oi", "uo", "oo", "ui")}
+
+
+def _euler_characteristic(diagram: "LinkDiagram") -> tuple[int, int]:
+    """(V - E + F, number of connected pieces) of the 4-valent graph of the
+    crossings, embedded by the rotations the signs and roles fix.
+
+    Its faces are the orbits of "cross the edge, then turn to the next end
+    counterclockwise".  A piece has V - E + F = 2 - 2 * genus <= 2, so the
+    sum is 2 per piece exactly when every piece is planar.  Crossing-free
+    circles are planar pieces of their own and are not counted.
+    """
+    index = {cid: k for k, cid in enumerate(sorted(diagram.signs))}
+
+    def end(cid: int, name: str) -> int:
+        return 4 * index[cid] + _ROTATION[diagram.signs[cid]].index(name)
+
+    across = [0] * (4 * len(index))
+    parent = list(range(len(diagram.components)))
+
+    def root(ci: int) -> int:
+        while parent[ci] != ci:
+            parent[ci] = ci = parent[parent[ci]]
+        return ci
+
+    met: dict[int, int] = {}
+    for ci, comp in enumerate(diagram.components):
+        for (cid, role), (nxt, nrole) in zip(comp, comp[1:] + comp[:1]):
+            leave, enter = end(cid, role + "o"), end(nxt, nrole + "i")
+            across[leave], across[enter] = enter, leave
+            parent[root(met.setdefault(cid, ci))] = root(ci)
+    faces = 0
+    seen = [False] * len(across)
+    for start in range(len(across)):
+        if not seen[start]:
+            faces += 1
+            e = start
+            while not seen[e]:
+                seen[e] = True
+                e = across[e]
+                e += 1 if e % 4 < 3 else -3
+    pieces = len({root(ci) for ci, comp in enumerate(diagram.components) if comp})
+    vertices, edges = len(index), len(across) // 2
+    return vertices - edges + faces, pieces
+
+
 def _trusted(components: Iterable[tuple[Passage, ...]], signs: dict[int, int]) -> "LinkDiagram":
     """A diagram on data an internal surgery derived from a valid diagram:
     tuples of (int, str) passages and an int -> int sign dict.  Skips the
@@ -274,12 +349,16 @@ class LinkDiagram:
         return signed // 2
 
     def total_linking(self) -> int:
-        """Sum of pairwise linking numbers over all component pairs."""
-        total = 0
-        for a in range(len(self.components)):
-            for b in range(a + 1, len(self.components)):
-                total += self.linking_number(a, b)
-        return total
+        """Sum of pairwise linking numbers over all component pairs, in one
+        pass over the passages."""
+        first: dict[int, int] = {}
+        crossings = []
+        for ci, comp in enumerate(self.components):
+            for cid, _ in comp:
+                other = first.setdefault(cid, ci)
+                if other != ci:
+                    crossings.append((other, ci, self.signs[cid]))
+        return _total_linking(crossings)
 
     # -- surgeries ---------------------------------------------------------
 
@@ -492,6 +571,13 @@ class LinkDiagram:
                     fail(where, f"passage reference [{ci}, {pi}] out of range")
                 if diagram.components[ci][pi] != (cid, role):
                     fail(where, f"passage reference [{ci}, {pi}] does not hold ({cid}, {role!r})")
+        euler, pieces = _euler_characteristic(diagram)
+        if euler != 2 * pieces:
+            fail(
+                "$",
+                f"the signed Gauss code is not planar (V - E + F = {euler} over {pieces}"
+                f" connected pieces, a plane diagram has 2 per piece); no link has this diagram",
+            )
         return diagram
 
     def __eq__(self, other: object) -> bool:
@@ -507,3 +593,147 @@ class LinkDiagram:
             f"LinkDiagram(components={self.num_components}, "
             f"crossings={self.num_crossings}, writhe={self.writhe()})"
         )
+
+
+class ClosedBraid:
+    """The closure of a braid word, with LinkDiagram's surgeries and queries
+    done on the word itself.
+
+    Crossing k is letter k and components are numbered by their smallest
+    starting strand, as in `close_braid`, so every answer is the answer of
+    the diagram ``close_braid(link.word)``:
+
+    * the sublink on some components keeps their strands, renumbered, and
+      the letters between two kept strands;
+    * switching crossing k negates letter k, smoothing it deletes letter k;
+    * a disjoint union places the other word's strands after these.
+
+    Smoothing moves the component numbers and base points of the diagram
+    surgery, which leaves every invariant unchanged.  The word, as
+    (strand count, letters), keys the memos of the Hecke engine.
+    """
+
+    __slots__ = ("strand_count", "letters", "num_components", "_lines", "_component")
+
+    def __init__(self, word: BraidWord):
+        self._close(word.strand_count, word.letters)
+
+    @classmethod
+    def _of(cls, strand_count: int, letters: tuple[int, ...]) -> "ClosedBraid":
+        """The closure of letters a surgery derived from a valid word."""
+        out = cls.__new__(cls)
+        out._close(strand_count, letters)
+        return out
+
+    def _close(self, strand_count: int, letters: tuple[int, ...]) -> None:
+        pos = list(range(strand_count))  # pos[k] = strand line at position k
+        lines = []  # the two lines letter k crosses, lower position first
+        for letter in letters:
+            k = abs(letter) - 1
+            a, b = pos[k], pos[k + 1]
+            lines.append((a, b))
+            pos[k], pos[k + 1] = b, a
+        succ = [0] * strand_count
+        for k, line in enumerate(pos):
+            succ[line] = k
+        component = [-1] * strand_count
+        count = 0
+        for start in range(strand_count):
+            if component[start] < 0:
+                line = start
+                while component[line] < 0:
+                    component[line] = count
+                    line = succ[line]
+                count += 1
+        self.strand_count = strand_count
+        self.letters = letters
+        self.num_components = count
+        self._lines = lines
+        self._component = component
+
+    @property
+    def word(self) -> BraidWord:
+        return BraidWord(self.strand_count, self.letters)
+
+    @property
+    def num_crossings(self) -> int:
+        return len(self.letters)
+
+    @property
+    def signs(self) -> dict[int, int]:
+        return {k: 1 if letter > 0 else -1 for k, letter in enumerate(self.letters)}
+
+    def crossing_ids(self) -> list[int]:
+        return list(range(len(self.letters)))
+
+    def _check_crossing(self, k: int) -> None:
+        if not 0 <= k < len(self.letters):
+            raise UnknownCrossing(f"crossing {k} not in diagram")
+
+    def is_self_crossing(self, k: int) -> bool:
+        self._check_crossing(k)
+        a, b = self._lines[k]
+        return self._component[a] == self._component[b]
+
+    def writhe(self) -> int:
+        return sum(1 if letter > 0 else -1 for letter in self.letters)
+
+    def _linking(self) -> list[tuple[int, int, int]]:
+        """(component, component, sign) of each inter-component crossing."""
+        component = self._component
+        return [
+            (component[a], component[b], 1 if letter > 0 else -1)
+            for (a, b), letter in zip(self._lines, self.letters)
+            if component[a] != component[b]
+        ]
+
+    def linking_number(self, a: int, b: int) -> int:
+        """Half the signed count of crossings between components `a` and `b`."""
+        if a == b:
+            raise ValueError("linking number needs two distinct components")
+        for idx in (a, b):
+            if not 0 <= idx < self.num_components:
+                raise IndexError(f"component index {idx} out of range")
+        return _total_linking(c for c in self._linking() if {c[0], c[1]} == {a, b})
+
+    def total_linking(self) -> int:
+        return _total_linking(self._linking())
+
+    def sublink(self, indices: Iterable[int]) -> "ClosedBraid":
+        kept = set(int(i) for i in indices)
+        if not kept:
+            raise EmptySelection("sublink needs a nonempty component selection")
+        for idx in kept:
+            if not 0 <= idx < self.num_components:
+                raise IndexError(f"component index {idx} out of range")
+        if len(kept) == self.num_components:
+            return self
+        where = {}  # position of each kept line among the kept lines
+        for line, comp in enumerate(self._component):
+            if comp in kept:
+                where[line] = len(where)
+        letters = []
+        for (a, b), letter in zip(self._lines, self.letters):
+            if a in where and b in where:
+                j = where[a]
+                letters.append(j + 1 if letter > 0 else -j - 1)
+                where[a], where[b] = j + 1, j
+        return ClosedBraid._of(len(where), tuple(letters))
+
+    def switch_crossing(self, k: int) -> "ClosedBraid":
+        self._check_crossing(k)
+        letters = self.letters
+        return ClosedBraid._of(self.strand_count, letters[:k] + (-letters[k],) + letters[k + 1:])
+
+    def smooth_crossing(self, k: int) -> "ClosedBraid":
+        self._check_crossing(k)
+        return ClosedBraid._of(self.strand_count, self.letters[:k] + self.letters[k + 1:])
+
+    def disjoint_union(self, other: "ClosedBraid") -> "ClosedBraid":
+        n = self.strand_count
+        shifted = tuple(x + n if x > 0 else x - n for x in other.letters)
+        return ClosedBraid._of(n + other.strand_count, self.letters + shifted)
+
+
+# A link in either representation; both answer the queries of the verifiers.
+Link = LinkDiagram | ClosedBraid

@@ -19,7 +19,8 @@ The ambient HOMFLY-PT polynomial is recovered as
 Both a memoized engine and a deliberately separate cache-free brute-force
 resolver are exposed; the test suite asserts their agreement.  A braid
 closure has a faster engine, `homflypt.hecke`, and either engine's value
-becomes a coefficient table through `CoeffTable.of`.
+becomes a coefficient table through `CoeffTable.of`, which takes a
+`LinkDiagram` or a `ClosedBraid`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .laurent import BivarLaurent, T, Z
-from .links import OVER, LinkDiagram
+from .links import OVER, Link, LinkDiagram
 
 __all__ = [
     "DEFAULT_MAX_NODES",
@@ -97,12 +98,19 @@ class SkeinEngine:
     diagrams up to crossing relabeling share one entry.  `max_nodes` bounds
     the number of expanded (non-memoized) resolution nodes; exceeding it
     raises ResourceLimitExceeded.  The table holds at most MEMO_CAP entries.
+    `f_memo` holds values of `identities.intermediate_F` under the same key.
     """
 
     def __init__(self, max_nodes: int | None = None):
         self.max_nodes = DEFAULT_MAX_NODES if max_nodes is None else int(max_nodes)
         self.nodes = 0
         self._memo: dict[bytes, BivarLaurent] = {}
+        self.f_memo: dict[bytes, BivarLaurent] = {}
+
+    @staticmethod
+    def key(diagram: LinkDiagram) -> bytes:
+        """The memo key of a diagram: its canonical key."""
+        return diagram.canonical_key()
 
     def framed_invariant(self, diagram: LinkDiagram) -> BivarLaurent:
         key = diagram.canonical_key()
@@ -177,7 +185,7 @@ class CoeffTable:
     p: dict[int, BivarLaurent] = field(repr=False)
 
     @classmethod
-    def of(cls, diagram: LinkDiagram, framed: BivarLaurent) -> "CoeffTable":
+    def of(cls, diagram: Link, framed: BivarLaurent) -> "CoeffTable":
         """The table of a nonempty diagram from its framed invariant, computed
         by any engine; raises ValueError if the value cannot be one."""
         if diagram.num_components == 0:
@@ -227,8 +235,9 @@ class CoeffTable:
         }
 
 
-def coeff_table(diagram: LinkDiagram, engine: SkeinEngine | None = None) -> CoeffTable:
-    """Extract the h/p coefficient table of a nonempty diagram."""
+def coeff_table(diagram: Link, engine=None) -> CoeffTable:
+    """Extract the h/p coefficient table of a nonempty link with `engine`,
+    a skein or Hecke engine that takes it (default a fresh SkeinEngine)."""
     eng = engine if engine is not None else SkeinEngine()
     return CoeffTable.of(diagram, eng.framed_invariant(diagram))
 

@@ -147,6 +147,26 @@ class TestHomfly:
         assert code == EXIT_INPUT
         assert "components[0][0]" in capsys.readouterr().err
 
+    def test_non_planar_file_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "virtual.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "components": [[[0, "o"], [1, "u"], [0, "u"], [1, "o"]]],
+                    "crossings": [
+                        {"id": 0, "sign": 1, "over": [0, 0], "under": [0, 2]},
+                        {"id": 1, "sign": 1, "over": [0, 3], "under": [0, 1]},
+                    ],
+                }
+            )
+        )
+        for command in ("homfly", "verify thm14"):
+            code, text = run_cli([*command.split(), "--file", str(path)])
+            assert code == EXIT_INPUT and text == ""
+            err = capsys.readouterr().err
+            assert err.startswith("error: $: the signed Gauss code is not planar")
+            assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_thm14_catalog(self):
@@ -259,6 +279,21 @@ class TestVerify:
         assert len(obj["reports"]) == 2  # g = 0 and g = 1
         for report in obj["reports"]:
             assert set(report) == {"identity", "pass", "lhs", "rhs", "residual", "context"}
+
+    def test_node_budget_on_braids(self, monkeypatch, capsys):
+        # the Hecke engine counts its terms over all of one link's traces
+        chain = "strands=6; 1 1 2 2 3 3 4 4 5 5"
+        small = ["--m-max", "2", "--n-max", "2"]
+        for target in ("skeinF", "all"):
+            for budget in (["--max-nodes", "2"], []):
+                if not budget:
+                    monkeypatch.setenv("SKEIN_MAX_NODES", "2")
+                code, _ = run_cli(["verify", target, "--braid", chain, *small, *budget])
+                monkeypatch.delenv("SKEIN_MAX_NODES", raising=False)
+                assert code == EXIT_RESOURCE, (target, budget)
+                err = capsys.readouterr().err
+                assert err.startswith("error: Hecke trace exceeded 2 nodes")
+                assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_missing_link_flags(self, capsys):
         code, _ = run_cli(["verify", "thm14"])

@@ -138,6 +138,17 @@ class TestCounts:
         assert catalog_diagrams["trefoil"].total_linking() == 0
         assert catalog_diagrams["t24"].total_linking() == 2
 
+    def test_total_linking_is_the_pairwise_sum(self):
+        for _, diagram in seeded_closures(seed=56, count=60, strands=(2, 3, 4, 5)):
+            pairs = range(diagram.num_components)
+            pairwise = sum(
+                diagram.linking_number(a, b) for a in pairs for b in pairs if a < b
+            )
+            assert diagram.total_linking() == pairwise
+        odd = LinkDiagram([((0, OVER),), ((0, UNDER),), ()], {0: 1})
+        with pytest.raises(OddCrossingParity, match="components 0 and 1"):
+            odd.total_linking()
+
     def test_writhe_identity_on_random_diagrams(self):
         # writhe == sum of self-writhes + twice the total linking number,
         # on closures and on every surgery applied to them
@@ -307,6 +318,27 @@ class TestJson:
         bad["crossings"][1]["under"] = [0, 0]
         with pytest.raises(DiagramError, match=r"^crossings\[1\]\.under:"):
             LinkDiagram.from_json_dict(bad)
+
+    def test_non_planar_gauss_codes_are_rejected(self):
+        # genus 1: the two-crossing code that prints P(t, t - 1/t) = 91/81
+        # when accepted, and the trefoil's code with its middle sign flipped,
+        # whose polynomial passes both the ring and the P(t, t - 1/t) = 1 test
+        virtual = LinkDiagram([[(0, OVER), (1, UNDER), (0, UNDER), (1, OVER)]], {0: 1, 1: 1})
+        trefoil_code = [(0, OVER), (1, UNDER), (2, OVER), (0, UNDER), (1, OVER), (2, UNDER)]
+        flipped = LinkDiagram([trefoil_code], {0: 1, 1: -1, 2: 1})
+        for diagram in (virtual, flipped):
+            with pytest.raises(DiagramError, match=r"^\$: the signed Gauss code is not planar"):
+                LinkDiagram.from_json_dict(diagram.to_json_dict())
+        trefoil = LinkDiagram([trefoil_code], {0: 1, 1: 1, 2: 1})
+        assert LinkDiagram.from_json_dict(trefoil.to_json_dict()) == trefoil
+
+    def test_braid_closures_and_their_surgeries_are_planar(self):
+        for _, diagram in seeded_closures(seed=57, count=80, strands=(2, 3, 4, 5), max_length=14):
+            variants = [diagram, diagram.sublink([0])]
+            for cid in diagram.crossing_ids()[:2]:
+                variants += [diagram.switch_crossing(cid), diagram.smooth_crossing(cid)]
+            for d in variants:
+                assert LinkDiagram.from_json_dict(d.to_json_dict()) == d
 
     def test_validation_catches_broken_diagrams(self):
         with pytest.raises(DiagramError):

@@ -6,7 +6,9 @@ Subcommands: ``homfly`` (invariants and coefficient table of one link),
 identical invocations print identical bytes.
 
 Exit codes: 0 success, 1 bad input, 2 resource limit exceeded,
-3 at least one verification failed.
+3 at least one verification failed.  A reader that closes the output pipe
+early (``homflypt random --count 100000 | head -1``) ends the run with
+exit 1 and no message.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from .identities import (
     verify_thm15,
 )
 from .combinatorics import verify_lemma, verify_partition_identity
-from .hecke import engine_for
 from .links import ClosedBraid, DiagramError, Link, LinkDiagram, ParseError, parse_braid
 from .report import VerificationReport
 from .rng import SplitMix64, random_braid
-from .skein import DEFAULT_MAX_NODES, CoeffTable, ResourceLimitExceeded
+from .skein import DEFAULT_MAX_NODES, CoeffTable, ResourceLimitExceeded, SkeinEngine
 
 VERIFY_TARGETS = ("prop31", "thm13", "thm14", "thm15", "lemmas", "skeinF", "splitF", "all")
 
@@ -124,7 +125,7 @@ def cmd_homfly(args, out) -> int:
     label, link = links[0]
     if link.num_components == 0:
         raise _InputError("the empty diagram has no coefficient table")
-    framed = engine_for(link, _max_nodes(args)).framed_invariant(link)
+    framed = SkeinEngine(_max_nodes(args)).framed_invariant(link)
     table = CoeffTable.of(link, framed)
     homfly = table.polynomial()
     if args.format == "json":
@@ -230,7 +231,7 @@ def _link_reports(
 ) -> tuple[list[VerificationReport], list[str]]:
     if diagram.num_components == 0:
         return [], [f"{target} [{label}]: SKIP (empty diagram)"]
-    engine = engine_for(diagram, max_nodes)
+    engine = SkeinEngine(max_nodes)
     reports: list[VerificationReport] = []
     skipped: list[str] = []
     for name in _LINK_TARGETS if target == "all" else (target,):
@@ -412,7 +413,17 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  As the note on SIGPIPE in the `signal` docs
+        # advises, point stdout at devnull so that the flush at shutdown
+        # raises no second BrokenPipeError, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(EXIT_INPUT)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 from .combinatorics import set_partitions
-from .hecke import HeckeEngine, engine_for
 from .laurent import BivarLaurent, T
 from .links import Link
 from .report import VerificationReport
@@ -58,10 +57,6 @@ __all__ = [
 ]
 
 _T_FACTOR = T - T**-1
-
-# Every verifier takes a link and an engine for it; the default is
-# `engine_for(link)`: Hecke for a ClosedBraid, skein for a LinkDiagram.
-Engine = SkeinEngine | HeckeEngine
 
 
 class NotInterComponent(ValueError):
@@ -95,7 +90,7 @@ class FValue:
         return self.poly.coeff_of_z(2 * g - self.components)
 
 
-def intermediate_F(diagram: Link, engine: Engine | None = None) -> FValue:
+def intermediate_F(diagram: Link, engine: SkeinEngine | None = None) -> FValue:
     """Compute F as the joint cumulant of the sublink invariants H.
 
     The partition sum of the module docstring is the moment-cumulant
@@ -106,14 +101,14 @@ def intermediate_F(diagram: Link, engine: Engine | None = None) -> FValue:
     Only the subsets S containing component 0 need F, and each of them
     only the smaller ones: 3^(L-1) - 2^(L-1) products, no partition sum.
     F(S) is intrinsic to the sublink on S, so it is memoized in the
-    engine's `f_memo` on the sublink's key.  Links that share sublinks,
-    such as the two sides and the smoothing of a skeinF check, share those
-    values of F and of H.
+    engine's `f_memo` on the sublink's canonical key.  Links that share
+    sublinks, such as the two sides and the smoothing of a skeinF check,
+    share those values of F and of H.
     """
     L = diagram.num_components
     if L < 1:
         raise ValueError("F needs at least one component")
-    eng = engine if engine is not None else engine_for(diagram)
+    eng = engine if engine is not None else SkeinEngine()
 
     @functools.cache
     def H(subset: tuple[int, ...]) -> BivarLaurent:
@@ -123,7 +118,7 @@ def intermediate_F(diagram: Link, engine: Engine | None = None) -> FValue:
     def F(others: tuple[int, ...]) -> BivarLaurent:
         """F of the sublink on component 0 and `others`."""
         sublink = diagram.sublink((0,) + others)
-        key = eng.key(sublink)
+        key = sublink.canonical_key()
         value = eng.f_memo.get(key)
         if value is None:
             value = eng.framed_invariant(sublink).shift(-1 - len(others))
@@ -139,7 +134,7 @@ def intermediate_F(diagram: Link, engine: Engine | None = None) -> FValue:
 
 def _F_partition_sum(
     diagram: Link,
-    engine: Engine | None = None,
+    engine: SkeinEngine | None = None,
 ) -> FValue:
     """F summed over component-set partitions: the independent oracle for
     `intermediate_F`, called by the tests only.
@@ -150,7 +145,7 @@ def _F_partition_sum(
     """
     if diagram.num_components < 1:
         raise ValueError("F needs at least one component")
-    eng = engine if engine is not None else engine_for(diagram)
+    eng = engine if engine is not None else SkeinEngine()
     total = BivarLaurent.zero()
     for blocks in set_partitions(range(diagram.num_components)):
         weight = (-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1)
@@ -163,7 +158,7 @@ def _F_partition_sum(
 
 def f_coefficients(
     diagram: Link,
-    engine: Engine | None = None,
+    engine: SkeinEngine | None = None,
 ) -> dict[int, BivarLaurent]:
     """Nonzero coefficients of F by genus index: g -> z**(2g-L) coefficient.
 
@@ -190,7 +185,7 @@ def _context(diagram: Link, label: str | None, **extra) -> dict:
 
 def verify_prop31(
     diagram: Link,
-    engine: Engine | None = None,
+    engine: SkeinEngine | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """Vanishing of F below z**(L-2): coefficients at g = 0..L-2 are zero."""
@@ -215,7 +210,7 @@ def verify_prop31(
 def verify_thm13(
     diagram: Link,
     g: int,
-    engine: Engine | None = None,
+    engine: SkeinEngine | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """h[g] of the link against the decomposition sum, for 0 <= g <= L-2.
@@ -233,14 +228,14 @@ def verify_thm13(
 
 def verify_thm13_all(
     diagram: Link,
-    engine: Engine | None = None,
+    engine: SkeinEngine | None = None,
     label: str | None = None,
 ) -> list[VerificationReport]:
     """`verify_thm13` at every g = 0..L-2, computing F and the table once."""
     L = diagram.num_components
     if L < 2:
         raise ValueError("the decomposition identity needs at least 2 components")
-    eng = engine if engine is not None else engine_for(diagram)
+    eng = engine if engine is not None else SkeinEngine()
     value = intermediate_F(diagram, engine=eng)
     table = coeff_table(diagram, engine=eng)
     reports = []
@@ -272,7 +267,7 @@ def _two_form_report(
 
 def verify_thm14(
     diagram: Link,
-    engine: Engine | None = None,
+    engine: SkeinEngine | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """Factorization of the g = 0 coefficient over the components.
@@ -285,7 +280,7 @@ def verify_thm14(
     L = diagram.num_components
     if L < 1:
         raise ValueError("needs at least one component")
-    eng = engine if engine is not None else engine_for(diagram)
+    eng = engine if engine is not None else SkeinEngine()
     knots = [coeff_table(diagram.sublink([alpha]), engine=eng) for alpha in range(L)]
     full = coeff_table(diagram, engine=eng)
 
@@ -305,7 +300,7 @@ def verify_thm14(
 
 def verify_thm15(
     diagram: Link,
-    engine: Engine | None = None,
+    engine: SkeinEngine | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """Pair-sum expression for the g = 1 coefficient, in both forms.
@@ -322,7 +317,7 @@ def verify_thm15(
     L = diagram.num_components
     if L < 2:
         raise ValueError("the pair-sum identity needs at least 2 components")
-    eng = engine if engine is not None else engine_for(diagram)
+    eng = engine if engine is not None else SkeinEngine()
     tables = {
         subset: coeff_table(diagram.sublink(subset), engine=eng)
         for size in (1, 2)
@@ -359,13 +354,13 @@ def verify_thm15(
 def verify_skein_F(
     diagram: Link,
     cid: int,
-    engine: Engine | None = None,
+    engine: SkeinEngine | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """F(L+) - F(L-) = z * F(L0) at one inter-component crossing."""
     if diagram.is_self_crossing(cid):
         raise NotInterComponent(f"crossing {cid} is a self-crossing")
-    eng = engine if engine is not None else engine_for(diagram)
+    eng = engine if engine is not None else SkeinEngine()
     if diagram.signs[cid] > 0:
         plus, minus = diagram, diagram.switch_crossing(cid)
     else:
@@ -381,7 +376,7 @@ def verify_skein_F(
 
 def verify_split_F(
     knots: list[Link],
-    engine: Engine | None = None,
+    engine: SkeinEngine | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """F of the split union of two or more knots equals zero."""

@@ -100,7 +100,8 @@ class BraidWord:
         return f"strands={self.strand_count};" + (f" {body}" if body else "")
 
 
-_HEADER = re.compile(r"\s*strands\s*=\s*(\d+)\s*;")
+_HEADER = re.compile(r"\s*strands\s*=\s*([0-9]+)\s*;")
+_LETTER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -117,10 +118,9 @@ def parse_braid(text: str) -> BraidWord:
     letters: list[int] = []
     for tok in re.finditer(r"\S+", text[m.end():]):
         pos = m.end() + tok.start()
-        try:
-            value = int(tok.group())
-        except ValueError:
-            raise ParseError(f"expected a signed integer, got {tok.group()!r}", pos) from None
+        if not _LETTER.fullmatch(tok.group()):
+            raise ParseError(f"expected a signed integer, got {tok.group()!r}", pos)
+        value = int(tok.group())
         if value == 0 or abs(value) >= strands:
             raise GeneratorOutOfRange(
                 f"generator {value} out of range for {strands} strands", pos
@@ -236,6 +236,11 @@ def _euler_characteristic(diagram: "LinkDiagram") -> tuple[int, int]:
     pieces = len({root(ci) for ci, comp in enumerate(diagram.components) if comp})
     vertices, edges = len(index), len(across) // 2
     return vertices - edges + faces, pieces
+
+
+def _is_int(value) -> bool:
+    """An integer of the JSON schema: a bool is not one, nor is 1.0."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _trusted(components: Iterable[tuple[Passage, ...]], signs: dict[int, int]) -> "LinkDiagram":
@@ -524,7 +529,7 @@ class LinkDiagram:
                 if (
                     not isinstance(passage, (list, tuple))
                     or len(passage) != 2
-                    or not isinstance(passage[0], int)
+                    or not _is_int(passage[0])
                     or passage[1] not in (OVER, UNDER)
                 ):
                     fail(where, "expected [crossing_id, 'o'|'u']")
@@ -541,9 +546,9 @@ class LinkDiagram:
             for key in ("id", "sign", "over", "under"):
                 if key not in rec:
                     fail(where, f"missing key {key!r}")
-            if not isinstance(rec["id"], int):
+            if not _is_int(rec["id"]):
                 fail(f"{where}.id", "expected an integer")
-            if rec["sign"] not in (1, -1):
+            if not _is_int(rec["sign"]) or rec["sign"] not in (1, -1):
                 fail(f"{where}.sign", "expected +1 or -1")
             if rec["id"] in signs:
                 fail(f"{where}.id", f"duplicate crossing id {rec['id']}")
@@ -561,7 +566,7 @@ class LinkDiagram:
                 if (
                     not isinstance(ref, (list, tuple))
                     or len(ref) != 2
-                    or not all(isinstance(v, int) for v in ref)
+                    or not all(_is_int(v) for v in ref)
                 ):
                     fail(where, "expected [component, position]")
                 ci, pi = ref
@@ -609,8 +614,7 @@ class ClosedBraid:
     * a disjoint union places the other word's strands after these.
 
     Smoothing moves the component numbers and base points of the diagram
-    surgery, which leaves every invariant unchanged.  The word, as
-    (strand count, letters), keys the memos of the Hecke engine.
+    surgery, which leaves every invariant unchanged.
     """
 
     __slots__ = ("strand_count", "letters", "num_components", "_lines", "_component")
@@ -658,6 +662,10 @@ class ClosedBraid:
     @property
     def num_crossings(self) -> int:
         return len(self.letters)
+
+    def canonical_key(self) -> tuple[int, tuple[int, ...]]:
+        """The word as (strand count, letters): the engine's memo key."""
+        return self.strand_count, self.letters
 
     @property
     def signs(self) -> dict[int, int]:

@@ -17,10 +17,10 @@ The ambient HOMFLY-PT polynomial is recovered as
 ``P = t**(-writhe) * Hf / (t - t^-1) / z**(L-1)`` via the coefficient table.
 
 Both a memoized engine and a deliberately separate cache-free brute-force
-resolver are exposed; the test suite asserts their agreement.  A braid
-closure has a faster engine, `homflypt.hecke`, and either engine's value
-becomes a coefficient table through `CoeffTable.of`, which takes a
-`LinkDiagram` or a `ClosedBraid`.
+resolver are exposed; the test suite asserts their agreement.  The engine
+also takes a braid closure, a `ClosedBraid`, which it evaluates by the
+Hecke trace of `homflypt.hecke` in place of resolving crossings, and its
+value becomes a coefficient table through `CoeffTable.of`.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .hecke import framed_trace
 from .laurent import BivarLaurent, T, Z
-from .links import OVER, Link, LinkDiagram
+from .links import OVER, ClosedBraid, Link, LinkDiagram
 
 __all__ = [
     "DEFAULT_MAX_NODES",
@@ -92,55 +93,79 @@ def descending_value(diagram: LinkDiagram) -> BivarLaurent:
 
 
 class SkeinEngine:
-    """Memoized resolver for the framed invariant.
+    """Memoized framed invariant of a `LinkDiagram` or a `ClosedBraid`.
 
-    The memo table is keyed on `LinkDiagram.canonical_key`, so equal
-    diagrams up to crossing relabeling share one entry.  `max_nodes` bounds
-    the number of expanded (non-memoized) resolution nodes; exceeding it
-    raises ResourceLimitExceeded.  The table holds at most MEMO_CAP entries.
+    A diagram is resolved crossing by crossing as in the module docstring;
+    each expanded (non-memoized) resolution costs one node.  A braid closure
+    is evaluated by the Hecke trace (`homflypt.hecke`), whose relation
+    t g_i - t**-1 g_i**-1 = z is the skein relation on braids; each
+    coefficient it writes costs one node per term, and no element of the
+    trace holds more than MEMO_CAP permutations.  `max_nodes` bounds the
+    nodes over every value the engine computes; exceeding it raises
+    ResourceLimitExceeded.
+
+    Values are memoized on `link.canonical_key()` (at most MEMO_CAP of
+    them), so equal diagrams up to crossing relabeling share one entry, and
     `f_memo` holds values of `identities.intermediate_F` under the same key.
     """
 
     def __init__(self, max_nodes: int | None = None):
         self.max_nodes = DEFAULT_MAX_NODES if max_nodes is None else int(max_nodes)
         self.nodes = 0
-        self._memo: dict[bytes, BivarLaurent] = {}
-        self.f_memo: dict[bytes, BivarLaurent] = {}
+        self._memo: dict[bytes | tuple, BivarLaurent] = {}
+        self.f_memo: dict[bytes | tuple, BivarLaurent] = {}
 
-    @staticmethod
-    def key(diagram: LinkDiagram) -> bytes:
-        """The memo key of a diagram: its canonical key."""
-        return diagram.canonical_key()
-
-    def framed_invariant(self, diagram: LinkDiagram) -> BivarLaurent:
-        key = diagram.canonical_key()
+    def framed_invariant(self, link: Link) -> BivarLaurent:
+        key = link.canonical_key()
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise ResourceLimitExceeded(
-                f"skein resolution exceeded {self.max_nodes} nodes"
-            )
-        descending, cid = is_descending(diagram)
-        if descending:
-            value = descending_value(diagram)
+        if isinstance(link, ClosedBraid):
+            value = framed_trace(link, self._add)
         else:
-            eps_factor = BivarLaurent.one() if diagram.is_self_crossing(cid) else _Z2
-            switched = self.framed_invariant(diagram.switch_crossing(cid))
-            smoothed = self.framed_invariant(diagram.smooth_crossing(cid))
-            if diagram.signs[cid] > 0:
-                value = switched + eps_factor * smoothed
+            # one skein step, recursing through this method so that a
+            # resolution level costs one stack frame
+            self.nodes += 1
+            if self.nodes > self.max_nodes:
+                raise ResourceLimitExceeded(
+                    f"skein resolution exceeded {self.max_nodes} nodes"
+                )
+            descending, cid = is_descending(link)
+            if descending:
+                value = descending_value(link)
             else:
-                value = switched - eps_factor * smoothed
+                eps_factor = BivarLaurent.one() if link.is_self_crossing(cid) else _Z2
+                switched = self.framed_invariant(link.switch_crossing(cid))
+                smoothed = self.framed_invariant(link.smooth_crossing(cid))
+                if link.signs[cid] > 0:
+                    value = switched + eps_factor * smoothed
+                else:
+                    value = switched - eps_factor * smoothed
         if len(self._memo) < MEMO_CAP:
             self._memo[key] = value
         return value
 
+    def _add(self, element: dict, w: tuple[int, ...], c: BivarLaurent) -> None:
+        """Merge c into element[w] for the Hecke trace, charging len(c) nodes."""
+        self.nodes += len(c)
+        if self.nodes > self.max_nodes:
+            raise ResourceLimitExceeded(f"Hecke trace exceeded {self.max_nodes} nodes")
+        old = element.get(w)
+        if old is None:
+            if len(element) >= MEMO_CAP:
+                raise ResourceLimitExceeded(f"Hecke element exceeded {MEMO_CAP} permutations")
+            element[w] = c
+            return
+        total = old + c
+        if total:
+            element[w] = total
+        else:
+            del element[w]
 
-def framed_homfly(diagram: LinkDiagram, max_nodes: int | None = None) -> BivarLaurent:
-    """Framed invariant of a diagram via a fresh memoized engine."""
-    return SkeinEngine(max_nodes=max_nodes).framed_invariant(diagram)
+
+def framed_homfly(link: Link, max_nodes: int | None = None) -> BivarLaurent:
+    """Framed invariant of a diagram or braid closure via a fresh engine."""
+    return SkeinEngine(max_nodes=max_nodes).framed_invariant(link)
 
 
 def framed_homfly_bruteforce(
@@ -235,13 +260,13 @@ class CoeffTable:
         }
 
 
-def coeff_table(diagram: Link, engine=None) -> CoeffTable:
-    """Extract the h/p coefficient table of a nonempty link with `engine`,
-    a skein or Hecke engine that takes it (default a fresh SkeinEngine)."""
+def coeff_table(diagram: Link, engine: SkeinEngine | None = None) -> CoeffTable:
+    """Extract the h/p coefficient table of a nonempty link with `engine`
+    (default a fresh SkeinEngine)."""
     eng = engine if engine is not None else SkeinEngine()
     return CoeffTable.of(diagram, eng.framed_invariant(diagram))
 
 
-def homfly(diagram: LinkDiagram, engine: SkeinEngine | None = None) -> BivarLaurent:
+def homfly(diagram: Link, engine: SkeinEngine | None = None) -> BivarLaurent:
     """The HOMFLY-PT polynomial, assembled from the coefficient table."""
     return coeff_table(diagram, engine=engine).polynomial()

@@ -2,12 +2,25 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from homflypt import BivarLaurent, T, Z, close_braid, parse_braid
 from homflypt import cli
 from homflypt.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def python(args, **kwargs) -> subprocess.Popen:
+    """Start `python args` in a fresh interpreter that imports the package from src."""
+    return subprocess.Popen([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC), **kwargs)
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -166,6 +179,59 @@ class TestHomfly:
             err = capsys.readouterr().err
             assert err.startswith("error: $: the signed Gauss code is not planar")
             assert err.count("\n") == 1
+
+    def test_non_integers_are_bad_input(self, tmp_path, capsys):
+        # JSON true passes isinstance(x, int), and int() reads 1_0 and
+        # non-ASCII digits; tests/test_links.py covers every JSON field
+        path = tmp_path / "kink.json"
+        path.write_text(
+            '{"components": [[[true, "o"], [true, "u"]]], "crossings":'
+            ' [{"id": true, "sign": true, "over": [0, 0], "under": [0, 1]}]}'
+        )
+        for link in (["--file", str(path)], ["--braid", "strands=12; 1_0"],
+                     ["--braid", "strands=\u0663; 1 2"]):
+            code, text = run_cli(["homfly", *link])
+            assert code == EXIT_INPUT and text == ""
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, link
+
+
+class TestProcess:
+    def test_closed_pipe_prints_no_traceback(self):
+        for argv in (
+            ["random", "--count", "100000"],
+            ["homfly", "--braid", "strands=2; " + " ".join(["1"] * 600), "--format", "json"],
+        ):
+            proc = python(["-m", "homflypt", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == EXIT_INPUT, argv
+            assert b"Traceback" not in err and b"Error" not in err, (argv, err)
+
+    def test_reimports_leave_one_laurent_class(self):
+        # The benchmark re-imports the package for each block; a cache that
+        # holds a class of an old import (a typing alias, say) keeps every
+        # copy alive.  A subprocess keeps this test's imports to itself.
+        script = textwrap.dedent(
+            """
+            import gc, io, sys
+            for _ in range(6):
+                for name in [m for m in sys.modules if m.startswith("homflypt")]:
+                    del sys.modules[name]
+                import homflypt.cli
+                for argv in (["homfly", "--catalog", "borromean"],
+                             ["verify", "skeinF", "--catalog", "hopf+"]):
+                    assert homflypt.cli.main(argv, out=io.StringIO()) == 0
+            gc.collect()
+            print(sum(isinstance(o, type) and o.__name__ == "BivarLaurent"
+                      for o in gc.get_objects()))
+            """
+        )
+        proc = python(["-c", script], stdout=subprocess.PIPE, text=True)
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0 and out.strip() == "1"
 
 
 class TestVerify:

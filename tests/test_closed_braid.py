@@ -1,7 +1,7 @@
-"""Braid-level links and the Hecke engine behind `verify`: every surgery and
-query of `ClosedBraid` against the `close_braid` diagram, the Hecke engine
-against the skein engine, and every link target's reports on braids against
-the same reports on diagrams through the skein engine."""
+"""Braid-level links and the Hecke trace behind `verify`: every surgery and
+query of `ClosedBraid` against the `close_braid` diagram, the trace against
+skein resolution, the module functions on braids, and every link target's
+reports on braids against the same reports on diagrams."""
 
 import io
 import itertools
@@ -12,18 +12,19 @@ import pytest
 from homflypt import (
     ClosedBraid,
     EmptySelection,
-    HeckeEngine,
     ResourceLimitExceeded,
     SkeinEngine,
     SplitMix64,
     UnknownCrossing,
     close_braid,
+    coeff_table,
     framed_homfly,
+    homfly,
     intermediate_F,
     parse_braid,
 )
 from homflypt import catalog as cat
-from homflypt import cli
+from homflypt import cli, skein
 from homflypt.identities import _F_partition_sum
 
 from conftest import seeded_closures
@@ -132,7 +133,7 @@ class TestSurgeries:
 
     def test_switched_and_smoothed_values_match_skein(self):
         for word, diagram in seeded_closures(seed=63, count=30, strands=(2, 3, 4), max_length=9):
-            link, engine = ClosedBraid(word), HeckeEngine()
+            link, engine = ClosedBraid(word), SkeinEngine()
             for cid in link.crossing_ids():
                 assert engine.framed_invariant(link.switch_crossing(cid)) == framed_homfly(
                     diagram.switch_crossing(cid)
@@ -149,10 +150,19 @@ class TestSurgeries:
             assert close_braid(union.word).canonical_key() == expected.canonical_key()
 
 
+class TestGenericApi:
+    def test_no_engine_given_on_braids(self):
+        # the module functions build their own engine for either link type
+        for entry in cat.CATALOG:
+            link, diagram = ClosedBraid(entry.word()), close_braid(entry.word())
+            for function in (coeff_table, homfly, framed_homfly, intermediate_F):
+                assert function(link) == function(diagram), (entry.name, function.__name__)
+
+
 class TestEngine:
     def test_memo_and_budget_span_the_link(self):
         link = ClosedBraid(parse_braid(CHAIN5))
-        engine = HeckeEngine()
+        engine = SkeinEngine()
         value = engine.framed_invariant(link)
         one_trace = engine.nodes
         assert engine.framed_invariant(link) == value and engine.nodes == one_trace
@@ -160,7 +170,7 @@ class TestEngine:
         engine.framed_invariant(other)
         both = engine.nodes
         # the budget counts every trace of the engine, not each one alone
-        tight = HeckeEngine(max_nodes=both - 1)
+        tight = SkeinEngine(max_nodes=both - 1)
         tight.framed_invariant(link)
         with pytest.raises(ResourceLimitExceeded):
             tight.framed_invariant(other)
@@ -168,7 +178,7 @@ class TestEngine:
     def test_F_on_braids_matches_the_partition_sum_on_diagrams(self):
         for word in corpus():
             link = ClosedBraid(parse_braid(word))
-            engine = HeckeEngine()
+            engine = SkeinEngine()
             value = intermediate_F(link, engine=engine)
             assert value == _F_partition_sum(close_braid(link.word)), word
             # the second call reads F off the memo: no engine work
@@ -189,10 +199,11 @@ class TestReports:
             assert _reports(target, link) == _reports(target, close_braid(link.word)), word
 
     def test_verify_on_braids_never_runs_skein(self, monkeypatch):
-        def refuse(self, diagram):
-            raise AssertionError("a braid input reached the skein engine")
+        def refuse(diagram):
+            raise AssertionError("a braid input reached skein resolution")
 
-        monkeypatch.setattr(SkeinEngine, "framed_invariant", refuse)
+        # every skein resolution step starts by looking for a violating crossing
+        monkeypatch.setattr(skein, "is_descending", refuse)
         small = ["--m-max", "2", "--n-max", "2"]
         for link in (["--braid", CHAIN5], ["--catalog", "borromean"]):
             out = io.StringIO()

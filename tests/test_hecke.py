@@ -1,6 +1,6 @@
-"""Hecke-algebra trace engine: agreement with the skein engine and the
-brute-force oracle, the T(2,n) recurrence, the P(t, t - 1/t) = 1 check and
-the resource limits."""
+"""Hecke-algebra trace of braid closures: agreement with skein resolution of
+their diagrams and with the brute-force oracle, the T(2,n) recurrence, the
+P(t, t - 1/t) = 1 check and the resource limits."""
 
 from fractions import Fraction
 
@@ -8,6 +8,7 @@ import pytest
 
 from homflypt import (
     BraidWord,
+    ClosedBraid,
     CoeffTable,
     ResourceLimitExceeded,
     SplitMix64,
@@ -16,13 +17,12 @@ from homflypt import (
     close_braid,
     coeff_table,
     framed_homfly,
-    framed_homfly_braid,
     framed_homfly_bruteforce,
     parse_braid,
     random_braid,
 )
 from homflypt import catalog as cat
-from homflypt import hecke
+from homflypt import skein
 
 TFAC = T - T**-1
 
@@ -43,29 +43,30 @@ def torus_word(n: int) -> BraidWord:
 
 def polynomial(word: BraidWord):
     """P of the closure, read off the framed value by the coefficient table."""
-    return CoeffTable.of(close_braid(word), framed_homfly_braid(word)).polynomial()
+    return CoeffTable.of(close_braid(word), framed_homfly(ClosedBraid(word))).polynomial()
 
 
 class TestAgreement:
     def test_catalog_matches_skein(self):
         for entry in cat.CATALOG:
-            assert framed_homfly_braid(entry.word()) == framed_homfly(entry.diagram()), entry.name
+            braid = ClosedBraid(entry.word())
+            assert framed_homfly(braid) == framed_homfly(entry.diagram()), entry.name
 
     def test_random_words_match_skein(self):
         words = seeded_words(11, range(1, 6), range(0, 11), 3)
         assert len(words) == 165
         for word in words:
-            assert framed_homfly_braid(word) == framed_homfly(close_braid(word)), word.as_text()
+            value = framed_homfly(ClosedBraid(word))
+            assert value == framed_homfly(close_braid(word)), word.as_text()
 
     def test_short_words_match_bruteforce(self):
         for word in seeded_words(12, (2, 3, 4), range(0, 9), 2):
-            assert framed_homfly_braid(word) == framed_homfly_bruteforce(close_braid(word)), (
-                word.as_text()
-            )
+            value = framed_homfly(ClosedBraid(word))
+            assert value == framed_homfly_bruteforce(close_braid(word)), word.as_text()
 
     def test_tables_match(self):
         for entry in cat.CATALOG:
-            table = CoeffTable.of(entry.diagram(), framed_homfly_braid(entry.word()))
+            table = CoeffTable.of(entry.diagram(), framed_homfly(ClosedBraid(entry.word())))
             assert table == coeff_table(entry.diagram()), entry.name
 
 
@@ -95,19 +96,19 @@ class TestIndependentChecks:
 class TestLimits:
     def test_tiny_budget_raises(self):
         with pytest.raises(ResourceLimitExceeded):
-            framed_homfly_braid(cat.get("borromean").word(), max_nodes=3)
+            framed_homfly(ClosedBraid(cat.get("borromean").word()), max_nodes=3)
 
     def test_budget_bounds_coefficient_growth(self):
         # two basis terms throughout, but their coefficients grow with n
         word = torus_word(400)
         with pytest.raises(ResourceLimitExceeded):
-            framed_homfly_braid(word, max_nodes=100_000)
-        assert framed_homfly_braid(word, max_nodes=200_000)
+            framed_homfly(ClosedBraid(word), max_nodes=100_000)
+        assert framed_homfly(ClosedBraid(word), max_nodes=200_000)
 
     def test_element_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(hecke, "MEMO_CAP", 5)
+        monkeypatch.setattr(skein, "MEMO_CAP", 5)
         with pytest.raises(ResourceLimitExceeded):
-            framed_homfly_braid(parse_braid("strands=4; 1 1 2 2 3 3 1 1"))
-        assert framed_homfly_braid(cat.get("trefoil").word()) == framed_homfly(
+            framed_homfly(ClosedBraid(parse_braid("strands=4; 1 1 2 2 3 3 1 1")))
+        assert framed_homfly(ClosedBraid(cat.get("trefoil").word())) == framed_homfly(
             cat.diagram("trefoil")
         )

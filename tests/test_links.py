@@ -54,6 +54,17 @@ class TestParseBraid:
     def test_empty_word(self):
         assert parse_braid("strands=4;") == BraidWord(4, ())
 
+    def test_only_ascii_integers(self):
+        # int() would read 1_0 as 10, and \d matches the Arabic-Indic three
+        text = "strands=12; 1_0"
+        with pytest.raises(ParseError) as err:
+            parse_braid(text)
+        assert err.value.position == text.index("1_0")
+        for text in ("strands=\u0663; 1 2", "strands=3; \u0661"):
+            with pytest.raises(ParseError):
+                parse_braid(text)
+        assert parse_braid("strands=3; +1 -2") == BraidWord(3, (1, -2))
+
     def test_round_trip_text(self):
         word = parse_braid("strands=3; 1 -2 1")
         assert parse_braid(word.as_text()) == word
@@ -303,6 +314,27 @@ class TestJson:
         bad["crossings"][0]["over"] = [0, 1]
         with pytest.raises(DiagramError, match=r"crossings\[0\]\.over"):
             LinkDiagram.from_json_dict(bad)
+
+    def test_integers_are_not_bools_or_floats(self):
+        # JSON true passes isinstance(x, int) and 1.0 == 1; neither is an integer
+        def kink(id_=0, sign=1, over=(0, 0), passage=0):
+            return {
+                "components": [[[passage, "o"], [passage, "u"]]],
+                "crossings": [{"id": id_, "sign": sign, "over": list(over), "under": [0, 1]}],
+            }
+
+        assert LinkDiagram.from_json_dict(kink()).num_crossings == 1
+        cases = [
+            (kink(True, True, passage=True), r"^components\[0\]\[0\]:"),
+            (kink(True), r"^crossings\[0\]\.id:"),
+            (kink(sign=1.0), r"^crossings\[0\]\.sign:"),
+            (kink(sign=True), r"^crossings\[0\]\.sign:"),
+            (kink(over=(False, 0)), r"^crossings\[0\]\.over:"),
+            (kink(over=(0, 0.0)), r"^crossings\[0\]\.over:"),
+        ]
+        for obj, path in cases:
+            with pytest.raises(DiagramError, match=path):
+                LinkDiagram.from_json_dict(json.loads(json.dumps(obj)))
 
     def test_reference_errors_name_the_list_index(self):
         # ids 7 and 3 in a 2-element list: the path must be the list index

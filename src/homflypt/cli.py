@@ -5,10 +5,10 @@ Subcommands: ``homfly`` (invariants and coefficient table of one link),
 ``catalog`` (built-in links with recomputed data).  Output is deterministic:
 identical invocations print identical bytes.
 
-Exit codes: 0 success, 1 bad input, 2 resource limit exceeded,
-3 at least one verification failed.  A reader that closes the output pipe
-early (``homflypt random --count 100000 | head -1``) ends the run with
-exit 1 and no message.
+Exit codes: 0 success, 1 bad input (arguments the parser rejects
+included), 2 resource limit exceeded, 3 at least one verification failed.
+A reader that closes the output pipe early (``homflypt random --count
+100000 | head -1``) ends the run with exit 1 and no message.
 """
 
 from __future__ import annotations
@@ -52,6 +52,15 @@ LEMMA_N_LIMIT = 20
 
 class _InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are bad input (exit 1, one `error:`
+    line) rather than argparse's exit 2, the exit code of a resource limit;
+    ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise _InputError(f"{message} (see '{self.prog} --help')")
 
 
 def _max_nodes(args) -> int:
@@ -345,15 +354,17 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
         "--max-nodes",
         type=int,
         default=None,
-        help="node budget per link: skein resolution nodes for --file, Hecke"
-        " coefficient terms written over all of the link's traces for --braid,"
-        " --catalog and piped braids, in homfly and verify alike"
+        help="node budget per link: skein resolution nodes for --file; for"
+        " --braid, --catalog and piped braids, coefficient terms written by"
+        " the Hecke traces of the link's irreducible braid pieces (after"
+        " cancellation, splitting and destabilization) and by the products of"
+        " their values; in homfly and verify alike"
         " (default: SKEIN_MAX_NODES or 10^7)",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homflypt",
         description="Exact HOMFLY-PT polynomials and identity verification.",
     )
@@ -398,9 +409,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
-    args = _parser().parse_args(argv)
     stream = out if out is not None else sys.stdout
     try:
+        args = _parser().parse_args(argv)
         return args.func(args, stream)
     except (_InputError, ParseError, DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

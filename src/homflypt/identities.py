@@ -99,11 +99,12 @@ def intermediate_F(diagram: Link, engine: SkeinEngine | None = None) -> FValue:
         F(S) = H(S) - sum over T containing min S, T != S, of F(T) * H(S - T).
 
     Only the subsets S containing component 0 need F, and each of them
-    only the smaller ones: 3^(L-1) - 2^(L-1) products, no partition sum.
-    F(S) is intrinsic to the sublink on S, so it is memoized in the
-    engine's `f_memo` on the sublink's canonical key.  Links that share
-    sublinks, such as the two sides and the smoothing of a skeinF check,
-    share those values of F and of H.
+    only the smaller ones: at most 3^(L-1) - 2^(L-1) products, no
+    partition sum; a term whose computed F(T) is zero (T split, say) is
+    skipped with its H(S - T).  F(S) is intrinsic to the sublink on S, so
+    it is memoized in the engine's `f_memo` on the sublink's canonical key.
+    Links that share sublinks, such as the two sides and the smoothing of a
+    skeinF check, share those values of F and of H.
     """
     L = diagram.num_components
     if L < 1:
@@ -124,12 +125,20 @@ def intermediate_F(diagram: Link, engine: SkeinEngine | None = None) -> FValue:
             value = eng.framed_invariant(sublink).shift(-1 - len(others))
             for size in range(len(others)):
                 for part in itertools.combinations(others, size):
-                    value = value - F(part) * H(tuple(i for i in others if i not in part))
+                    f_part = F(part)
+                    if f_part:
+                        value = value - f_part * H(tuple(i for i in others if i not in part))
             if len(eng.f_memo) < MEMO_CAP:
                 eng.f_memo[key] = value
         return value
 
-    return FValue(L, F(tuple(range(1, L))))
+    try:
+        return FValue(L, F(tuple(range(1, L))))
+    finally:
+        # F refers to itself through its closure: a cycle that would keep
+        # the engine and every cached value alive until the next cyclic
+        # garbage collection, not just until return
+        del F
 
 
 def _F_partition_sum(

@@ -16,6 +16,7 @@ polynomials always serialize byte-identically.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -247,22 +248,35 @@ class BivarLaurent:
         rem = {(ez - a_z, et - a_t): c for (ez, et), c in self._terms.items()}
         den = {(ez - d_z, et - d_t): c for (ez, et), c in divisor._terms.items()}
         lead = max(den)
-        lead_c = den[lead]
+        lead_c = den.pop(lead)
         quot: dict[tuple[int, int], Rational] = {}
-        while rem:
-            top = max(rem)  # lexicographic on (e_z, e_t) is a well-order on N^2
+        # Leading terms come off a heap of negated keys: a step writes only
+        # keys below the one it cancels (lexicographic on (e_z, e_t), a
+        # well-order on N^2), so a key is pushed as it enters the remainder
+        # and skipped if it has left it.
+        heap = [(-ez, -et) for ez, et in rem]
+        heapq.heapify(heap)
+        while heap:
+            nz, nt = heapq.heappop(heap)
+            top = (-nz, -nt)
+            c_top = rem.pop(top, 0)
+            if not c_top:
+                continue
             qz, qt = top[0] - lead[0], top[1] - lead[1]
             if qz < 0 or qt < 0:
                 raise NotDivisible(f"{self} is not divisible by {divisor}")
-            qc = _ratio(rem[top], lead_c)
+            qc = _ratio(c_top, lead_c)
             quot[(qz, qt)] = qc
             for (ez, et), c in den.items():
                 key = (ez + qz, et + qt)
-                total = rem.get(key, 0) - qc * c
+                old = rem.get(key)
+                total = (old or 0) - qc * c
                 if total:
                     rem[key] = total
-                else:
-                    rem.pop(key, None)
+                    if old is None:
+                        heapq.heappush(heap, (-key[0], -key[1]))
+                elif old is not None:
+                    del rem[key]
         return _wrap(quot).shift(a_z - d_z, a_t - d_t)
 
     def evaluate(self, z0: Rational, t0: Rational) -> Fraction:

@@ -21,6 +21,7 @@ closures under this convention are always realizable.
 
 from __future__ import annotations
 
+import bisect
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -185,6 +186,26 @@ def _total_linking(crossings: Iterable[tuple[int, int, int]]) -> int:
                 f"odd signed crossing count {count} between components {a} and {b}"
             )
     return sum(signed.values()) // 2
+
+
+def _cancel(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The word with every adjacent pair x, -x cancelled, cyclically too."""
+    kept: list[int] = []
+    for x in letters:
+        if kept and kept[-1] == -x:
+            kept.pop()
+        else:
+            kept.append(x)
+    return _trim(tuple(kept))
+
+
+def _trim(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """A word without adjacent pairs x, -x, with its first and last letters
+    cancelled while they are such a pair."""
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i, j = i + 1, j - 1
+    return letters[i : j + 1]
 
 
 # The four ends of a crossing counterclockwise, by its sign: the in ("i")
@@ -614,7 +635,8 @@ class ClosedBraid:
     * a disjoint union places the other word's strands after these.
 
     Smoothing moves the component numbers and base points of the diagram
-    surgery, which leaves every invariant unchanged.
+    surgery, which leaves every invariant unchanged.  `pieces` simplifies
+    the word by braid moves into the pieces the engine traces.
     """
 
     __slots__ = ("strand_count", "letters", "num_components", "_lines", "_component")
@@ -741,6 +763,60 @@ class ClosedBraid:
         n = self.strand_count
         shifted = tuple(x + n if x > 0 else x - n for x in other.letters)
         return ClosedBraid._of(n + other.strand_count, self.letters + shifted)
+
+    def pieces(self) -> tuple[int, list["ClosedBraid"]]:
+        """(power, pieces) with Hf(self) = t**power times the product of Hf
+        over the pieces, or (0, [self]) when none of these moves applies:
+
+        * free and cyclic cancellation of adjacent letters x, -x (braid
+          relations and conjugation, which keep the framed link);
+        * a split at every unused generator: each maximal run of used
+          generators is a block, renumbered from strand 1, and a strand no
+          letter touches is an unknot.  Hf is multiplicative on split unions;
+        * Markov destabilization when the top generator, or generator 1,
+          occurs exactly once: rotate that letter to the end of the word,
+          drop it and its strand (renumbering from 1 for generator 1), and
+          add its sign to the power, the writhe it took away.
+
+        The moves run in a loop over a work list until none applies, so a
+        piece is a word on which `pieces` returns (0, [piece]).
+        """
+        power = 0
+        done: list[tuple[int, tuple[int, ...]]] = []
+        work = [(self.strand_count, _cancel(self.letters))]  # words cancelled
+        while work:
+            n, letters = work.pop()
+            used = set(map(abs, letters))
+            if len(used) < n - 1:
+                # a maximal run g..h of used generators is a block on strands
+                # g..h+1; every other strand is an unknot
+                gens = sorted(used)
+                runs = [g for g in gens if g - 1 not in used]
+                ends = [g for g in gens if g + 1 not in used]
+                blocks: list[list[int]] = [[] for _ in runs]
+                for x in letters:
+                    k = bisect.bisect(runs, abs(x)) - 1
+                    blocks[k].append(x - runs[k] + 1 if x > 0 else x + runs[k] - 1)
+                split = zip(runs, ends, blocks)
+                work.extend(reversed([(h - g + 2, _cancel(tuple(b))) for g, h, b in split]))
+                done.extend([(1, ())] * (n - sum(h - g + 2 for g, h in zip(runs, ends))))
+                continue
+            for gen, shift in ((n - 1, 0), (1, 1)):
+                if letters.count(gen) + letters.count(-gen) == 1:
+                    k = letters.index(gen) if gen in letters else letters.index(-gen)
+                    power += 1 if letters[k] > 0 else -1
+                    # only the letters that now meet at the ends can cancel
+                    rest = letters[k + 1:] + letters[:k]
+                    if shift:
+                        rest = tuple(x - 1 if x > 0 else x + 1 for x in rest)
+                    work.append((n - 1, _trim(rest)))
+                    break
+            else:
+                done.append((n, letters))
+        if power == 0 and done == [(self.strand_count, self.letters)]:
+            return 0, [self]
+        made = {word: ClosedBraid._of(*word) for word in set(done)}
+        return power, [made[word] for word in done]
 
 
 # A link in either representation; both answer the queries of the verifiers.

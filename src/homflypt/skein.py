@@ -18,9 +18,10 @@ The ambient HOMFLY-PT polynomial is recovered as
 
 Both a memoized engine and a deliberately separate cache-free brute-force
 resolver are exposed; the test suite asserts their agreement.  The engine
-also takes a braid closure, a `ClosedBraid`, which it evaluates by the
-Hecke trace of `homflypt.hecke` in place of resolving crossings, and its
-value becomes a coefficient table through `CoeffTable.of`.
+also takes a braid closure, a `ClosedBraid`, which it simplifies by braid
+moves and evaluates by the Hecke trace of `homflypt.hecke` in place of
+resolving crossings, and its value becomes a coefficient table through
+`CoeffTable.of`.
 """
 
 from __future__ import annotations
@@ -97,16 +98,21 @@ class SkeinEngine:
 
     A diagram is resolved crossing by crossing as in the module docstring;
     each expanded (non-memoized) resolution costs one node.  A braid closure
-    is evaluated by the Hecke trace (`homflypt.hecke`), whose relation
-    t g_i - t**-1 g_i**-1 = z is the skein relation on braids; each
-    coefficient it writes costs one node per term, and no element of the
-    trace holds more than MEMO_CAP permutations.  `max_nodes` bounds the
-    nodes over every value the engine computes; exceeding it raises
-    ResourceLimitExceeded.
+    is first simplified by `ClosedBraid.pieces` (cancellation, splitting at
+    unused generators, Markov destabilization): Hf is t**power times the
+    product of the pieces' values, each memoized on its own key.  Only a
+    word no move simplifies is evaluated by the Hecke trace
+    (`homflypt.hecke`), whose relation t g_i - t**-1 g_i**-1 = z is the
+    skein relation on braids.  On a braid closure a node is one coefficient
+    term written, by the trace into its element or by a product of piece
+    values into the result, and no element of the trace holds more than
+    MEMO_CAP permutations.  `max_nodes` bounds the nodes over every value
+    the engine computes; exceeding it raises ResourceLimitExceeded.
 
     Values are memoized on `link.canonical_key()` (at most MEMO_CAP of
     them), so equal diagrams up to crossing relabeling share one entry, and
     `f_memo` holds values of `identities.intermediate_F` under the same key.
+    The intermediate words of `pieces` are not memoized.
     """
 
     def __init__(self, max_nodes: int | None = None):
@@ -121,7 +127,15 @@ class SkeinEngine:
         if cached is not None:
             return cached
         if isinstance(link, ClosedBraid):
-            value = framed_trace(link, self._add)
+            power, pieces = link.pieces()
+            if pieces == [link]:  # no move applies
+                value = framed_trace(link, self._add)
+            else:
+                value = self.framed_invariant(pieces[0])
+                for piece in pieces[1:]:
+                    value = value * self.framed_invariant(piece)
+                    self._charge(len(value))
+                value = value.shift(0, power)
         else:
             # one skein step, recursing through this method so that a
             # resolution level costs one stack frame
@@ -145,11 +159,15 @@ class SkeinEngine:
             self._memo[key] = value
         return value
 
-    def _add(self, element: dict, w: tuple[int, ...], c: BivarLaurent) -> None:
-        """Merge c into element[w] for the Hecke trace, charging len(c) nodes."""
-        self.nodes += len(c)
+    def _charge(self, terms: int) -> None:
+        """Charge `terms` coefficient terms written on a braid closure."""
+        self.nodes += terms
         if self.nodes > self.max_nodes:
             raise ResourceLimitExceeded(f"Hecke trace exceeded {self.max_nodes} nodes")
+
+    def _add(self, element: dict, w: tuple[int, ...], c: BivarLaurent) -> None:
+        """Merge c into element[w] for the Hecke trace, charging len(c) nodes."""
+        self._charge(len(c))
         old = element.get(w)
         if old is None:
             if len(element) >= MEMO_CAP:

@@ -195,6 +195,30 @@ class TestHomfly:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, link
 
+    def test_usage_errors_are_bad_input(self, capsys):
+        # argparse alone would exit 2, the exit code of a resource limit
+        for argv in (
+            ["homfly", "--max-nodes", "abc"],
+            ["verify", "nope"],
+            ["homfly", "--catalog", "unknot", "--bogus"],
+            ["verify", "thm13", "--format", "xml"],
+            ["random", "--count", "1.5"],
+            ["frobnicate"],
+            [],
+        ):
+            code, text = run_cli(argv)
+            assert code == EXIT_INPUT and text == "", argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert "--help" in err, argv
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["verify", "--help"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv, out=io.StringIO())
+            assert exit_info.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: homflypt")
+
 
 class TestProcess:
     def test_closed_pipe_prints_no_traceback(self):

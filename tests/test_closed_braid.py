@@ -1,7 +1,8 @@
 """Braid-level links and the Hecke trace behind `verify`: every surgery and
-query of `ClosedBraid` against the `close_braid` diagram, the trace against
-skein resolution, the module functions on braids, and every link target's
-reports on braids against the same reports on diagrams."""
+query of `ClosedBraid` against the `close_braid` diagram, the braid moves of
+`ClosedBraid.pieces` against the trace of the unsimplified word, the trace
+against skein resolution, the module functions on braids, and every link
+target's reports on braids against the same reports on diagrams."""
 
 import io
 import itertools
@@ -10,6 +11,8 @@ import json
 import pytest
 
 from homflypt import (
+    BivarLaurent,
+    BraidWord,
     ClosedBraid,
     EmptySelection,
     ResourceLimitExceeded,
@@ -22,9 +25,11 @@ from homflypt import (
     homfly,
     intermediate_F,
     parse_braid,
+    random_braid,
 )
 from homflypt import catalog as cat
 from homflypt import cli, skein
+from homflypt.hecke import framed_trace
 from homflypt.identities import _F_partition_sum
 
 from conftest import seeded_closures
@@ -185,6 +190,17 @@ class TestEngine:
             nodes = engine.nodes
             assert intermediate_F(link, engine=engine) == value and engine.nodes == nodes
 
+    def test_F_of_split_unions_is_computed_zero(self):
+        # F(part) is zero on every split sublink; those terms are skipped,
+        # the F values themselves are still computed
+        words = [parse_braid(w) for w in corpus()[:12]]
+        for left, right in zip(words, words[1:]):
+            union = ClosedBraid(left).disjoint_union(ClosedBraid(right))
+            engine = SkeinEngine()
+            value = intermediate_F(union, engine=engine)
+            assert value.poly.is_zero(), (left.as_text(), right.as_text())
+            assert value == _F_partition_sum(close_braid(union.word))
+
 
 def _reports(target: str, link) -> str:
     reports, skipped = cli._link_reports(target, "L", link, 10**7)
@@ -209,3 +225,135 @@ class TestReports:
             out = io.StringIO()
             assert cli.main(["verify", "all", *link, *small], out=out) == cli.EXIT_OK
             assert "FAIL" not in out.getvalue()
+
+
+def trace(link) -> BivarLaurent:
+    """`framed_trace` of the word as it stands, with no budget, no memo and
+    no braid moves."""
+
+    def add(element, w, c):
+        total = element.get(w, BivarLaurent.zero()) + c
+        if total:
+            element[w] = total
+        else:
+            element.pop(w, None)
+
+    return framed_trace(link, add)
+
+
+def moved_words(seed: int, count: int) -> list[BraidWord]:
+    """Seeded words on which the moves of `pieces` apply: a cancelling pair
+    inserted inside or around the word, letterless strands added on either
+    side, and a single top or bottom letter added on a new strand."""
+    rng = SplitMix64(seed)
+    words = []
+    for _ in range(count):
+        n = 2 + rng.below(3)
+        letters = list(random_braid(rng, n, 2 + rng.below(6)).letters)
+        x = (1 + rng.below(n - 1)) * (1 if rng.below(2) else -1)
+        where = rng.below(3)
+        if where == 0:
+            k = rng.below(len(letters) + 1)
+            letters[k:k] = [x, -x]
+        elif where == 1:
+            letters = [x] + letters + [-x]
+        else:
+            letters = [x, -x] + letters
+        left, right = rng.below(3), rng.below(3)
+        letters = [v + left if v > 0 else v - left for v in letters]
+        n += left + right
+        sign = 1 if rng.below(2) else -1
+        if rng.below(2):
+            letters.insert(rng.below(len(letters) + 1), sign * n)  # a new top strand
+        else:
+            letters = [v + 1 if v > 0 else v - 1 for v in letters]
+            letters.insert(rng.below(len(letters) + 1), sign)  # a new bottom strand
+        words.append(BraidWord(n + 1, tuple(letters)))
+    return words
+
+
+class TestPieces:
+    def words(self) -> list[BraidWord]:
+        words = [word for word, _ in seeded_closures(seed=65, count=80, strands=(2, 3, 4, 5))]
+        words += moved_words(66, 80)
+        words += [entry.word() for entry in cat.CATALOG]
+        left, right = words[:20], words[20:40]
+        words += [ClosedBraid(a).disjoint_union(ClosedBraid(b)).word for a, b in zip(left, right)]
+        for text in (CHAIN5, "strands=6; 1 1 -2 -2 3 3 4 4 5 5 1"):
+            link = ClosedBraid(parse_braid(text))
+            for k in link.crossing_ids():
+                words += [link.switch_crossing(k).word, link.smooth_crossing(k).word]
+            for subset in subsets(link.num_components):
+                words.append(link.sublink(subset).word)
+        words += [BraidWord(n, ()) for n in range(1, 6)]
+        return words
+
+    def test_pieces_multiply_to_the_trace_of_the_word(self):
+        moved = 0
+        for word in self.words():
+            link = ClosedBraid(word)
+            power, pieces = link.pieces()
+            moved += pieces != [link]
+            value = BivarLaurent.one()
+            for piece in pieces:
+                value = value * trace(piece)
+            assert value.shift(0, power) == trace(link), word.as_text()
+            assert SkeinEngine().framed_invariant(link) == trace(link), word.as_text()
+        assert moved > 200
+
+    def test_pieces_are_irreducible(self):
+        for word in self.words():
+            for piece in ClosedBraid(word).pieces()[1]:
+                assert piece.pieces() == (0, [piece]), word.as_text()
+                assert piece.num_components >= 1
+
+    def test_each_move(self):
+        def pieces(text):
+            power, parts = ClosedBraid(parse_braid(text)).pieces()
+            return power, [(p.strand_count, p.letters) for p in parts]
+
+        trefoil = (2, (1, 1, 1))
+        assert pieces("strands=2; 1 1 1") == (0, [trefoil])
+        assert pieces("strands=2; 1 -1 1 1 1") == (0, [trefoil])
+        assert pieces("strands=2; -1 1 1 1 1") == (0, [trefoil])  # cyclic
+        # cyclic cancellation, then a split off the letterless third strand
+        assert pieces("strands=3; 2 1 1 1 -2") == (0, [(1, ()), trefoil])
+        assert pieces("strands=4;") == (0, [(1, ())] * 4)
+        assert pieces("strands=5; 2 2 2") == (0, [(1, ())] * 3 + [(2, (1, 1, 1))])
+        # a cancelling pair, a split into a Hopf link, a curl and a letterless
+        # strand, and the curl destabilized
+        assert pieces("strands=5; 1 1 4 -4 4") == (1, [(1, ()), (2, (1, 1)), (1, ())])
+        assert pieces("strands=3; 1 1 1 -2") == (-1, [trefoil])  # top letter
+        assert pieces("strands=3; 2 -1 2 2") == (-1, [trefoil])  # bottom letter
+        assert pieces("strands=4; 1 2 3") == (3, [(1, ())])
+
+    def test_memo_holds_the_link_and_its_pieces_only(self):
+        link = ClosedBraid(parse_braid("strands=6; 1 -1 2 1 1 1 4 4 4 -5 4"))
+        engine = SkeinEngine()
+        engine.framed_invariant(link)
+        _, pieces = link.pieces()
+        assert set(engine._memo) == {link.canonical_key()} | {p.canonical_key() for p in pieces}
+
+    def test_products_are_charged_per_term_written(self):
+        # the n-strand unlink is n unknots: one 1-node trace, memoized, and
+        # n - 1 products whose results have 3, 4, ..., n + 1 terms
+        for n in range(1, 40):
+            engine = SkeinEngine()
+            engine.framed_invariant(ClosedBraid(parse_braid(f"strands={n};")))
+            assert engine.nodes == 1 + sum(k + 1 for k in range(2, n + 1)), n
+
+    def test_stabilized_unknot_has_no_recursion(self):
+        out = io.StringIO()
+        word = "strands=1500; " + " ".join(str(i) for i in range(1, 1500))
+        assert cli.main(["homfly", "--braid", word], out=out) == cli.EXIT_OK
+        assert "homfly: 1\n" in out.getvalue()
+
+    @pytest.mark.parametrize("strands, code", [(1000, 0), (3000, 0), (6000, 2)])
+    def test_unlink_exit_codes_under_the_default_budget(self, strands, code, capsys, monkeypatch):
+        # the exit codes of the trace of the whole word, which writes about
+        # as many terms; the 6000-strand unlink exceeds the 10^7 default
+        monkeypatch.delenv("SKEIN_MAX_NODES", raising=False)
+        out = io.StringIO()
+        assert cli.main(["homfly", "--braid", f"strands={strands};"], out=out) == code
+        if code:
+            assert capsys.readouterr().err == "error: Hecke trace exceeded 10000000 nodes\n"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homflypt import BivarLaurent, NotDivisible, PoleAtZero, T, Z
+from homflypt import BivarLaurent, NotDivisible, PoleAtZero, SplitMix64, T, Z
 
 TFAC = T - T**-1  # t - t^-1
 
@@ -131,6 +131,53 @@ class TestRingProperties:
         keys = [key for key, _ in a.terms()]
         assert keys == sorted(keys)
 
+
+
+def seeded_poly(rng: SplitMix64, terms: int, spread: int) -> BivarLaurent:
+    """A polynomial of at most `terms` terms with exponents in
+    [-spread, spread] and small rational coefficients."""
+    def draw() -> int:
+        return rng.below(2 * spread + 1) - spread
+
+    return BivarLaurent(
+        {(draw(), draw()): Fraction(rng.below(19) - 9, 1 + rng.below(4)) for _ in range(terms)}
+    )
+
+
+class TestDivideExactAtScale:
+    def test_powers_of_the_unknot_factor(self):
+        # the only divisor of the coefficient table, at the sizes of huge
+        # unlinks; (t - t^-1)**k written out by the binomial theorem
+        def power(k: int) -> BivarLaurent:
+            terms, c = {}, 1
+            for j in range(k + 1):
+                terms[(0, k - 2 * j)] = c
+                c = -c * (k - j) // (j + 1)
+            return BivarLaurent(terms)
+
+        for k in list(range(2, 2001, 111)) + [1999, 2000]:
+            top, below, two_below = power(k), power(k - 1), power(k - 2)
+            assert below * TFAC == top, k
+            assert top.divide_exact(TFAC) == below, k
+            assert top.shift(3, -k).divide_exact(TFAC * TFAC) == two_below.shift(3, -k), k
+            with pytest.raises(NotDivisible):
+                (top + 1).divide_exact(TFAC)
+
+    def test_seeded_products(self):
+        rng = SplitMix64(71)
+        for case in range(120):
+            a = seeded_poly(rng, 1 + rng.below(30), 2 + rng.below(12))
+            d = seeded_poly(rng, 1 + rng.below(6), 1 + rng.below(4))
+            if d.is_zero():
+                continue
+            assert (a * d).divide_exact(d) == a, case
+            # any other dividend: either no quotient, or an exact one
+            other = a * d + seeded_poly(rng, 1, 3)
+            try:
+                q = other.divide_exact(d)
+            except NotDivisible:
+                continue
+            assert q * d == other, case
 
 class TestUnivar:
     """Polynomials in t alone: the z-free slice of BivarLaurent."""

@@ -29,7 +29,7 @@ from .identities import (
     verify_thm14,
     verify_thm15,
 )
-from .combinatorics import verify_lemma, verify_partition_identity
+from .combinatorics import LEMMA_RANGES, verify_lemma, verify_partition_identity
 from .links import ClosedBraid, DiagramError, Link, LinkDiagram, ParseError, parse_braid
 from .report import VerificationReport
 from .rng import SplitMix64, random_braid
@@ -165,26 +165,20 @@ def cmd_homfly(args, out) -> int:
 
 
 def _lemma_reports(args) -> list[VerificationReport]:
+    top = {"m": args.m_max, "n": args.n_max}
+    for name, limit in (("m", LEMMA_M_LIMIT), ("n", LEMMA_N_LIMIT)):
+        if top[name] < 1:
+            raise _InputError(f"--{name}-max must be at least 1, got {top[name]}")
+        if top[name] > limit:
+            raise _InputError(f"--{name}-max must be at most {limit}, got {top[name]}")
     reports = []
-    m_max = args.m_max
-    n_max = args.n_max
-    bounds = (("--m-max", m_max, LEMMA_M_LIMIT), ("--n-max", n_max, LEMMA_N_LIMIT))
-    for flag, value, limit in bounds:
-        if value < 1:
-            raise _InputError(f"{flag} must be at least 1, got {value}")
-        if value > limit:
-            raise _InputError(f"{flag} must be at most {limit}, got {value}")
-    for m in range(2, m_max + 1):
-        reports.append(verify_lemma("5.1", m))
-    for m in range(3, m_max + 1):
-        reports.append(verify_lemma("5.2", m))
-    for m in range(1, m_max + 1):
-        reports.append(verify_lemma("5.3", m))
-    n_start = 1 if args.include_lemma54_n1 else 2
-    for n in range(n_start, n_max + 1):
-        reports.append(verify_lemma("5.4", n))
-    for m in range(2, m_max + 1):
-        reports.append(verify_partition_identity(m))
+    for lid, (name, least) in LEMMA_RANGES.items():
+        # lemma 5.4 is false at its least n, which runs only on request
+        skip = lid == "5.4" and not args.include_lemma54_n1
+        reports.extend(verify_lemma(lid, p) for p in range(least + skip, top[name] + 1))
+    # the partition identity is lemma 5.1 over partitions
+    least = LEMMA_RANGES["5.1"][1]
+    reports.extend(verify_partition_identity(m) for m in range(least, top["m"] + 1))
     return reports
 
 
@@ -320,13 +314,13 @@ def cmd_random(args, out) -> int:
 def cmd_catalog(args, out) -> int:
     rows = []
     for entry in catalog.CATALOG:
-        diagram = entry.diagram()
+        link = ClosedBraid(entry.word())
         rows.append(
             {
                 "name": entry.name,
-                "components": diagram.num_components,
-                "writhe": diagram.writhe(),
-                "total_linking": diagram.total_linking(),
+                "components": link.num_components,
+                "writhe": link.writhe(),
+                "total_linking": link.total_linking(),
                 "braid": entry.braid,
                 "summary": entry.summary,
             }
@@ -354,11 +348,11 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
         "--max-nodes",
         type=int,
         default=None,
-        help="node budget per link: skein resolution nodes for --file; for"
-        " --braid, --catalog and piped braids, coefficient terms written by"
-        " the Hecke traces of the link's irreducible braid pieces (after"
-        " cancellation, splitting and destabilization) and by the products of"
-        " their values; in homfly and verify alike"
+        help="node budget per link, in homfly and verify alike: one node per"
+        " skein resolution step of a --file diagram, per coefficient term"
+        " the Hecke traces of a braid's irreducible pieces write, and per"
+        " term of each product of values (braid pieces; the unlink factors"
+        " of a descending diagram)"
         " (default: SKEIN_MAX_NODES or 10^7)",
     )
 

@@ -30,12 +30,11 @@ __all__ = [
     "surjection_count_partition_form",
     "verify_lemma",
     "verify_partition_identity",
-    "LEMMA_IDS",
+    "LEMMA_RANGES",
 ]
 
 # lemma id -> (parameter name, least parameter)
-_LEMMA_RANGES = {"5.1": ("m", 2), "5.2": ("m", 3), "5.3": ("m", 1), "5.4": ("n", 1)}
-LEMMA_IDS = tuple(_LEMMA_RANGES)
+LEMMA_RANGES = {"5.1": ("m", 2), "5.2": ("m", 3), "5.3": ("m", 1), "5.4": ("n", 1)}
 
 
 class InvalidRange(ValueError):
@@ -222,10 +221,10 @@ def verify_lemma(lemma_id: str | float, parameter: int) -> VerificationReport:
     false (left 1, right 2); the verifier reports that honestly.
     """
     lid = f"{lemma_id}"
-    if lid not in LEMMA_IDS:
+    if lid not in LEMMA_RANGES:
         raise InvalidRange(f"unknown lemma id {lemma_id!r}")
     p = int(parameter)
-    name, least = _LEMMA_RANGES[lid]
+    name, least = LEMMA_RANGES[lid]
     if p < least:
         raise InvalidRange(f"lemma {lid} needs {name} >= {least}")
     if lid == "5.4":
@@ -241,23 +240,11 @@ def verify_lemma(lemma_id: str | float, parameter: int) -> VerificationReport:
 
 
 def verify_partition_identity(m: int) -> VerificationReport:
-    """Check, for m >= 2, that summing
-    (-1)^len / len * len! * m! / (prod of part factorials * |Aut|)
-    over partitions of m with at least two parts gives exactly 1."""
-    if m < 2:
-        raise InvalidRange("the partition identity needs m >= 2")
-    total = Fraction(0)
-    for parts in partitions(m):
-        length = len(parts)
-        if length < 2:
-            continue
-        denom = aut_order(parts)
-        for part in parts:
-            denom *= math.factorial(part)
-        total += (
-            Fraction((-1) ** length, length)
-            * math.factorial(length)
-            * math.factorial(m)
-            / denom
-        )
-    return VerificationReport.of(f"partition-identity(m={m})", total, Fraction(1), {"m": m})
+    """Check lemma 5.1 with D(m, n) counted over the partitions of m: for
+    m >= 2, summing (-1)^len / len * len! * m! / (prod of part factorials *
+    |Aut|) over partitions of m with at least two parts gives exactly 1."""
+    least = LEMMA_RANGES["5.1"][1]
+    if m < least:
+        raise InvalidRange(f"the partition identity needs m >= {least}")
+    lhs = _lemma_lhs("5.1", m, surjection_count_partition_form)
+    return VerificationReport.of(f"partition-identity(m={m})", lhs, Fraction(1), {"m": m})

@@ -134,7 +134,10 @@ def close_braid(word: BraidWord) -> "LinkDiagram":
     """Close a braid word into a link diagram.
 
     Components are the cycles of the braid permutation, ordered by their
-    smallest starting strand; crossing signs equal the letter signs.
+    smallest starting strand; crossing signs equal the letter signs.  The
+    CLI never builds this diagram: `ClosedBraid` answers the same queries
+    on the word itself.  It is the independent oracle that the tests and
+    perfbench's reference checks compare `ClosedBraid` against.
     """
     n = word.strand_count
     pos = list(range(n))  # pos[k] = strand line currently at position k
@@ -186,6 +189,27 @@ def _total_linking(crossings: Iterable[tuple[int, int, int]]) -> int:
                 f"odd signed crossing count {count} between components {a} and {b}"
             )
     return sum(signed.values()) // 2
+
+
+class _Linking:
+    """The linking numbers of both link types, read off the (component,
+    component, sign) triples of their inter-component crossings that
+    `_linking()` lists in one pass."""
+
+    __slots__ = ()
+
+    def linking_number(self, a: int, b: int) -> int:
+        """Half the signed count of crossings between components `a` and `b`."""
+        if a == b:
+            raise ValueError("linking number needs two distinct components")
+        for idx in (a, b):
+            if not 0 <= idx < self.num_components:
+                raise IndexError(f"component index {idx} out of range")
+        return _total_linking(c for c in self._linking() if {c[0], c[1]} == {a, b})
+
+    def total_linking(self) -> int:
+        """Sum of the linking numbers over all component pairs."""
+        return _total_linking(self._linking())
 
 
 def _cancel(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -274,7 +298,7 @@ def _trusted(components: Iterable[tuple[Passage, ...]], signs: dict[int, int]) -
     return out
 
 
-class LinkDiagram:
+class LinkDiagram(_Linking):
     """An oriented link diagram as component passage sequences plus signs.
 
     Instances are immutable; surgeries return new diagrams.  The empty
@@ -338,13 +362,8 @@ class LinkDiagram:
             raise UnknownCrossing(f"crossing {cid} not in diagram")
         return sites[0], sites[1]
 
-    def crossing_components(self, cid: int) -> tuple[int, int]:
-        """Component indices met by crossing `cid` (equal for a self-crossing)."""
-        (c1, _), (c2, _) = self._passage_sites(cid)
-        return c1, c2
-
     def is_self_crossing(self, cid: int) -> bool:
-        c1, c2 = self.crossing_components(cid)
+        (c1, _), (c2, _) = self._passage_sites(cid)
         return c1 == c2
 
     def writhe(self) -> int:
@@ -358,25 +377,8 @@ class LinkDiagram:
         counts = Counter(cid for cid, _ in self.components[comp])
         return sum(self.signs[cid] for cid, k in sorted(counts.items()) if k == 2)
 
-    def linking_number(self, a: int, b: int) -> int:
-        """Half the signed count of crossings between components `a` and `b`."""
-        if a == b:
-            raise ValueError("linking number needs two distinct components")
-        for idx in (a, b):
-            if not 0 <= idx < len(self.components):
-                raise IndexError(f"component index {idx} out of range")
-        ids_a = {cid for cid, _ in self.components[a]}
-        ids_b = {cid for cid, _ in self.components[b]}
-        signed = sum(self.signs[cid] for cid in sorted(ids_a & ids_b))
-        if signed % 2:
-            raise OddCrossingParity(
-                f"odd signed crossing count {signed} between components {a} and {b}"
-            )
-        return signed // 2
-
-    def total_linking(self) -> int:
-        """Sum of pairwise linking numbers over all component pairs, in one
-        pass over the passages."""
+    def _linking(self) -> list[tuple[int, int, int]]:
+        """(component, component, sign) of each inter-component crossing."""
         first: dict[int, int] = {}
         crossings = []
         for ci, comp in enumerate(self.components):
@@ -384,7 +386,7 @@ class LinkDiagram:
                 other = first.setdefault(cid, ci)
                 if other != ci:
                     crossings.append((other, ci, self.signs[cid]))
-        return _total_linking(crossings)
+        return crossings
 
     # -- surgeries ---------------------------------------------------------
 
@@ -621,7 +623,7 @@ class LinkDiagram:
         )
 
 
-class ClosedBraid:
+class ClosedBraid(_Linking):
     """The closure of a braid word, with LinkDiagram's surgeries and queries
     done on the word itself.
 
@@ -716,18 +718,6 @@ class ClosedBraid:
             for (a, b), letter in zip(self._lines, self.letters)
             if component[a] != component[b]
         ]
-
-    def linking_number(self, a: int, b: int) -> int:
-        """Half the signed count of crossings between components `a` and `b`."""
-        if a == b:
-            raise ValueError("linking number needs two distinct components")
-        for idx in (a, b):
-            if not 0 <= idx < self.num_components:
-                raise IndexError(f"component index {idx} out of range")
-        return _total_linking(c for c in self._linking() if {c[0], c[1]} == {a, b})
-
-    def total_linking(self) -> int:
-        return _total_linking(self._linking())
 
     def sublink(self, indices: Iterable[int]) -> "ClosedBraid":
         kept = set(int(i) for i in indices)

@@ -27,10 +27,10 @@ resolving crossings, and its value becomes a coefficient table through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .hecke import framed_trace
-from .laurent import BivarLaurent, T, Z
+from .laurent import BivarLaurent, T
 from .links import OVER, ClosedBraid, Link, LinkDiagram
 
 __all__ = [
@@ -51,7 +51,6 @@ DEFAULT_MAX_NODES = 10_000_000
 MEMO_CAP = 1_000_000
 
 _T_FACTOR = T - T**-1  # t - t^-1
-_Z2 = Z * Z
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -75,44 +74,38 @@ def is_descending(diagram: LinkDiagram) -> tuple[bool, Optional[int]]:
     return True, None
 
 
-_UNLINK_VALUES: dict[int, BivarLaurent] = {0: BivarLaurent.one()}
-
-
-def _unlink_value(components: int) -> BivarLaurent:
-    """(t - t^-1)**components, cached (hit on every descending leaf)."""
-    value = _UNLINK_VALUES.get(components)
-    if value is None:
-        value = _unlink_value(components - 1) * _T_FACTOR
-        _UNLINK_VALUES[components] = value
-    return value
-
-
 def descending_value(diagram: LinkDiagram) -> BivarLaurent:
     """Value of a descending diagram: framing factor times unlink value."""
     framing = sum(diagram.self_writhe(i) for i in range(diagram.num_components))
-    return _unlink_value(diagram.num_components).shift(0, framing)
+    return (_T_FACTOR**diagram.num_components).shift(0, framing)
 
 
 class SkeinEngine:
     """Memoized framed invariant of a `LinkDiagram` or a `ClosedBraid`.
 
-    A diagram is resolved crossing by crossing as in the module docstring;
-    each expanded (non-memoized) resolution costs one node.  A braid closure
-    is first simplified by `ClosedBraid.pieces` (cancellation, splitting at
-    unused generators, Markov destabilization): Hf is t**power times the
-    product of the pieces' values, each memoized on its own key.  Only a
-    word no move simplifies is evaluated by the Hecke trace
-    (`homflypt.hecke`), whose relation t g_i - t**-1 g_i**-1 = z is the
-    skein relation on braids.  On a braid closure a node is one coefficient
-    term written, by the trace into its element or by a product of piece
-    values into the result, and no element of the trace holds more than
-    MEMO_CAP permutations.  `max_nodes` bounds the nodes over every value
-    the engine computes; exceeding it raises ResourceLimitExceeded.
+    A diagram is resolved crossing by crossing as in the module docstring.
+    A braid closure is first simplified by `ClosedBraid.pieces`
+    (cancellation, splitting at unused generators, Markov destabilization):
+    Hf is t**power times the product of the pieces' values, each memoized
+    on its own key.  Only a word no move simplifies is evaluated by the
+    Hecke trace (`homflypt.hecke`), whose relation t g_i - t**-1 g_i**-1 = z
+    is the skein relation on braids.
+
+    One budget counts the work on both.  A node is one expanded
+    (non-memoized) skein resolution, one coefficient term the trace writes
+    into its element, or one term of the result of a product of values: of
+    piece values, and of the factors t - t**-1 of a descending diagram's
+    unlink value, multiplied out one at a time as the braid path multiplies
+    unknot pieces, so an N-component crossing-free diagram costs what
+    ``strands=N;`` costs.  `max_nodes` bounds the nodes over every value the
+    engine computes; exceeding it raises ResourceLimitExceeded.  No element
+    of the trace holds more than MEMO_CAP permutations.
 
     Values are memoized on `link.canonical_key()` (at most MEMO_CAP of
     them), so equal diagrams up to crossing relabeling share one entry, and
     `f_memo` holds values of `identities.intermediate_F` under the same key.
-    The intermediate words of `pieces` are not memoized.
+    The intermediate words of `pieces` are not memoized, nor are the
+    intermediate powers of an unlink value: only the powers leaves ask for.
     """
 
     def __init__(self, max_nodes: int | None = None):
@@ -120,6 +113,7 @@ class SkeinEngine:
         self.nodes = 0
         self._memo: dict[bytes | tuple, BivarLaurent] = {}
         self.f_memo: dict[bytes | tuple, BivarLaurent] = {}
+        self._unlinks: dict[int, BivarLaurent] = {0: BivarLaurent.one()}
 
     def framed_invariant(self, link: Link) -> BivarLaurent:
         key = link.canonical_key()
@@ -131,39 +125,42 @@ class SkeinEngine:
             if pieces == [link]:  # no move applies
                 value = framed_trace(link, self._add)
             else:
-                value = self.framed_invariant(pieces[0])
-                for piece in pieces[1:]:
-                    value = value * self.framed_invariant(piece)
-                    self._charge(len(value))
-                value = value.shift(0, power)
+                value = self._product(map(self.framed_invariant, pieces)).shift(0, power)
         else:
             # one skein step, recursing through this method so that a
             # resolution level costs one stack frame
-            self.nodes += 1
-            if self.nodes > self.max_nodes:
-                raise ResourceLimitExceeded(
-                    f"skein resolution exceeded {self.max_nodes} nodes"
-                )
+            self._charge(1)
             descending, cid = is_descending(link)
             if descending:
-                value = descending_value(link)
+                k = link.num_components
+                if k not in self._unlinks:  # (t - t**-1)**k, charged as k unknots
+                    self._unlinks[k] = self._product([_T_FACTOR] * k)
+                framing = sum(link.self_writhe(i) for i in range(k))
+                value = self._unlinks[k].shift(0, framing)
             else:
-                eps_factor = BivarLaurent.one() if link.is_self_crossing(cid) else _Z2
                 switched = self.framed_invariant(link.switch_crossing(cid))
                 smoothed = self.framed_invariant(link.smooth_crossing(cid))
-                if link.signs[cid] > 0:
-                    value = switched + eps_factor * smoothed
-                else:
-                    value = switched - eps_factor * smoothed
+                if not link.is_self_crossing(cid):
+                    smoothed = smoothed.shift(2)
+                value = switched + smoothed if link.signs[cid] > 0 else switched - smoothed
         if len(self._memo) < MEMO_CAP:
             self._memo[key] = value
         return value
 
-    def _charge(self, terms: int) -> None:
-        """Charge `terms` coefficient terms written on a braid closure."""
-        self.nodes += terms
+    def _charge(self, nodes: int) -> None:
+        self.nodes += nodes
         if self.nodes > self.max_nodes:
-            raise ResourceLimitExceeded(f"Hecke trace exceeded {self.max_nodes} nodes")
+            raise ResourceLimitExceeded(f"node budget of {self.max_nodes} exceeded")
+
+    def _product(self, factors: Iterable[BivarLaurent]) -> BivarLaurent:
+        """The product of nonempty `factors`, left to right, charging each
+        product one node per term of its result."""
+        factors = iter(factors)
+        value = next(factors)
+        for factor in factors:
+            value = value * factor
+            self._charge(len(value))
+        return value
 
     def _add(self, element: dict, w: tuple[int, ...], c: BivarLaurent) -> None:
         """Merge c into element[w] for the Hecke trace, charging len(c) nodes."""
@@ -196,16 +193,15 @@ def framed_homfly_bruteforce(
     def resolve(d: LinkDiagram) -> BivarLaurent:
         remaining[0] -= 1
         if remaining[0] < 0:
-            raise ResourceLimitExceeded(f"skein resolution exceeded {budget} nodes")
+            raise ResourceLimitExceeded(f"node budget of {budget} exceeded")
         descending, cid = is_descending(d)
         if descending:
             return descending_value(d)
-        factor = BivarLaurent.one() if d.is_self_crossing(cid) else _Z2
         switched = resolve(d.switch_crossing(cid))
         smoothed = resolve(d.smooth_crossing(cid))
-        if d.signs[cid] > 0:
-            return switched + factor * smoothed
-        return switched - factor * smoothed
+        if not d.is_self_crossing(cid):
+            smoothed = smoothed.shift(2)
+        return switched + smoothed if d.signs[cid] > 0 else switched - smoothed
 
     return resolve(diagram)
 

@@ -16,6 +16,7 @@ from homflypt.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+UNLINK_1500 = {"components": [[]] * 1500, "crossings": []}
 
 
 def python(args, **kwargs) -> subprocess.Popen:
@@ -94,6 +95,17 @@ class TestHomfly:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_file_unlink_prints_the_braid_output(self, tmp_path):
+        # a descending diagram's unlink value is multiplied out without
+        # recursion, so 1500 crossing-free components print what
+        # strands=1500; prints
+        path = tmp_path / "unlink1500.json"
+        path.write_text(json.dumps(UNLINK_1500))
+        file_code, file_text = run_cli(["homfly", "--file", str(path)])
+        braid_code, braid_text = run_cli(["homfly", "--braid", "strands=1500;"])
+        assert file_code == braid_code == EXIT_OK
+        assert file_text.split("\n", 1)[1] == braid_text.split("\n", 1)[1]
 
     def test_long_braid_matches_the_torus_recurrence(self):
         # a braid word goes to the Hecke trace engine, which does not recurse;
@@ -257,6 +269,28 @@ class TestProcess:
         out, _ = proc.communicate(timeout=120)
         assert proc.returncode == 0 and out.strip() == "1"
 
+    def test_file_unlink_keeps_only_the_powers_asked_for(self, tmp_path):
+        # keeping every power of t - t^-1 up to the 1500th takes about
+        # 300 MiB; the one power the leaf asks for 20 MiB, as the braid does.
+        # The child reads its own peak: a child's ru_maxrss also counts the
+        # memory of the process it was forked from.
+        path = tmp_path / "unlink1500.json"
+        path.write_text(json.dumps(UNLINK_1500))
+        script = textwrap.dedent(
+            """
+            import sys
+            from homflypt.cli import main
+            code = main(["homfly", "--file", sys.argv[1]])
+            peak = [line for line in open("/proc/self/status") if line.startswith("VmHWM:")]
+            print(peak[0].split()[1], file=sys.stderr)
+            sys.exit(code)
+            """
+        )
+        proc = python(["-c", script, str(path)], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_OK
+        assert int(err) < 100 * 1024  # KiB
+
 
 class TestVerify:
     def test_thm14_catalog(self):
@@ -327,6 +361,22 @@ class TestVerify:
         assert code == EXIT_FAILED
         assert "lemma5.4(n=1): FAIL" in text
 
+    def test_lemma_report_order(self):
+        # each lemma from its least parameter, then the partition identity
+        expected = (
+            [f"lemma5.1(m={m})" for m in (2, 3, 4)]
+            + [f"lemma5.2(m={m})" for m in (3, 4)]
+            + [f"lemma5.3(m={m})" for m in (1, 2, 3, 4)]
+            + [f"lemma5.4(n={n})" for n in (2, 3, 4)]
+            + [f"partition-identity(m={m})" for m in (2, 3, 4)]
+        )
+        small = ["verify", "lemmas", "--m-max", "4", "--n-max", "4", "--format", "json"]
+        with_n1 = list(expected)
+        with_n1.insert(expected.index("lemma5.4(n=2)"), "lemma5.4(n=1)")
+        for extra, ids in (([], expected), (["--include-lemma54-n1"], with_n1)):
+            _, text = run_cli(small + extra)
+            assert [r["identity"] for r in json.loads(text)["reports"]] == ids
+
     def test_stdin_braids(self, monkeypatch):
         braids = "strands=2; 1 1\nstrands=2; 1 1 1 1\n"
         code, text = run_cli(["verify", "prop31"], stdin_text=braids, monkeypatch=monkeypatch)
@@ -382,7 +432,7 @@ class TestVerify:
                 monkeypatch.delenv("SKEIN_MAX_NODES", raising=False)
                 assert code == EXIT_RESOURCE, (target, budget)
                 err = capsys.readouterr().err
-                assert err.startswith("error: Hecke trace exceeded 2 nodes")
+                assert err.startswith("error: node budget of 2 exceeded")
                 assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_missing_link_flags(self, capsys):

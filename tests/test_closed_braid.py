@@ -15,6 +15,7 @@ from homflypt import (
     BraidWord,
     ClosedBraid,
     EmptySelection,
+    LinkDiagram,
     ResourceLimitExceeded,
     SkeinEngine,
     SplitMix64,
@@ -342,6 +343,15 @@ class TestPieces:
             engine.framed_invariant(ClosedBraid(parse_braid(f"strands={n};")))
             assert engine.nodes == 1 + sum(k + 1 for k in range(2, n + 1)), n
 
+    def test_crossing_free_diagram_costs_the_braid_unlink(self):
+        # a descending diagram's unlink value is multiplied out one factor at
+        # a time and charged like the braid's products of unknots
+        for n in range(1, 40):
+            diagram, braid = SkeinEngine(), SkeinEngine()
+            value = diagram.framed_invariant(LinkDiagram([()] * n, {}))
+            assert value == braid.framed_invariant(ClosedBraid(parse_braid(f"strands={n};")))
+            assert diagram.nodes == braid.nodes, n
+
     def test_stabilized_unknot_has_no_recursion(self):
         out = io.StringIO()
         word = "strands=1500; " + " ".join(str(i) for i in range(1, 1500))
@@ -356,4 +366,4 @@ class TestPieces:
         out = io.StringIO()
         assert cli.main(["homfly", "--braid", f"strands={strands};"], out=out) == code
         if code:
-            assert capsys.readouterr().err == "error: Hecke trace exceeded 10000000 nodes\n"
+            assert capsys.readouterr().err == "error: node budget of 10000000 exceeded\n"

@@ -203,6 +203,23 @@ class TestPartitionIdentity:
         with pytest.raises(InvalidRange):
             verify_partition_identity(1)
 
+    def test_lhs_is_the_explicit_partition_sum(self):
+        # the oracle: every partition of m with at least two parts contributes
+        # (-1)^len / len * len! * m! / (prod of part factorials * |Aut|); the
+        # terms of one length are lemma 5.1's term at n = len
+        for m in range(2, 12):
+            by_length: dict[int, Fraction] = {}
+            for parts in partitions(m):
+                n = len(parts)
+                if n < 2:
+                    continue
+                denom = aut_order(parts) * math.prod(math.factorial(p) for p in parts)
+                term = Fraction((-1) ** n, n) * math.factorial(n) * math.factorial(m) / denom
+                by_length[n] = by_length.get(n, Fraction(0)) + term
+            for n, total in by_length.items():
+                assert total == Fraction((-1) ** n, n) * surjection_count_partition_form(m, n)
+            assert verify_partition_identity(m).lhs == sum(by_length.values()), m
+
 
 class TestFullOrderedAccumulation:
     def test_lemma51_by_raw_iteration(self):

@@ -316,6 +316,13 @@ class TestVerify:
             assert code == EXIT_OK, target
             assert "FAIL" not in text
 
+    def test_split_link_needs_no_subset_walk(self):
+        # the 20-component unlink: F is zero by the split rule, so the check
+        # fits a budget that a walk over its sublinks' values would exceed
+        code, text = run_cli(["verify", "prop31", "--braid", "strands=20;", "--max-nodes", "1000"])
+        assert code == EXIT_OK
+        assert text == "prop31 [strands=20;]: PASS\n1/1 checks passed\n"
+
     def test_lemma_bounds(self, capsys):
         for target in ("lemmas", "all"):
             for flag in ("--m-max", "--n-max"):

@@ -192,14 +192,16 @@ class TestEngine:
             assert intermediate_F(link, engine=engine) == value and engine.nodes == nodes
 
     def test_F_of_split_unions_is_computed_zero(self):
-        # F(part) is zero on every split sublink; those terms are skipped,
-        # the F values themselves are still computed
+        # no crossing joins the two sides, so F of the union is zero by the
+        # split rule, with no engine work; the partition sum on the diagram
+        # computes every sublink's value and must find the same zero
         words = [parse_braid(w) for w in corpus()[:12]]
         for left, right in zip(words, words[1:]):
             union = ClosedBraid(left).disjoint_union(ClosedBraid(right))
             engine = SkeinEngine()
             value = intermediate_F(union, engine=engine)
             assert value.poly.is_zero(), (left.as_text(), right.as_text())
+            assert engine.nodes == 0
             assert value == _F_partition_sum(close_braid(union.word))
 
 

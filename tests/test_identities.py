@@ -6,10 +6,12 @@ import pytest
 
 from homflypt import (
     BivarLaurent,
+    ClosedBraid,
     GOutOfRange,
     LinkDiagram,
     NotInterComponent,
     SkeinEngine,
+    SplitMix64,
     T,
     VerificationReport,
     close_braid,
@@ -27,6 +29,7 @@ from homflypt import (
     verify_thm15,
 )
 from homflypt import catalog as cat
+from homflypt.identities import _F_partition_sum
 
 from conftest import seeded_links_with_components
 
@@ -96,6 +99,91 @@ class TestFAgainstDecompositionSum:
             assert intermediate_F(diagram, engine=engine).poly == expected, diagram
             nonzero += not expected.is_zero()
         assert nonzero >= 20
+
+
+def clasp_word(rng: SplitMix64, components: int) -> str:
+    """A seeded pure braid on `components` strands with a connected crossing
+    graph that is not a path: a clasp s*i s*i of random sign on every
+    generator, in random order, each clasp conjugated by a letter on a
+    neighbouring generator on odd draws."""
+    gens = list(range(1, components))
+    for k in range(len(gens) - 1, 0, -1):
+        j = rng.below(k + 1)
+        gens[k], gens[j] = gens[j], gens[k]
+    letters = []
+    for i in gens:
+        s = 1 if rng.below(2) else -1
+        if components > 2 and rng.below(2):
+            t = (i + 1 if i < components - 1 else i - 1) * (1 if rng.below(2) else -1)
+            letters += [t, s * i, s * i, -t]
+        else:
+            letters += [s * i, s * i]
+    return f"strands={components}; " + " ".join(map(str, letters))
+
+
+def crossing_graph_is_complete(link) -> bool:
+    pairs = {frozenset(crossing[:2]) for crossing in link._linking()}
+    return len(pairs) == link.num_components * (link.num_components - 1) // 2
+
+
+class TestSplitRule:
+    """F is zero on the subsets disconnected in the crossing graph, read off
+    the word, not computed: checked against the partition sum on an engine
+    that never looks at the graph."""
+
+    def test_F_equals_the_partition_sum(self):
+        rng = SplitMix64(1105)
+        links = [ClosedBraid(entry.word()) for entry in cat.CATALOG]
+        # linking number zero and F nonzero: the graph, not lk, decides
+        lk_zero = ClosedBraid(parse_braid("strands=3; 1 1 -2 1 -2"))
+        assert lk_zero.total_linking() == 0 and not intermediate_F(lk_zero).poly.is_zero()
+        links.append(lk_zero)
+        for L in range(2, 9):
+            corpus = seeded_links_with_components(1110 + L, 3, L, (L, L + 1), max_length=14)
+            links += [ClosedBraid(word) for word, _ in corpus]
+            links += [ClosedBraid(parse_braid(clasp_word(rng, L))) for _ in range(3)]
+        knots = [ClosedBraid(w) for w, _ in seeded_links_with_components(1120, 8, 1, (2, 3, 4))]
+        links += [a.disjoint_union(b) for a, b in zip(knots, knots[1:])]
+        links.append(knots[0].disjoint_union(knots[1]).disjoint_union(knots[2]))
+
+        engine, oracle = SkeinEngine(), SkeinEngine()
+        skipped_nonzero = split = 0
+        for link in links:
+            value = intermediate_F(link, engine=engine)
+            expected = _F_partition_sum(link, engine=oracle)
+            assert value == expected, link.word.as_text()
+            if value.poly.is_zero():
+                split += link.num_components > 1
+            else:
+                skipped_nonzero += not crossing_graph_is_complete(link)
+        # the rule dropped subsets of links whose F is not zero, and whole links
+        assert skipped_nonzero >= 15 and split >= 30, (skipped_nonzero, split)
+
+    def test_catalog_diagrams(self, catalog_diagrams):
+        # the rule reads the graph off a Gauss diagram too; borromean has
+        # pairwise lk = 0 and a complete graph, the unlinks none at all
+        assert crossing_graph_is_complete(catalog_diagrams["borromean"])
+        oracle = SkeinEngine()
+        for name, diagram in catalog_diagrams.items():
+            expected = _F_partition_sum(diagram, engine=oracle)
+            assert intermediate_F(diagram) == expected, name
+
+    def test_split_link_costs_no_engine_work(self):
+        knots = [ClosedBraid(w) for w, _ in seeded_links_with_components(1130, 4, 1, (3, 4))]
+        for left, right in zip(knots, knots[1:]):
+            union = left.disjoint_union(right)
+            engine = SkeinEngine()
+            assert intermediate_F(union, engine=engine).poly.is_zero()
+            assert engine.nodes == 0 and not engine.f_memo
+
+    def test_split_F_does_not_use_the_rule(self):
+        # the rule is the theorem splitF checks, so splitF computes its F
+        knots = [ClosedBraid(w) for w, _ in seeded_links_with_components(1130, 4, 1, (3, 4))]
+        for left, right in zip(knots, knots[1:]):
+            engine = SkeinEngine()
+            report = verify_split_F([left, right], engine=engine)
+            assert report.passed
+            assert engine.nodes > 0 and engine.f_memo, (left.word.as_text(), right.word.as_text())
 
 
 class TestProp31:

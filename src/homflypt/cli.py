@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import catalog
@@ -33,7 +34,7 @@ from .combinatorics import LEMMA_RANGES, verify_lemma, verify_partition_identity
 from .links import ClosedBraid, DiagramError, Link, LinkDiagram, ParseError, parse_braid
 from .report import VerificationReport
 from .rng import SplitMix64, random_braid
-from .skein import DEFAULT_MAX_NODES, CoeffTable, ResourceLimitExceeded, SkeinEngine
+from .skein import DEFAULT_MAX_NODES, ResourceLimitExceeded, SkeinEngine, coeff_table
 
 VERIFY_TARGETS = ("prop31", "thm13", "thm14", "thm15", "lemmas", "skeinF", "splitF", "all")
 
@@ -48,6 +49,43 @@ EXIT_FAILED = 3
 # walks 2^n subsets.
 LEMMA_M_LIMIT = 11
 LEMMA_N_LIMIT = 20
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for values made of
+    dicts with string keys, lists, tuples and scalars, built by joining
+    strings: an int is its repr, a string is escaped as `json.dumps` escapes
+    it, and any other scalar is encoded by `json.dumps`."""
+    parts: list[str] = []
+    _json_parts(value, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(value, indent: str, parts: list[str]) -> None:
+    """Append the text of `value`, whose lines start with `indent`."""
+    if type(value) is int:
+        parts.append(repr(value))
+    elif isinstance(value, dict) and value:
+        inner, sep = indent + "  ", "{"
+        for key in sorted(value):
+            parts += (sep, inner, encode_basestring_ascii(key), ": ")
+            _json_parts(value[key], inner, parts)
+            sep = ","
+        parts.append(indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner, sep = indent + "  ", "["
+        if all(type(item) is int for item in value):  # a polynomial's term
+            parts += (sep, inner, ("," + inner).join(map(repr, value)), indent, "]")
+            return
+        for item in value:
+            parts += (sep, inner)
+            _json_parts(item, inner, parts)
+            sep = ","
+        parts.append(indent + "]")
+    elif type(value) is str:
+        parts.append(encode_basestring_ascii(value))
+    else:  # another scalar or an empty container
+        parts.append(json.dumps(value))
 
 
 class _InputError(Exception):
@@ -134,8 +172,9 @@ def cmd_homfly(args, out) -> int:
     label, link = links[0]
     if link.num_components == 0:
         raise _InputError("the empty diagram has no coefficient table")
-    framed = SkeinEngine(_max_nodes(args)).framed_invariant(link)
-    table = CoeffTable.of(link, framed)
+    engine = SkeinEngine(_max_nodes(args))
+    table = coeff_table(link, engine=engine)
+    framed = engine.framed_invariant(link)
     homfly = table.polynomial()
     if args.format == "json":
         obj = dict(
@@ -144,7 +183,7 @@ def cmd_homfly(args, out) -> int:
             framed=framed.to_quadruples(),
             homfly=homfly.to_quadruples(),
         )
-        print(json.dumps(obj, sort_keys=True, indent=2), file=out)
+        print(json_text(obj), file=out)
         return EXIT_OK
     print(f"link: {label}", file=out)
     print(
@@ -281,7 +320,7 @@ def cmd_verify(args, out) -> int:
             "skipped": skipped,
             "passed": all_passed,
         }
-        print(json.dumps(obj, sort_keys=True, indent=2), file=out)
+        print(json_text(obj), file=out)
     else:
         for r in reports:
             print(r.summary(), file=out)
@@ -326,7 +365,7 @@ def cmd_catalog(args, out) -> int:
             }
         )
     if args.format == "json":
-        print(json.dumps({"links": rows}, sort_keys=True, indent=2), file=out)
+        print(json_text({"links": rows}), file=out)
     else:
         for row in rows:
             print(
@@ -351,8 +390,9 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
         help="node budget per link, in homfly and verify alike: one node per"
         " skein resolution step of a --file diagram, per coefficient term"
         " the Hecke traces of a braid's irreducible pieces write, and per"
-        " term of each product of values (braid pieces; the unlink factors"
-        " of a descending diagram)"
+        " term of each product of values (braid pieces and their factors"
+        " t - 1/t; the k - 1 unlink factors of a descending diagram of k"
+        " components)"
         " (default: SKEIN_MAX_NODES or 10^7)",
     )
 

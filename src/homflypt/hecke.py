@@ -1,5 +1,5 @@
-"""Hecke-algebra trace of a closed braid: the framed invariant by the
-Ocneanu trace, the algorithm `skein.SkeinEngine` runs on a `ClosedBraid`.
+"""Hecke-algebra trace of a closed braid: the engine value R by the Ocneanu
+trace, the algorithm `skein.SkeinEngine` runs on a `ClosedBraid`.
 
 A braid word on n strands is an element of the Hecke algebra H_n, written
 here in the basis T_w of permutations w (a tuple, w[k] the value at
@@ -22,8 +22,9 @@ is evaluated by dropping one strand at a time:
 
 Each level rewrites the whole element of H_k into one of H_{k-1} with the
 same trace, so every permutation met at a level is rewritten once (equal
-permutations are merged first) and there is no recursion.  The framed
-invariant is Hf = t**writhe (t - t**-1) z**(L-1) P.  The cost is
+permutations are merged first) and there is no recursion.  The value
+returned is R = t**writhe z**(L-1) P, the framed invariant
+Hf = (t - t**-1) R divided by its unknot value, so R(unknot) = 1.  The cost is
 polynomial in the word length for a fixed strand count, against the
 exponential skein resolution of diagrams.
 
@@ -39,15 +40,14 @@ from .links import ClosedBraid
 
 __all__ = ["framed_trace"]
 
-_T_FACTOR = T - T**-1
-_DELTA = _T_FACTOR * Z**-1
+_DELTA = (T - T**-1) * Z**-1
 
 Element = dict[tuple[int, ...], BivarLaurent]
 
 
 def framed_trace(link: ClosedBraid, add) -> BivarLaurent:
-    """The framed invariant of `link`, each coefficient written by
-    ``add(element, w, c)`` as the module docstring says."""
+    """R of `link`, each coefficient written by ``add(element, w, c)`` as the
+    module docstring says."""
     element: Element = {}
     add(element, tuple(range(link.strand_count)), BivarLaurent.one())
     for letter in link.letters:
@@ -55,7 +55,7 @@ def framed_trace(link: ClosedBraid, add) -> BivarLaurent:
     for top in range(link.strand_count - 1, 0, -1):
         element = _drop_strand(element, top, add)
     polynomial = element.get((0,), BivarLaurent.zero())
-    return (polynomial * _T_FACTOR).shift(link.num_components - 1, link.writhe())
+    return polynomial.shift(link.num_components - 1, link.writhe())
 
 
 def _times(element: Element, i: int, positive: bool, add) -> Element:

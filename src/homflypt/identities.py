@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .combinatorics import set_partitions
@@ -106,68 +106,84 @@ def intermediate_F(diagram: Link, engine: SkeinEngine | None = None) -> FValue:
     HOMFLY-PT is multiplicative on split unions, so F(S) = 0 whenever S
     is disconnected in the crossing graph, where two components are
     adjacent when any crossing joins them, whatever its sign (a linking
-    number of zero says nothing: the Borromean rings are not split).  Such
-    an S gets F = 0 before its sublink is built, the memo is read or the
-    recursion runs, and its terms are skipped with their H(S - T).  Only
-    the connected subsets cost engine work: on the Hopf chain
-    ``strands=L; 1 1 2 2 ...``, L of them contain component 0, against
-    2^(L-1) subsets.
+    number of zero says nothing: the Borromean rings are not split).  So
+    F of a disconnected link is zero before any sublink is built, and the
+    recursion sums only over the parts T for which {0} and T are
+    connected, grown from component 0 along the adjacency; every other
+    part is never visited, nor its H(S - T).  Only the connected subsets
+    cost engine work: on the Hopf chain ``strands=L; 1 1 2 2 ...``, L of
+    them contain component 0, against 2^(L-1) subsets.
 
     F(S) is intrinsic to the sublink on S, so it is memoized in the
     engine's `f_memo` on the sublink's canonical key.  Links that share
     sublinks, such as the two sides and the smoothing of a skeinF check,
     share those values of F and of H.
     """
-    adjacent: list[set[int]] = [set() for _ in range(diagram.num_components)]
+    L = diagram.num_components
+    adjacent: list[set[int]] = [set() for _ in range(L)]
     for a, b, _sign in diagram._linking():
         adjacent[a].add(b)
         adjacent[b].add(a)
 
-    def connected(subset: tuple[int, ...]) -> bool:
-        members = set(subset)
-        reached = {subset[0]}
-        todo = [subset[0]]
-        while todo:
-            new = adjacent[todo.pop()] & members - reached
-            reached |= new
-            todo.extend(new)
-        return reached == members
+    @functools.cache
+    def parts(members: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Every T among `members` with {0} and T connected, each once, by
+        size and then in order: grown from component 0 one neighbour at a
+        time, each neighbour of the frontier either added or left out for
+        good."""
+        allowed = set(members)
+        found: list[tuple[int, ...]] = []
+        work = [((), [v for v in adjacent[0] if v in allowed], frozenset())]
+        while work:
+            chosen, frontier, out = work.pop()
+            found.append(tuple(sorted(chosen)))
+            for i, v in enumerate(frontier):
+                out = out | {v}  # v is added here and left out after
+                rest = frontier[i + 1:]
+                new = [u for u in adjacent[v] if u in allowed and u not in out and u not in rest]
+                work.append((chosen + (v,), rest + new, out))
+        return sorted(found, key=lambda part: (len(part), part))
 
-    return _subset_F(diagram, engine, connected)
+    whole = tuple(range(1, L))
+    if L and parts(whole)[-1] != whole:  # the link is split
+        return FValue(L, BivarLaurent.zero())
+    return _subset_F(diagram, engine, lambda others: parts(others)[:-1])
 
 
 def _subset_F(
     diagram: Link,
     engine: SkeinEngine | None,
-    connected: Callable[[tuple[int, ...]], bool],
+    parts: Callable[[tuple[int, ...]], Iterable[tuple[int, ...]]],
 ) -> FValue:
-    """F by the subset recursion of `intermediate_F`, computing F(S) only on
-    the subsets S for which `connected(S)` holds and taking it to be zero on
-    the others."""
+    """F by the subset recursion of `intermediate_F`, in which F(S) of
+    S = {0} + `others` is H(S) less F(T) * H(S - T) over the parts T in
+    `parts(others)`, the proper parts of `others` on which F may not be zero.
+
+    H = (t - t^-1) * h with h(S) = z**(-|S|) * R(S), the engine's value, so
+    F(S) = (t - t^-1) * (h(S) - sum of F(T) * h(S - T)): one multiplication
+    by t - t^-1 per F, and none per H."""
     L = diagram.num_components
     if L < 1:
         raise ValueError("F needs at least one component")
     eng = engine if engine is not None else SkeinEngine()
 
     @functools.cache
-    def H(subset: tuple[int, ...]) -> BivarLaurent:
-        return eng.framed_invariant(diagram.sublink(subset)).shift(-len(subset))
+    def h(subset: tuple[int, ...]) -> BivarLaurent:
+        return eng.reduced_invariant(diagram.sublink(subset)).shift(-len(subset))
 
     @functools.cache
     def F(others: tuple[int, ...]) -> BivarLaurent:
         """F of the sublink on component 0 and `others`."""
-        if not connected((0,) + others):
-            return BivarLaurent.zero()
         sublink = diagram.sublink((0,) + others)
         key = sublink.canonical_key()
         value = eng.f_memo.get(key)
         if value is None:
-            value = eng.framed_invariant(sublink).shift(-1 - len(others))
-            for size in range(len(others)):
-                for part in itertools.combinations(others, size):
-                    f_part = F(part)
-                    if f_part:
-                        value = value - f_part * H(tuple(i for i in others if i not in part))
+            value = eng.reduced_invariant(sublink).shift(-1 - len(others))
+            for part in parts(others):
+                f_part = F(part)
+                if f_part:
+                    value = value - f_part * h(tuple(i for i in others if i not in part))
+            value = value * _T_FACTOR
             if len(eng.f_memo) < MEMO_CAP:
                 eng.f_memo[key] = value
         return value
@@ -439,6 +455,10 @@ def verify_split_F(
         union = union.disjoint_union(d)
     # the split rule of `intermediate_F` is the theorem checked here, so
     # this F is computed on every subset, split or not
-    value = _subset_F(union, engine, lambda subset: True)
+    def every_part(others):
+        for size in range(len(others)):
+            yield from itertools.combinations(others, size)
+
+    value = _subset_F(union, engine, every_part)
     context = _context(union, label, factors=len(knots))
     return VerificationReport.of("splitF", value.poly, BivarLaurent.zero(), context)

@@ -134,10 +134,10 @@ class BivarLaurent:
         return len(self._terms)
 
     def __add__(self, other: "BivarLaurent | Rational") -> "BivarLaurent":
-        if isinstance(other, (int, Fraction)):
-            other = BivarLaurent({(0, 0): other})
         if not isinstance(other, BivarLaurent):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = BivarLaurent({(0, 0): other})
         data = dict(self._terms)
         for key, c in other._terms.items():
             total = data.get(key, 0) + c
@@ -161,13 +161,13 @@ class BivarLaurent:
         return (-self) + other
 
     def __mul__(self, other: "BivarLaurent | Rational") -> "BivarLaurent":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, BivarLaurent):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             c = _coerce(other)
             if not c:
                 return _wrap({})
             return _wrap({key: v * c for key, v in self._terms.items()})
-        if not isinstance(other, BivarLaurent):
-            return NotImplemented
         data: dict[tuple[int, int], Rational] = {}
         for (z1, t1), c1 in self._terms.items():
             for (z2, t2), c2 in other._terms.items():

@@ -232,6 +232,27 @@ def _trim(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[i : j + 1]
 
 
+def _cut(n: int, letters: tuple[int, ...]) -> int:
+    """The least k in 2..n-1 at which the letters on generators k - 1 and k
+    form one cyclic run each, or 0, found in one pass over the word."""
+    # per k, the generator (k - 1 or k) of the first and of the last letter
+    # met on either, and the number of changes between the two so far
+    first, last, changes = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for x in letters:
+        g = x if x > 0 else -x
+        for k in (g, g + 1):
+            if last[k] != g:
+                if last[k]:
+                    changes[k] += 1
+                else:
+                    first[k] = g
+                last[k] = g
+    for k in range(2, n):
+        if changes[k] + (first[k] != last[k]) == 2:
+            return k
+    return 0
+
+
 # The four ends of a crossing counterclockwise, by its sign: the in ("i")
 # and out ("o") ends of the over ("o") and under ("u") strands.  The over
 # strand's two ends face each other and the sign says on which side the
@@ -754,9 +775,11 @@ class ClosedBraid(_Linking):
         shifted = tuple(x + n if x > 0 else x - n for x in other.letters)
         return ClosedBraid._of(n + other.strand_count, self.letters + shifted)
 
-    def pieces(self) -> tuple[int, list["ClosedBraid"]]:
-        """(power, pieces) with Hf(self) = t**power times the product of Hf
-        over the pieces, or (0, [self]) when none of these moves applies:
+    def pieces(self) -> tuple[int, int, list["ClosedBraid"]]:
+        """(power, cuts, pieces) with R(self) = t**power times the product of
+        R over the pieces times (t - t**-1)**(len(pieces) - 1 - cuts), where
+        R = Hf / (t - t**-1) is the engine's value; (0, 0, [self]) when none
+        of these moves applies:
 
         * free and cyclic cancellation of adjacent letters x, -x (braid
           relations and conjugation, which keep the framed link);
@@ -766,12 +789,20 @@ class ClosedBraid(_Linking):
         * Markov destabilization when the top generator, or generator 1,
           occurs exactly once: rotate that letter to the end of the word,
           drop it and its strand (renumbering from 1 for generator 1), and
-          add its sign to the power, the writhe it took away.
+          add its sign to the power, the writhe it took away;
+        * a connected-sum cut, tried only when no other move applies, at the
+          least k at which the letters on generators k - 1 and k form one
+          cyclic run each.  Up to conjugation and the commutation of distant
+          generators the word is then a*b, with a the letters on generators
+          < k (on k strands) and b the others shifted down by k - 1 (on
+          n - k + 1 strands), and its closure is the connected sum of their
+          closures along strand k.  R is multiplicative under connected
+          sum, so each cut, counted in `cuts`, saves one factor t - t**-1.
 
         The moves run in a loop over a work list until none applies, so a
-        piece is a word on which `pieces` returns (0, [piece]).
+        piece is a word on which `pieces` returns (0, 0, [piece]).
         """
-        power = 0
+        power = cuts = 0
         done: list[tuple[int, tuple[int, ...]]] = []
         work = [(self.strand_count, _cancel(self.letters))]  # words cancelled
         while work:
@@ -802,11 +833,18 @@ class ClosedBraid(_Linking):
                     work.append((n - 1, _trim(rest)))
                     break
             else:
-                done.append((n, letters))
+                k = _cut(n, letters)
+                if k:
+                    cuts += 1
+                    a = tuple(x for x in letters if -k < x < k)
+                    b = tuple(x - k + 1 if x > 0 else x + k - 1 for x in letters if not -k < x < k)
+                    work += [(n - k + 1, _cancel(b)), (k, _cancel(a))]
+                else:
+                    done.append((n, letters))
         if power == 0 and done == [(self.strand_count, self.letters)]:
-            return 0, [self]
+            return 0, 0, [self]
         made = {word: ClosedBraid._of(*word) for word in set(done)}
-        return power, [made[word] for word in done]
+        return power, cuts, [made[word] for word in done]
 
 
 # A link in either representation; both answer the queries of the verifiers.

@@ -18,10 +18,12 @@ The ambient HOMFLY-PT polynomial is recovered as
 
 Both a memoized engine and a deliberately separate cache-free brute-force
 resolver are exposed; the test suite asserts their agreement.  The engine
-also takes a braid closure, a `ClosedBraid`, which it simplifies by braid
-moves and evaluates by the Hecke trace of `homflypt.hecke` in place of
-resolving crossings, and its value becomes a coefficient table through
-`CoeffTable.of`.
+holds R = Hf / (t - t^-1) rather than Hf, so that no step divides: the
+same recursion on R ends in ``(t - t^-1)**(components - 1)`` at a
+nonempty descending diagram.  It also takes a braid closure, a
+`ClosedBraid`, which it simplifies by braid moves and evaluates by the
+Hecke trace of `homflypt.hecke` in place of resolving crossings, and R
+becomes a coefficient table through `CoeffTable.from_reduced`.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ DEFAULT_MAX_NODES = 10_000_000
 MEMO_CAP = 1_000_000
 
 _T_FACTOR = T - T**-1  # t - t^-1
+_ONE = BivarLaurent.one()
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -81,31 +84,37 @@ def descending_value(diagram: LinkDiagram) -> BivarLaurent:
 
 
 class SkeinEngine:
-    """Memoized framed invariant of a `LinkDiagram` or a `ClosedBraid`.
+    """Memoized value R = Hf / (t - t**-1) of a `LinkDiagram` or a
+    `ClosedBraid`, so that R(unknot) = 1; `framed_invariant` returns
+    Hf = R * (t - t**-1).
 
-    A diagram is resolved crossing by crossing as in the module docstring.
-    A braid closure is first simplified by `ClosedBraid.pieces`
-    (cancellation, splitting at unused generators, Markov destabilization):
-    Hf is t**power times the product of the pieces' values, each memoized
-    on its own key.  Only a word no move simplifies is evaluated by the
-    Hecke trace (`homflypt.hecke`), whose relation t g_i - t**-1 g_i**-1 = z
-    is the skein relation on braids.
+    A diagram is resolved crossing by crossing as in the module docstring,
+    on R: the skein relation is linear, and a descending leaf of k
+    components is ``t**framing * (t - t**-1)**(k - 1)``.  A braid closure is
+    first simplified by `ClosedBraid.pieces` (cancellation, splitting at
+    unused generators, Markov destabilization, connected-sum cuts):
+    ``R = t**power * prod R(piece) * (t - t**-1)**(pieces - 1 - cuts)``, with
+    each piece memoized on its own key.  Only a word no move simplifies is
+    evaluated by the Hecke trace (`homflypt.hecke`), whose relation
+    t g_i - t**-1 g_i**-1 = z is the skein relation on braids.  No value
+    is ever divided.
 
     One budget counts the work on both.  A node is one expanded
     (non-memoized) skein resolution, one coefficient term the trace writes
     into its element, or one term of the result of a product of values: of
-    piece values, and of the factors t - t**-1 of a descending diagram's
-    unlink value, multiplied out one at a time as the braid path multiplies
-    unknot pieces, so an N-component crossing-free diagram costs what
-    ``strands=N;`` costs.  `max_nodes` bounds the nodes over every value the
-    engine computes; exceeding it raises ResourceLimitExceeded.  No element
-    of the trace holds more than MEMO_CAP permutations.
+    piece values, and of the factors t - t**-1 of an unlink power (a
+    descending leaf's, or a braid's split factor), multiplied out one at a
+    time; a factor 1 is no product.  So an N-component crossing-free diagram
+    costs what ``strands=N;`` costs.  `max_nodes` bounds the nodes over
+    every value the engine computes; exceeding it raises
+    ResourceLimitExceeded.  No element of the trace holds more than
+    MEMO_CAP permutations.
 
-    Values are memoized on `link.canonical_key()` (at most MEMO_CAP of
-    them), so equal diagrams up to crossing relabeling share one entry, and
-    `f_memo` holds values of `identities.intermediate_F` under the same key.
-    The intermediate words of `pieces` are not memoized, nor are the
-    intermediate powers of an unlink value: only the powers leaves ask for.
+    Values of R are memoized on `link.canonical_key()` (at most MEMO_CAP
+    of them), so equal diagrams up to crossing relabeling share one entry,
+    and `f_memo` holds values of `identities.intermediate_F` under the same
+    key.  The intermediate words of `pieces` are not memoized, nor are the
+    intermediate powers of an unlink value: only the powers asked for.
     """
 
     def __init__(self, max_nodes: int | None = None):
@@ -113,19 +122,28 @@ class SkeinEngine:
         self.nodes = 0
         self._memo: dict[bytes | tuple, BivarLaurent] = {}
         self.f_memo: dict[bytes | tuple, BivarLaurent] = {}
-        self._unlinks: dict[int, BivarLaurent] = {0: BivarLaurent.one()}
+        self._unlinks: dict[int, BivarLaurent] = {0: _ONE}
 
     def framed_invariant(self, link: Link) -> BivarLaurent:
+        """Hf = R * (t - t**-1), and 1 for the empty diagram."""
+        if link.num_components == 0:
+            return _ONE
+        return self.reduced_invariant(link) * _T_FACTOR
+
+    def reduced_invariant(self, link: Link) -> BivarLaurent:
+        """R = Hf / (t - t**-1) of a nonempty link."""
         key = link.canonical_key()
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         if isinstance(link, ClosedBraid):
-            power, pieces = link.pieces()
+            power, cuts, pieces = link.pieces()
             if pieces == [link]:  # no move applies
                 value = framed_trace(link, self._add)
             else:
-                value = self._product(map(self.framed_invariant, pieces)).shift(0, power)
+                factors = [self.reduced_invariant(piece) for piece in pieces]
+                factors.append(self._unlink(len(pieces) - 1 - cuts))
+                value = self._product(factors).shift(0, power)
         else:
             # one skein step, recursing through this method so that a
             # resolution level costs one stack frame
@@ -133,13 +151,13 @@ class SkeinEngine:
             descending, cid = is_descending(link)
             if descending:
                 k = link.num_components
-                if k not in self._unlinks:  # (t - t**-1)**k, charged as k unknots
-                    self._unlinks[k] = self._product([_T_FACTOR] * k)
+                if k == 0:
+                    raise ValueError("the empty diagram has no value R")
                 framing = sum(link.self_writhe(i) for i in range(k))
-                value = self._unlinks[k].shift(0, framing)
+                value = self._unlink(k - 1).shift(0, framing)
             else:
-                switched = self.framed_invariant(link.switch_crossing(cid))
-                smoothed = self.framed_invariant(link.smooth_crossing(cid))
+                switched = self.reduced_invariant(link.switch_crossing(cid))
+                smoothed = self.reduced_invariant(link.smooth_crossing(cid))
                 if not link.is_self_crossing(cid):
                     smoothed = smoothed.shift(2)
                 value = switched + smoothed if link.signs[cid] > 0 else switched - smoothed
@@ -152,14 +170,24 @@ class SkeinEngine:
         if self.nodes > self.max_nodes:
             raise ResourceLimitExceeded(f"node budget of {self.max_nodes} exceeded")
 
+    def _unlink(self, k: int) -> BivarLaurent:
+        """(t - t**-1)**k, memoized, charged as the product of k factors."""
+        if k not in self._unlinks:
+            self._unlinks[k] = self._product([_T_FACTOR] * k)
+        return self._unlinks[k]
+
     def _product(self, factors: Iterable[BivarLaurent]) -> BivarLaurent:
-        """The product of nonempty `factors`, left to right, charging each
-        product one node per term of its result."""
-        factors = iter(factors)
-        value = next(factors)
+        """The product of `factors`, left to right, charging each product
+        one node per term of its result; a factor 1 is skipped."""
+        value = _ONE
         for factor in factors:
-            value = value * factor
-            self._charge(len(value))
+            if factor == _ONE:
+                continue
+            if value is _ONE:
+                value = factor
+            else:
+                value = value * factor
+                self._charge(len(value))
         return value
 
     def _add(self, element: dict, w: tuple[int, ...], c: BivarLaurent) -> None:
@@ -225,21 +253,29 @@ class CoeffTable:
 
     @classmethod
     def of(cls, diagram: Link, framed: BivarLaurent) -> "CoeffTable":
-        """The table of a nonempty diagram from its framed invariant, computed
-        by any engine; raises ValueError if the value cannot be one."""
+        """The table from a framed invariant Hf computed by any route, by one
+        exact division; the engine's own route is `from_reduced`."""
+        return cls.from_reduced(diagram, framed.divide_exact(_T_FACTOR))
+
+    @classmethod
+    def from_reduced(cls, diagram: Link, reduced: BivarLaurent) -> "CoeffTable":
+        """The table of a nonempty diagram from its value R = Hf / (t - t^-1)
+        = t**writhe * z**(L-1) * P, without division: p[g] is t**-writhe
+        times the z**(2g) coefficient of R and h[g] that coefficient times
+        t - t^-1.  Raises ValueError if R cannot be a link's value."""
         if diagram.num_components == 0:
             raise ValueError("the empty diagram has no coefficient expansion")
-        if not framed.is_even_nonneg_in_z():
+        if not reduced.is_even_nonneg_in_z():
             raise ValueError(
                 "framed invariant left Z[z^2, t^(+-1)]; the diagram data is not realizable"
             )
         w = diagram.writhe()
         h: dict[int, BivarLaurent] = {}
         p: dict[int, BivarLaurent] = {}
-        for ez, coeff in framed.by_z():
+        for ez, coeff in reduced.by_z():
             g = ez // 2
-            h[g] = coeff
-            p[g] = coeff.shift(0, -w).divide_exact(_T_FACTOR)
+            h[g] = coeff * _T_FACTOR
+            p[g] = coeff.shift(0, -w)
         return cls(
             components=diagram.num_components,
             writhe=w,
@@ -278,7 +314,7 @@ def coeff_table(diagram: Link, engine: SkeinEngine | None = None) -> CoeffTable:
     """Extract the h/p coefficient table of a nonempty link with `engine`
     (default a fresh SkeinEngine)."""
     eng = engine if engine is not None else SkeinEngine()
-    return CoeffTable.of(diagram, eng.framed_invariant(diagram))
+    return CoeffTable.from_reduced(diagram, eng.reduced_invariant(diagram))
 
 
 def homfly(diagram: Link, engine: SkeinEngine | None = None) -> BivarLaurent:

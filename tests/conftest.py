@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from homflypt import BraidWord, LinkDiagram, SplitMix64, close_braid, random_braid
 from homflypt import catalog as cat
+from homflypt import cli
 
 
 def seeded_closures(seed: int, count: int, strands=(2, 3, 4), max_length: int = 12):
@@ -120,6 +123,20 @@ def markov_variant(word: BraidWord, rng: SplitMix64, moves: int = 3) -> BraidWor
             pos = rng.below(len(out.letters) + 1)
             out = apply_free_insertion(out, pos, gen if rng.below(2) == 0 else -gen)
     return out
+
+
+@pytest.fixture(autouse=True)
+def json_text_is_json_dumps(monkeypatch):
+    """Every JSON payload the CLI prints in a test is also checked against
+    ``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte."""
+    written = cli.json_text
+
+    def checked(value):
+        text = written(value)
+        assert text == json.dumps(value, sort_keys=True, indent=2)
+        return text
+
+    monkeypatch.setattr(cli, "json_text", checked)
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ from homflypt import (
     ResourceLimitExceeded,
     SkeinEngine,
     SplitMix64,
+    T,
     UnknownCrossing,
     close_braid,
     coeff_table,
@@ -232,7 +233,7 @@ class TestReports:
 
 def trace(link) -> BivarLaurent:
     """`framed_trace` of the word as it stands, with no budget, no memo and
-    no braid moves."""
+    no braid moves: R = Hf / (t - t^-1)."""
 
     def add(element, w, c):
         total = element.get(w, BivarLaurent.zero()) + c
@@ -275,6 +276,40 @@ def moved_words(seed: int, count: int) -> list[BraidWord]:
     return words
 
 
+def summed_words(seed: int, count: int) -> list[BraidWord]:
+    """Seeded words a*b whose closures are connected sums: a on k strands
+    and b on the strands k.., with commuting neighbours swapped at random
+    so that a's and b's letters interleave, then a cancelling pair
+    inserted and the word rotated."""
+    rng = SplitMix64(seed)
+    words = []
+    for _ in range(count):
+        k, m = 2 + rng.below(3), 2 + rng.below(3)
+        a = random_braid(rng, k, 3 + rng.below(6)).letters
+        b = random_braid(rng, m, 3 + rng.below(6)).letters
+        letters = list(a) + [x + k - 1 if x > 0 else x - k + 1 for x in b]
+        for _ in range(3 * len(letters)):
+            i = rng.below(len(letters) - 1)
+            if abs(abs(letters[i]) - abs(letters[i + 1])) >= 2:
+                letters[i], letters[i + 1] = letters[i + 1], letters[i]
+        x = (1 + rng.below(k + m - 2)) * (1 if rng.below(2) else -1)
+        i = rng.below(len(letters) + 1)
+        letters[i:i] = [x, -x]
+        i = rng.below(len(letters))
+        words.append(BraidWord(k + m - 1, tuple(letters[i:] + letters[:i])))
+    return words
+
+
+def product_of_pieces(link) -> BivarLaurent:
+    """t**power * prod R(piece) * (t - t^-1)**(pieces - 1 - cuts), each
+    piece traced as it stands."""
+    power, cuts, pieces = link.pieces()
+    value = (T - T**-1) ** (len(pieces) - 1 - cuts)
+    for piece in pieces:
+        value = value * trace(piece)
+    return value.shift(0, power)
+
+
 class TestPieces:
     def words(self) -> list[BraidWord]:
         words = [word for word, _ in seeded_closures(seed=65, count=80, strands=(2, 3, 4, 5))]
@@ -289,61 +324,81 @@ class TestPieces:
             for subset in subsets(link.num_components):
                 words.append(link.sublink(subset).word)
         words += [BraidWord(n, ()) for n in range(1, 6)]
+        words += summed_words(67, 80)
+        words.append(parse_braid("strands=5; 1 2 1 2 -3 1 4 -3 4"))
         return words
 
     def test_pieces_multiply_to_the_trace_of_the_word(self):
-        moved = 0
+        moved = cut = 0
         for word in self.words():
             link = ClosedBraid(word)
-            power, pieces = link.pieces()
+            _, cuts, pieces = link.pieces()
             moved += pieces != [link]
-            value = BivarLaurent.one()
-            for piece in pieces:
-                value = value * trace(piece)
-            assert value.shift(0, power) == trace(link), word.as_text()
-            assert SkeinEngine().framed_invariant(link) == trace(link), word.as_text()
-        assert moved > 200
+            cut += cuts > 0
+            assert product_of_pieces(link) == trace(link), word.as_text()
+            assert SkeinEngine().reduced_invariant(link) == trace(link), word.as_text()
+        assert moved > 300 and cut > 80
+
+    def test_unknot_is_one_up_to_its_writhe(self):
+        # the closure of s1 s2 ... s(n-1) is the unknot with writhe n - 1
+        for n in range(1, 6):
+            link = ClosedBraid(BraidWord(n, tuple(range(1, n))))
+            assert trace(link) == T ** (n - 1) == SkeinEngine().reduced_invariant(link), n
+            assert SkeinEngine().framed_invariant(link) == T ** (n - 1) * (T - T**-1), n
 
     def test_pieces_are_irreducible(self):
         for word in self.words():
-            for piece in ClosedBraid(word).pieces()[1]:
-                assert piece.pieces() == (0, [piece]), word.as_text()
+            for piece in ClosedBraid(word).pieces()[2]:
+                assert piece.pieces() == (0, 0, [piece]), word.as_text()
                 assert piece.num_components >= 1
 
     def test_each_move(self):
         def pieces(text):
-            power, parts = ClosedBraid(parse_braid(text)).pieces()
-            return power, [(p.strand_count, p.letters) for p in parts]
+            power, cuts, parts = ClosedBraid(parse_braid(text)).pieces()
+            return power, cuts, [(p.strand_count, p.letters) for p in parts]
 
         trefoil = (2, (1, 1, 1))
-        assert pieces("strands=2; 1 1 1") == (0, [trefoil])
-        assert pieces("strands=2; 1 -1 1 1 1") == (0, [trefoil])
-        assert pieces("strands=2; -1 1 1 1 1") == (0, [trefoil])  # cyclic
+        hopf = (2, (1, 1))
+        assert pieces("strands=2; 1 1 1") == (0, 0, [trefoil])
+        assert pieces("strands=2; 1 -1 1 1 1") == (0, 0, [trefoil])
+        assert pieces("strands=2; -1 1 1 1 1") == (0, 0, [trefoil])  # cyclic
         # cyclic cancellation, then a split off the letterless third strand
-        assert pieces("strands=3; 2 1 1 1 -2") == (0, [(1, ()), trefoil])
-        assert pieces("strands=4;") == (0, [(1, ())] * 4)
-        assert pieces("strands=5; 2 2 2") == (0, [(1, ())] * 3 + [(2, (1, 1, 1))])
+        assert pieces("strands=3; 2 1 1 1 -2") == (0, 0, [(1, ()), trefoil])
+        assert pieces("strands=4;") == (0, 0, [(1, ())] * 4)
+        assert pieces("strands=5; 2 2 2") == (0, 0, [(1, ())] * 3 + [(2, (1, 1, 1))])
         # a cancelling pair, a split into a Hopf link, a curl and a letterless
         # strand, and the curl destabilized
-        assert pieces("strands=5; 1 1 4 -4 4") == (1, [(1, ()), (2, (1, 1)), (1, ())])
-        assert pieces("strands=3; 1 1 1 -2") == (-1, [trefoil])  # top letter
-        assert pieces("strands=3; 2 -1 2 2") == (-1, [trefoil])  # bottom letter
-        assert pieces("strands=4; 1 2 3") == (3, [(1, ())])
+        assert pieces("strands=5; 1 1 4 -4 4") == (1, 0, [(1, ()), hopf, (1, ())])
+        assert pieces("strands=3; 1 1 1 -2") == (-1, 0, [trefoil])  # top letter
+        assert pieces("strands=3; 2 -1 2 2") == (-1, 0, [trefoil])  # bottom letter
+        assert pieces("strands=4; 1 2 3") == (3, 0, [(1, ())])
+        # connected sums: the Hopf chain falls into Hopf links, and the
+        # interleaved word is cut at generator 3 into a and b
+        assert pieces("strands=3; 1 1 2 2") == (0, 1, [hopf, hopf])
+        assert pieces("strands=5; 1 1 2 2 3 3 4 4") == (0, 3, [hopf] * 4)
+        assert pieces("strands=5; 1 2 1 2 -3 1 4 -3 4") == (
+            0,
+            1,
+            [(3, (1, 2, 1, 2, 1)), (3, (-1, 2, -1, 2))],
+        )
+        # destabilization comes before the cut, which would leave an unknot
+        assert pieces("strands=3; -2 -2 1") == (1, 0, [(2, (-1, -1))])
 
     def test_memo_holds_the_link_and_its_pieces_only(self):
         link = ClosedBraid(parse_braid("strands=6; 1 -1 2 1 1 1 4 4 4 -5 4"))
         engine = SkeinEngine()
         engine.framed_invariant(link)
-        _, pieces = link.pieces()
+        _, _, pieces = link.pieces()
         assert set(engine._memo) == {link.canonical_key()} | {p.canonical_key() for p in pieces}
 
     def test_products_are_charged_per_term_written(self):
-        # the n-strand unlink is n unknots: one 1-node trace, memoized, and
-        # n - 1 products whose results have 3, 4, ..., n + 1 terms
+        # the n-strand unlink is n unknots: one 1-node trace of R = 1,
+        # memoized, and the split factor (t - t^-1)**(n - 1), multiplied out
+        # in n - 2 products whose results have 3, 4, ..., n terms
         for n in range(1, 40):
             engine = SkeinEngine()
             engine.framed_invariant(ClosedBraid(parse_braid(f"strands={n};")))
-            assert engine.nodes == 1 + sum(k + 1 for k in range(2, n + 1)), n
+            assert engine.nodes == 1 + sum(k + 1 for k in range(2, n)), n
 
     def test_crossing_free_diagram_costs_the_braid_unlink(self):
         # a descending diagram's unlink value is multiplied out one factor at

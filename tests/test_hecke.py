@@ -69,6 +69,15 @@ class TestAgreement:
             table = CoeffTable.of(entry.diagram(), framed_homfly(ClosedBraid(entry.word())))
             assert table == coeff_table(entry.diagram()), entry.name
 
+    def test_table_from_R_matches_the_divided_table(self):
+        # the engine's table is read off R without division; the adapter
+        # `CoeffTable.of` divides Hf by t - t^-1 once
+        links = [ClosedBraid(entry.word()) for entry in cat.CATALOG]
+        links += [ClosedBraid(word) for word in seeded_words(14, (2, 3, 4, 5), range(0, 13), 4)]
+        for link in links:
+            framed = framed_homfly(link)
+            assert coeff_table(link) == CoeffTable.of(link, framed), link.word.as_text()
+
 
 class TestIndependentChecks:
     def test_torus_recurrence(self):
@@ -107,8 +116,11 @@ class TestLimits:
 
     def test_element_cap_raises(self, monkeypatch):
         monkeypatch.setattr(skein, "MEMO_CAP", 5)
+        # a word no braid move simplifies, so the trace runs on all 4 strands
+        link = ClosedBraid(parse_braid("strands=4; 1 2 3 1 2 3 1 2 3"))
+        assert link.pieces() == (0, 0, [link])
         with pytest.raises(ResourceLimitExceeded):
-            framed_homfly(ClosedBraid(parse_braid("strands=4; 1 1 2 2 3 3 1 1")))
+            framed_homfly(link)
         assert framed_homfly(ClosedBraid(cat.get("trefoil").word())) == framed_homfly(
             cat.diagram("trefoil")
         )

@@ -102,19 +102,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _max_nodes(args) -> int:
-    if args.max_nodes is not None:
-        source, budget = "--max-nodes", args.max_nodes
-    else:
-        source, env = "SKEIN_MAX_NODES", os.environ.get("SKEIN_MAX_NODES")
-        if env is None:
-            return DEFAULT_MAX_NODES
-        try:
-            budget = int(env)
-        except ValueError:
-            raise _InputError(f"SKEIN_MAX_NODES must be an integer, got {env!r}") from None
-    if budget < 1:
-        raise _InputError(f"{source} must be at least 1, got {budget}")
-    return budget
+    if args.max_nodes is None:
+        return DEFAULT_MAX_NODES
+    if args.max_nodes < 1:
+        raise _InputError(f"--max-nodes must be at least 1, got {args.max_nodes}")
+    return args.max_nodes
 
 
 def _load_file(path: str) -> LinkDiagram:
@@ -393,7 +385,7 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
         " term of each product of values (braid pieces and their factors"
         " t - 1/t; the k - 1 unlink factors of a descending diagram of k"
         " components)"
-        " (default: SKEIN_MAX_NODES or 10^7)",
+        " (default: 10^7)",
     )
 
 

@@ -37,10 +37,10 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .combinatorics import set_partitions
-from .laurent import BivarLaurent, T
+from .laurent import BivarLaurent
 from .links import Link
 from .report import VerificationReport
-from .skein import MEMO_CAP, CoeffTable, SkeinEngine, coeff_table
+from .skein import _T_FACTOR, MEMO_CAP, CoeffTable, SkeinEngine, coeff_table
 
 __all__ = [
     "FValue",
@@ -57,8 +57,6 @@ __all__ = [
     "verify_split_F",
 ]
 
-_T_FACTOR = T - T**-1
-
 
 class NotInterComponent(ValueError):
     """The chosen crossing is not between two distinct components."""
@@ -72,8 +70,9 @@ class GOutOfRange(ValueError):
 class FValue:
     """F of a link with `components` components.
 
-    The polynomial is z**(-components) times an element of Q[z**2, t^{+-1}];
-    the constructor enforces that shape.
+    The polynomial is z**(-components) times an element of Z[z**2, t^{+-1}]:
+    the recursion of `intermediate_F` multiplies and subtracts integer
+    values only.  The constructor enforces the z-shape.
     """
 
     components: int

@@ -1,14 +1,17 @@
 """Exact sparse Laurent-polynomial arithmetic in the variables z and t.
 
-There is one polynomial type, `BivarLaurent`.  A polynomial in t alone (a
-coefficient of one power of z, such as the h- and p-coefficients of a
-link) is a `BivarLaurent` whose terms all have z exponent 0; `coeff_of_z`
-and `by_z` return such z-free values, `shift(ez)` puts one back at the
-power z**ez, and `to_triples` serializes one without the z exponent.
+There is one polynomial type, `BivarLaurent`, and it is the ring
+Z[z^+-1, t^+-1]: every value the package computes (R, h, p, F and the
+Hecke trace) is an integer Laurent polynomial, and no step divides.  A
+polynomial in t alone (a coefficient of one power of z, such as the h- and
+p-coefficients of a link) is a `BivarLaurent` whose terms all have z
+exponent 0; `coeff_of_z` and `by_z` return such z-free values, `shift(ez)`
+puts one back at the power z**ez, and `to_triples` serializes one without
+the z exponent.
 
-Coefficients are exact rationals: plain `int` while integral (the common
-case, and much faster), `fractions.Fraction` otherwise.  The two mix
-transparently and there is no floating point anywhere.  Terms are stored
+Coefficients and scalars are plain `int`s; anything else raises TypeError,
+so there is no floating point anywhere.  Only `evaluate` leaves the ring:
+its value at a rational point is a `fractions.Fraction`.  Terms are stored
 sparsely and every public view is emitted in a fixed canonical order
 (ascending z exponent, then ascending t exponent), so two equal
 polynomials always serialize byte-identically.
@@ -16,50 +19,29 @@ polynomials always serialize byte-identically.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "BivarLaurent",
-    "NotDivisible",
     "PoleAtZero",
     "Z",
     "T",
 ]
-
-Rational = Fraction | int
-
-
-class NotDivisible(ArithmeticError):
-    """No Laurent-polynomial quotient exists for the requested division."""
 
 
 class PoleAtZero(ZeroDivisionError):
     """A negative exponent was evaluated at zero."""
 
 
-def _coerce(value: Rational) -> Rational:
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-def _ratio(a: Rational, b: Rational) -> Rational:
-    """Exact quotient of two rationals (never a float)."""
-    return _coerce(Fraction(a) / Fraction(b))
-
-
-def _wrap(data: dict[tuple[int, int], Rational]) -> "BivarLaurent":
+def _wrap(data: dict[tuple[int, int], int]) -> "BivarLaurent":
     """A polynomial on a term dict that already holds no zero coefficients."""
     out = BivarLaurent.__new__(BivarLaurent)
     out._terms = data
     return out
 
 
-def _format_t_terms(terms: dict[tuple[int, int], Rational]) -> str:
+def _format_t_terms(terms: dict[tuple[int, int], int]) -> str:
     # Human-readable form uses descending powers of t (math convention);
     # the canonical serialization order stays ascending.
     parts: list[str] = []
@@ -80,7 +62,7 @@ def _format_t_terms(terms: dict[tuple[int, int], Rational]) -> str:
 
 
 class BivarLaurent:
-    """A Laurent polynomial in (z, t) over the rationals, stored sparsely.
+    """A Laurent polynomial in (z, t) over the integers, stored sparsely.
 
     Exponent pairs may be negative in either variable.  Values are immutable
     after construction; all operations return new polynomials.
@@ -90,12 +72,13 @@ class BivarLaurent:
 
     def __init__(
         self,
-        terms: Mapping[tuple[int, int], Rational] | Iterable[tuple[tuple[int, int], Rational]] = (),
+        terms: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]] = (),
     ):
-        data: dict[tuple[int, int], Rational] = {}
+        data: dict[tuple[int, int], int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (ez, et), c in items:
-            c = _coerce(c)
+            if not isinstance(c, int):
+                raise TypeError(f"expected an integer coefficient, got {type(c).__name__}")
             if not c:
                 continue
             key = (int(ez), int(et))
@@ -115,10 +98,10 @@ class BivarLaurent:
         return _wrap({(0, 0): 1})
 
     @classmethod
-    def monomial(cls, ez: int = 0, et: int = 0, coeff: Rational = 1) -> "BivarLaurent":
+    def monomial(cls, ez: int = 0, et: int = 0, coeff: int = 1) -> "BivarLaurent":
         return cls({(ez, et): coeff})
 
-    def terms(self) -> Iterator[tuple[tuple[int, int], Rational]]:
+    def terms(self) -> Iterator[tuple[tuple[int, int], int]]:
         """Terms in canonical order (ascending e_z, then ascending e_t)."""
         for key in sorted(self._terms):
             yield key, self._terms[key]
@@ -133,9 +116,9 @@ class BivarLaurent:
         """The number of nonzero terms."""
         return len(self._terms)
 
-    def __add__(self, other: "BivarLaurent | Rational") -> "BivarLaurent":
+    def __add__(self, other: "BivarLaurent | int") -> "BivarLaurent":
         if not isinstance(other, BivarLaurent):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, int):
                 return NotImplemented
             other = BivarLaurent({(0, 0): other})
         data = dict(self._terms)
@@ -152,23 +135,26 @@ class BivarLaurent:
     def __neg__(self) -> "BivarLaurent":
         return _wrap({key: -c for key, c in self._terms.items()})
 
-    def __sub__(self, other: "BivarLaurent | Rational") -> "BivarLaurent":
-        if isinstance(other, (int, Fraction)):
+    def __sub__(self, other: "BivarLaurent | int") -> "BivarLaurent":
+        if isinstance(other, int):
             other = BivarLaurent({(0, 0): other})
+        elif not isinstance(other, BivarLaurent):
+            return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: Rational) -> "BivarLaurent":
+    def __rsub__(self, other: int) -> "BivarLaurent":
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
-    def __mul__(self, other: "BivarLaurent | Rational") -> "BivarLaurent":
+    def __mul__(self, other: "BivarLaurent | int") -> "BivarLaurent":
         if not isinstance(other, BivarLaurent):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, int):
                 return NotImplemented
-            c = _coerce(other)
-            if not c:
+            if not other:
                 return _wrap({})
-            return _wrap({key: v * c for key, v in self._terms.items()})
-        data: dict[tuple[int, int], Rational] = {}
+            return _wrap({key: c * other for key, c in self._terms.items()})
+        data: dict[tuple[int, int], int] = {}
         for (z1, t1), c1 in self._terms.items():
             for (z2, t2), c2 in other._terms.items():
                 key = (z1 + z2, t1 + t2)
@@ -183,10 +169,10 @@ class BivarLaurent:
 
     def __pow__(self, n: int) -> "BivarLaurent":
         if n < 0:
-            if len(self._terms) != 1:
-                raise ValueError("only monomials can be raised to a negative power")
+            if len(self._terms) != 1 or abs(next(iter(self._terms.values()))) != 1:
+                raise ValueError("only unit monomials can be raised to a negative power")
             (((ez, et), c),) = self._terms.items()
-            return BivarLaurent({(ez * n, et * n): Fraction(c) ** n})
+            return _wrap({(ez * n, et * n): c ** -n})  # c = 1/c for a unit
         result = BivarLaurent.one()
         base = self
         while n:
@@ -210,7 +196,7 @@ class BivarLaurent:
 
     def by_z(self) -> Iterator[tuple[int, "BivarLaurent"]]:
         """Nonzero z-levels in ascending order with their z-free t-coefficients."""
-        levels: dict[int, dict[tuple[int, int], Rational]] = {}
+        levels: dict[int, dict[tuple[int, int], int]] = {}
         for (ez, et), c in self._terms.items():
             levels.setdefault(ez, {})[(0, et)] = c
         for ez in sorted(levels):
@@ -226,63 +212,13 @@ class BivarLaurent:
         """True iff every nonzero term has an even, nonnegative z exponent."""
         return all(ez >= 0 and ez % 2 == 0 for ez, _ in self._terms)
 
-    def divide_exact(self, divisor: "BivarLaurent") -> "BivarLaurent":
-        """Exact division: return q with q * divisor == self.
-
-        Raises NotDivisible when no Laurent-polynomial quotient exists, and
-        ZeroDivisionError for a zero divisor.
-        """
-        if not isinstance(divisor, BivarLaurent):
-            divisor = BivarLaurent({(0, 0): divisor})
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return _wrap({})
-        # Strip monomial units so both operands become honest polynomials
-        # in Q[z, t]; divisibility is unchanged and the quotient of honest
-        # polynomials is honest (lowest-degree slices multiply).
-        a_z = min(ez for ez, _ in self._terms)
-        a_t = min(et for _, et in self._terms)
-        d_z = min(ez for ez, _ in divisor._terms)
-        d_t = min(et for _, et in divisor._terms)
-        rem = {(ez - a_z, et - a_t): c for (ez, et), c in self._terms.items()}
-        den = {(ez - d_z, et - d_t): c for (ez, et), c in divisor._terms.items()}
-        lead = max(den)
-        lead_c = den.pop(lead)
-        quot: dict[tuple[int, int], Rational] = {}
-        # Leading terms come off a heap of negated keys: a step writes only
-        # keys below the one it cancels (lexicographic on (e_z, e_t), a
-        # well-order on N^2), so a key is pushed as it enters the remainder
-        # and skipped if it has left it.
-        heap = [(-ez, -et) for ez, et in rem]
-        heapq.heapify(heap)
-        while heap:
-            nz, nt = heapq.heappop(heap)
-            top = (-nz, -nt)
-            c_top = rem.pop(top, 0)
-            if not c_top:
-                continue
-            qz, qt = top[0] - lead[0], top[1] - lead[1]
-            if qz < 0 or qt < 0:
-                raise NotDivisible(f"{self} is not divisible by {divisor}")
-            qc = _ratio(c_top, lead_c)
-            quot[(qz, qt)] = qc
-            for (ez, et), c in den.items():
-                key = (ez + qz, et + qt)
-                old = rem.get(key)
-                total = (old or 0) - qc * c
-                if total:
-                    rem[key] = total
-                    if old is None:
-                        heapq.heappush(heap, (-key[0], -key[1]))
-                elif old is not None:
-                    del rem[key]
-        return _wrap(quot).shift(a_z - d_z, a_t - d_t)
-
-    def evaluate(self, z0: Rational, t0: Rational) -> Fraction:
-        """Exact value of the substitution z -> z0, t -> t0."""
-        z0 = Fraction(_coerce(z0))
-        t0 = Fraction(_coerce(t0))
+    def evaluate(self, z0: int | Fraction, t0: int | Fraction) -> Fraction:
+        """Exact value of the substitution z -> z0, t -> t0 at a rational
+        point, which may leave the ring."""
+        for value in (z0, t0):
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+        z0, t0 = Fraction(z0), Fraction(t0)
         total = Fraction(0)
         for (ez, et), c in self._terms.items():
             if z0 == 0 and ez < 0:
@@ -293,24 +229,30 @@ class BivarLaurent:
         return total
 
     def to_quadruples(self) -> list[list[int]]:
-        """Canonical serialization: [e_z, e_t, numerator, denominator] per term."""
-        return [[ez, et, c.numerator, c.denominator] for (ez, et), c in self.terms()]
+        """Canonical serialization: [e_z, e_t, coefficient, 1] per term; the
+        denominator, always 1, keeps the format of rational coefficients."""
+        return [[ez, et, c, 1] for (ez, et), c in self.terms()]
 
     def to_triples(self) -> list[list[int]]:
-        """Canonical serialization of a z-free polynomial: [e_t, numerator,
-        denominator] per term.  Raises ValueError if any term has a power of z."""
+        """Canonical serialization of a z-free polynomial: [e_t, coefficient,
+        1] per term.  Raises ValueError if any term has a power of z."""
         if any(ez for ez, _ in self._terms):
             raise ValueError(f"{self} is not a polynomial in t alone")
-        return [[et, c.numerator, c.denominator] for (_, et), c in self.terms()]
+        return [[et, c, 1] for (_, et), c in self.terms()]
 
     @classmethod
     def from_quadruples(cls, quadruples: Iterable[Iterable[int]]) -> "BivarLaurent":
-        return cls(
-            {(int(ez), int(et)): Fraction(int(num), int(den)) for ez, et, num, den in quadruples}
-        )
+        """The inverse of `to_quadruples`; raises ValueError on a denominator
+        other than 1."""
+        terms = {}
+        for ez, et, num, den in quadruples:
+            if int(den) != 1:
+                raise ValueError(f"coefficient {num}/{den} is not an integer")
+            terms[(int(ez), int(et))] = int(num)
+        return cls(terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = BivarLaurent({(0, 0): other})
         if not isinstance(other, BivarLaurent):
             return NotImplemented

@@ -103,17 +103,27 @@ class BraidWord:
 
 _HEADER = re.compile(r"\s*strands\s*=\s*([0-9]+)\s*;")
 _LETTER = re.compile(r"[+-]?[0-9]+")
+# The largest strand count `parse_braid` accepts: a closure allocates per
+# strand before any node budget applies.  The 6000-strand unlink already
+# exceeds the default budget, so only words that braid moves shrink fit
+# near this limit.
+MAX_STRANDS = 100_000
 
 
 def parse_braid(text: str) -> BraidWord:
     """Parse ``"strands=N; i1 i2 ..."`` into a BraidWord.
 
-    Raises ParseError / GeneratorOutOfRange with the offending offset.
+    Raises ParseError / GeneratorOutOfRange with the offending offset, also
+    for a strand count outside 1..MAX_STRANDS.
     """
     m = _HEADER.match(text)
     if not m:
         raise ParseError("expected a 'strands=N;' header", 0)
-    strands = int(m.group(1))
+    digits = m.group(1).lstrip("0")
+    # a count too long to convert is over the limit as well
+    strands = int(digits or 0) if len(digits) <= len(str(MAX_STRANDS)) else MAX_STRANDS + 1
+    if strands > MAX_STRANDS:
+        raise ParseError(f"strand count must be at most {MAX_STRANDS}", m.start(1))
     if strands < 1:
         raise ParseError("strand count must be at least 1", m.start(1))
     letters: list[int] = []

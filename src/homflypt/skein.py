@@ -13,17 +13,16 @@ and is computed by resolving crossings until the diagram is descending:
   so the diagram is rewritten in terms of its switched and smoothed
   resolutions, which strictly reduce (crossing count, violation count).
 
-The ambient HOMFLY-PT polynomial is recovered as
-``P = t**(-writhe) * Hf / (t - t^-1) / z**(L-1)`` via the coefficient table.
-
 Both a memoized engine and a deliberately separate cache-free brute-force
 resolver are exposed; the test suite asserts their agreement.  The engine
-holds R = Hf / (t - t^-1) rather than Hf, so that no step divides: the
-same recursion on R ends in ``(t - t^-1)**(components - 1)`` at a
-nonempty descending diagram.  It also takes a braid closure, a
-`ClosedBraid`, which it simplifies by braid moves and evaluates by the
-Hecke trace of `homflypt.hecke` in place of resolving crossings, and R
-becomes a coefficient table through `CoeffTable.from_reduced`.
+holds the integer Laurent polynomial R with Hf = R * (t - t^-1), so that
+R(unknot) = 1: the same recursion on R ends in
+``(t - t^-1)**(components - 1)`` at a nonempty descending diagram.  It also
+takes a braid closure, a `ClosedBraid`, which it simplifies by braid moves
+and evaluates by the Hecke trace of `homflypt.hecke` in place of resolving
+crossings.  `CoeffTable.from_reduced` reads the coefficient table and the
+HOMFLY-PT polynomial ``P = t**(-writhe) * z**(1-L) * R`` off R.  Nothing
+in the package divides one polynomial by another.
 """
 
 from __future__ import annotations
@@ -250,12 +249,6 @@ class CoeffTable:
     total_linking: int
     h: dict[int, BivarLaurent] = field(repr=False)
     p: dict[int, BivarLaurent] = field(repr=False)
-
-    @classmethod
-    def of(cls, diagram: Link, framed: BivarLaurent) -> "CoeffTable":
-        """The table from a framed invariant Hf computed by any route, by one
-        exact division; the engine's own route is `from_reduced`."""
-        return cls.from_reduced(diagram, framed.divide_exact(_T_FACTOR))
 
     @classmethod
     def from_reduced(cls, diagram: Link, reduced: BivarLaurent) -> "CoeffTable":

@@ -416,10 +416,9 @@ class TestPieces:
         assert "homfly: 1\n" in out.getvalue()
 
     @pytest.mark.parametrize("strands, code", [(1000, 0), (3000, 0), (6000, 2)])
-    def test_unlink_exit_codes_under_the_default_budget(self, strands, code, capsys, monkeypatch):
+    def test_unlink_exit_codes_under_the_default_budget(self, strands, code, capsys):
         # the exit codes of the trace of the whole word, which writes about
         # as many terms; the 6000-strand unlink exceeds the 10^7 default
-        monkeypatch.delenv("SKEIN_MAX_NODES", raising=False)
         out = io.StringIO()
         assert cli.main(["homfly", "--braid", f"strands={strands};"], out=out) == code
         if code:

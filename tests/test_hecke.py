@@ -9,7 +9,6 @@ import pytest
 from homflypt import (
     BraidWord,
     ClosedBraid,
-    CoeffTable,
     ResourceLimitExceeded,
     SplitMix64,
     T,
@@ -42,8 +41,8 @@ def torus_word(n: int) -> BraidWord:
 
 
 def polynomial(word: BraidWord):
-    """P of the closure, read off the framed value by the coefficient table."""
-    return CoeffTable.of(close_braid(word), framed_homfly(ClosedBraid(word))).polynomial()
+    """P of the closure, read off the engine's value by the coefficient table."""
+    return coeff_table(ClosedBraid(word)).polynomial()
 
 
 class TestAgreement:
@@ -65,18 +64,27 @@ class TestAgreement:
             assert value == framed_homfly_bruteforce(close_braid(word)), word.as_text()
 
     def test_tables_match(self):
+        # the braid's table off the Hecke trace, the diagram's off skein
+        # resolution
         for entry in cat.CATALOG:
-            table = CoeffTable.of(entry.diagram(), framed_homfly(ClosedBraid(entry.word())))
+            table = coeff_table(ClosedBraid(entry.word()))
             assert table == coeff_table(entry.diagram()), entry.name
 
-    def test_table_from_R_matches_the_divided_table(self):
-        # the engine's table is read off R without division; the adapter
-        # `CoeffTable.of` divides Hf by t - t^-1 once
-        links = [ClosedBraid(entry.word()) for entry in cat.CATALOG]
-        links += [ClosedBraid(word) for word in seeded_words(14, (2, 3, 4, 5), range(0, 13), 4)]
-        for link in links:
-            framed = framed_homfly(link)
-            assert coeff_table(link) == CoeffTable.of(link, framed), link.word.as_text()
+    def test_table_from_R_matches_the_bruteforce_value(self):
+        # the engine's table is read off R; h[g] is the z^(2g) coefficient of
+        # the brute-force framed value Hf, which has no other z-levels, and
+        # h[g] = p[g] t^writhe (t - t^-1)
+        words = [entry.word() for entry in cat.CATALOG]
+        words += seeded_words(14, (2, 3, 4, 5), range(0, 9), 4)
+        for word in words:
+            table = coeff_table(ClosedBraid(word))
+            framed = framed_homfly_bruteforce(close_braid(word))
+            assert {ez: coeff for ez, coeff in framed.by_z()} == {
+                2 * g: h for g, h in table.h.items()
+            }, word.as_text()
+            assert table.h.keys() == table.p.keys(), word.as_text()
+            for g, h in table.h.items():
+                assert h == table.p[g].shift(0, table.writhe) * TFAC, (word.as_text(), g)
 
 
 class TestIndependentChecks:

@@ -518,27 +518,28 @@ class LinkDiagram(_Linking):
 
     # -- identity and serialization -----------------------------------------
 
-    def canonical_key(self) -> bytes:
-        """Deterministic key, invariant under crossing relabeling.
+    def canonical_key(self) -> tuple[int, ...]:
+        """Deterministic key, invariant under crossing relabeling: the
+        engine's memo key, built in one traversal.
 
-        Crossings are renumbered in traversal order (component order, then
-        position); the key encodes the passage pattern and the sign string.
-        No randomized hashing is involved, so keys are stable across runs.
+        Crossings are labelled 0, 1, ... in the order they are first met
+        (component order, then position).  The key is a tuple of ints: the
+        component count; for each component the code ``2*label + (role ==
+        "o")`` of each passage, followed by -1; then the crossing signs in
+        label order.  Every item is an int, so no key equals a
+        `ClosedBraid` key, whose second item is a tuple.  No randomized
+        hashing is involved, so keys are the same on every run.
         """
         label: dict[int, int] = {}
-        parts = []
+        key = [len(self.components)]
         for comp in self.components:
-            bits = []
-            for cid, role in comp:
-                if cid not in label:
-                    label[cid] = len(label)
-                bits.append(f"{label[cid]}{role}")
-            parts.append(",".join(bits))
-        sign_str = "".join(
-            "+" if self.signs[cid] > 0 else "-"
-            for cid, _ in sorted(label.items(), key=lambda kv: kv[1])
-        )
-        return f"{len(self.components)}#{'|'.join(parts)}#{sign_str}".encode("ascii")
+            key.extend(
+                [2 * label.setdefault(cid, len(label)) + (role == OVER) for cid, role in comp]
+            )
+            key.append(-1)
+        signs = self.signs
+        key.extend([signs[cid] for cid in label])
+        return tuple(key)
 
     def to_json_dict(self) -> dict:
         """The documented diagram JSON schema."""

@@ -100,28 +100,31 @@ class SkeinEngine:
 
     One budget counts the work on both.  A node is one expanded
     (non-memoized) skein resolution, one coefficient term the trace writes
-    into its element, or one term of the result of a product of values: of
-    piece values, and of the factors t - t**-1 of an unlink power (a
-    descending leaf's, or a braid's split factor), multiplied out one at a
-    time; a factor 1 is no product.  So an N-component crossing-free diagram
-    costs what ``strands=N;`` costs.  `max_nodes` bounds the nodes over
+    into its element, or one term of the result of a product of piece
+    values; a factor 1 is no product.  An unlink power (a descending
+    leaf's, or a braid's split factor) is written in closed form but
+    charged, up front, as multiplying out its factors t - t**-1 one at a
+    time would be.  So an N-component crossing-free diagram costs what
+    ``strands=N;`` costs.  `max_nodes` bounds the nodes over
     every value the engine computes; exceeding it raises
     ResourceLimitExceeded.  No element of the trace holds more than
     MEMO_CAP permutations.
 
     Values of R are memoized on `link.canonical_key()` (at most MEMO_CAP
-    of them), so equal diagrams up to crossing relabeling share one entry,
-    and `f_memo` holds values of `identities.intermediate_F` under the same
-    key.  The intermediate words of `pieces` are not memoized, nor are the
+    of them): a tuple of ints for a diagram, and (strand count, letters)
+    for a braid, so no two links of different types share a key.  Equal
+    diagrams up to crossing relabeling share one entry, and `f_memo` holds
+    values of `identities.intermediate_F` under the same key.  The
+    intermediate words of `pieces` are not memoized, nor are the
     intermediate powers of an unlink value: only the powers asked for.
     """
 
     def __init__(self, max_nodes: int | None = None):
         self.max_nodes = DEFAULT_MAX_NODES if max_nodes is None else int(max_nodes)
         self.nodes = 0
-        self._memo: dict[bytes | tuple, BivarLaurent] = {}
-        self.f_memo: dict[bytes | tuple, BivarLaurent] = {}
-        self._unlinks: dict[int, BivarLaurent] = {0: _ONE}
+        self._memo: dict[tuple, BivarLaurent] = {}
+        self.f_memo: dict[tuple, BivarLaurent] = {}
+        self._unlinks: dict[int, BivarLaurent] = {0: _ONE, 1: _T_FACTOR}
 
     def framed_invariant(self, link: Link) -> BivarLaurent:
         """Hf = R * (t - t**-1), and 1 for the empty diagram."""
@@ -170,9 +173,20 @@ class SkeinEngine:
             raise ResourceLimitExceeded(f"node budget of {self.max_nodes} exceeded")
 
     def _unlink(self, k: int) -> BivarLaurent:
-        """(t - t**-1)**k, memoized, charged as the product of k factors."""
+        """(t - t**-1)**k, memoized, charged as the product of k factors.
+
+        The k - 1 products of `_product` would write 3, 4, ..., k + 1 terms,
+        so the whole charge, (k + 1)(k + 2)/2 - 3 nodes, is made first; the
+        power is then written in closed form,
+        sum over j of (-1)**j * C(k, j) * t**(k - 2j)."""
         if k not in self._unlinks:
-            self._unlinks[k] = self._product([_T_FACTOR] * k)
+            self._charge((k + 1) * (k + 2) // 2 - 3)
+            terms = {}
+            binomial = 1
+            for j in range(k + 1):
+                terms[0, k - 2 * j] = -binomial if j & 1 else binomial
+                binomial = binomial * (k - j) // (j + 1)
+            self._unlinks[k] = BivarLaurent(terms)
         return self._unlinks[k]
 
     def _product(self, factors: Iterable[BivarLaurent]) -> BivarLaurent:

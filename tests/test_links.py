@@ -8,6 +8,7 @@ from homflypt import (
     OVER,
     UNDER,
     BraidWord,
+    ClosedBraid,
     DiagramError,
     EmptySelection,
     GeneratorOutOfRange,
@@ -289,8 +290,71 @@ class TestCanonicalKey:
         assert catalog_diagrams["hopf+"].canonical_key() != cat.diagram("unlink2").canonical_key()
 
     def test_stable_format(self, catalog_diagrams):
-        # frozen so cached values stay valid across releases
-        assert catalog_diagrams["hopf+"].canonical_key() == b"2#0o,1u|0u,1o#++"
+        # pinned so the key is the same on every run: no randomized hashing
+        # or iteration order enters it
+        assert catalog_diagrams["hopf+"].canonical_key() == (2, 1, 2, -1, 0, 3, -1, 1, 1)
+
+    def test_equality_matches_the_byte_key(self, catalog_diagrams):
+        # two diagrams share an integer key exactly when they share the byte
+        # key the engine was first memoized on, kept here as the oracle
+        def byte_key(d):
+            label = {}
+            parts = []
+            for comp in d.components:
+                bits = []
+                for cid, role in comp:
+                    if cid not in label:
+                        label[cid] = len(label)
+                    bits.append(f"{label[cid]}{role}")
+                parts.append(",".join(bits))
+            sign_str = "".join(
+                "+" if d.signs[cid] > 0 else "-"
+                for cid, _ in sorted(label.items(), key=lambda kv: kv[1])
+            )
+            return f"{len(d.components)}#{'|'.join(parts)}#{sign_str}".encode("ascii")
+
+        rng = SplitMix64(2024)
+        roots = list(catalog_diagrams.values())
+        roots += [d for _, d in seeded_closures(seed=404, count=60, strands=(2, 3, 4, 5))]
+        roots += [LinkDiagram([()] * n, {}) for n in range(3)]
+        corpus = []
+        for d in roots:
+            ids = d.crossing_ids()
+            new_ids = [3 * i + 5 for i in range(len(ids))]
+            for i in range(len(new_ids) - 1, 0, -1):
+                j = rng.below(i + 1)
+                new_ids[i], new_ids[j] = new_ids[j], new_ids[i]
+            relabel = dict(zip(ids, new_ids))
+            corpus.append(d)
+            corpus.append(
+                LinkDiagram(
+                    [[(relabel[c], r) for c, r in comp] for comp in d.components],
+                    {relabel[c]: s for c, s in d.signs.items()},
+                )
+            )
+            corpus += [d.switch_crossing(cid) for cid in ids]
+            corpus += [d.smooth_crossing(cid) for cid in ids]
+            corpus += [
+                d.rotate_base_point(ci, shift)
+                for ci, comp in enumerate(d.components)
+                for shift in range(1, len(comp))
+            ]
+        classes = {(byte_key(d), d.canonical_key()) for d in corpus}
+        assert len({old for old, _ in classes}) == len(classes)
+        assert len({new for _, new in classes}) == len(classes)
+        assert len(classes) < len(corpus)  # some keys are shared
+
+    def test_never_equals_a_braid_key(self):
+        diagram_keys = set()
+        braid_keys = set()
+        for entry in cat.CATALOG:
+            diagram_keys.add(close_braid(entry.word()).canonical_key())
+            braid_keys.add(ClosedBraid(entry.word()).canonical_key())
+        for n in range(1, 60):
+            diagram_keys.add(LinkDiagram([()] * n, {}).canonical_key())
+            braid_keys.add(ClosedBraid(parse_braid(f"strands={n};")).canonical_key())
+        assert all(isinstance(item, int) for key in diagram_keys for item in key)
+        assert not diagram_keys & braid_keys
 
 
 class TestJson:

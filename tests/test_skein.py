@@ -1,5 +1,7 @@
 """Skein engine: frozen values, oracle agreement, and invariance properties."""
 
+import math
+
 import pytest
 
 from homflypt import (
@@ -50,6 +52,24 @@ class TestBaseValues:
     def test_unlinks(self):
         assert framed_homfly(cat.diagram("unlink2")) == TFAC**2
         assert framed_homfly(cat.diagram("unlink4")) == TFAC**4
+
+
+class TestUnlinkPowers:
+    def test_closed_form_is_the_power(self):
+        engine = SkeinEngine()
+        for k in range(61):
+            assert engine._unlink(k) == TFAC**k, k
+
+    def test_binomial_coefficients_at_scale(self):
+        k = 2000
+        engine = SkeinEngine()
+        power = engine._unlink(k)
+        assert dict(power.terms()) == {
+            (0, k - 2 * j): (-1) ** j * math.comb(k, j) for j in range(k + 1)
+        }
+        # charged as the k - 1 products that write 3, 4, ..., k + 1 terms
+        assert engine.nodes == sum(range(3, k + 2))
+        assert engine._unlink(k) is power and engine.nodes == sum(range(3, k + 2))
 
 
 class TestFrozenValues:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -34,7 +35,7 @@ from .combinatorics import LEMMA_RANGES, verify_lemma, verify_partition_identity
 from .links import ClosedBraid, DiagramError, Link, LinkDiagram, ParseError, parse_braid
 from .report import VerificationReport
 from .rng import SplitMix64, random_braid
-from .skein import DEFAULT_MAX_NODES, ResourceLimitExceeded, SkeinEngine, coeff_table
+from .skein import DEFAULT_MAX_NODES, CoeffTable, ResourceLimitExceeded, SkeinEngine
 
 VERIFY_TARGETS = ("prop31", "thm13", "thm14", "thm15", "lemmas", "skeinF", "splitF", "all")
 
@@ -157,6 +158,19 @@ def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, Link]]:
 # -- homfly ------------------------------------------------------------------
 
 
+def _trace_width(crossings: int) -> int:
+    """The most strands n with n! <= 2**crossings.  The Hecke trace of a
+    braid on n strands writes at most n! permutations per element, and
+    skein resolution of a diagram with c crossings has at most 2**c leaves,
+    so `homfly` traces the braid of a diagram file only up to this width
+    and resolves a diagram with more Seifert circles as it stands."""
+    n, bits = 1, 0.0
+    while bits + math.log2(n + 1) <= crossings:
+        n += 1
+        bits += math.log2(n)
+    return n
+
+
 def cmd_homfly(args, out) -> int:
     links = _resolve_links(args, allow_stdin=False)
     if not links:
@@ -165,8 +179,13 @@ def cmd_homfly(args, out) -> int:
     if link.num_components == 0:
         raise _InputError("the empty diagram has no coefficient table")
     engine = SkeinEngine(_max_nodes(args))
-    table = coeff_table(link, engine=engine)
-    framed = engine.framed_invariant(link)
+    power, braid = 0, link
+    if isinstance(link, LinkDiagram):
+        braided = link.braid(engine.charge, _trace_width(link.num_crossings))
+        if braided is not None:
+            power, braid = braided
+    table = CoeffTable.from_reduced(link, engine.reduced_invariant(braid).shift(0, power))
+    framed = engine.framed_invariant(braid).shift(0, power)
     homfly = table.polynomial()
     if args.format == "json":
         obj = dict(
@@ -384,8 +403,9 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
         " the Hecke traces of a braid's irreducible pieces write, and per"
         " term of each product of values (braid pieces and their factors"
         " t - 1/t; the k - 1 unlink factors of a descending diagram of k"
-        " components)"
-        " (default: 10^7)",
+        " components); homfly first braids a --file diagram that has few"
+        " Seifert circles for its crossings, at one node per passage of"
+        " each scan (default: 10^7)",
     )
 
 

@@ -12,6 +12,8 @@ Gauss code that no plane diagram realizes.
 A braid closure has a second representation, `ClosedBraid`, which does the
 same surgeries and answers the same queries on the braid word itself, so
 that no diagram is built for its sublinks, switches and smoothings.
+`LinkDiagram.braid` turns a planar diagram into a `ClosedBraid` of the same
+link by Vogel's algorithm.
 
 Sign convention, fixed once for the whole library: the braid generator with
 positive index is a positive crossing, and in its picture the strand coming
@@ -25,7 +27,9 @@ import bisect
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
+
+from .planar import euler_characteristic, vogel_braid
 
 __all__ = [
     "OVER",
@@ -263,57 +267,6 @@ def _cut(n: int, letters: tuple[int, ...]) -> int:
     return 0
 
 
-# The four ends of a crossing counterclockwise, by its sign: the in ("i")
-# and out ("o") ends of the over ("o") and under ("u") strands.  The over
-# strand's two ends face each other and the sign says on which side the
-# under strand comes in.  The mirror convention reverses every rotation at
-# once, which leaves every face count unchanged.
-_ROTATION = {1: ("oi", "ui", "oo", "uo"), -1: ("oi", "uo", "oo", "ui")}
-
-
-def _euler_characteristic(diagram: "LinkDiagram") -> tuple[int, int]:
-    """(V - E + F, number of connected pieces) of the 4-valent graph of the
-    crossings, embedded by the rotations the signs and roles fix.
-
-    Its faces are the orbits of "cross the edge, then turn to the next end
-    counterclockwise".  A piece has V - E + F = 2 - 2 * genus <= 2, so the
-    sum is 2 per piece exactly when every piece is planar.  Crossing-free
-    circles are planar pieces of their own and are not counted.
-    """
-    index = {cid: k for k, cid in enumerate(sorted(diagram.signs))}
-
-    def end(cid: int, name: str) -> int:
-        return 4 * index[cid] + _ROTATION[diagram.signs[cid]].index(name)
-
-    across = [0] * (4 * len(index))
-    parent = list(range(len(diagram.components)))
-
-    def root(ci: int) -> int:
-        while parent[ci] != ci:
-            parent[ci] = ci = parent[parent[ci]]
-        return ci
-
-    met: dict[int, int] = {}
-    for ci, comp in enumerate(diagram.components):
-        for (cid, role), (nxt, nrole) in zip(comp, comp[1:] + comp[:1]):
-            leave, enter = end(cid, role + "o"), end(nxt, nrole + "i")
-            across[leave], across[enter] = enter, leave
-            parent[root(met.setdefault(cid, ci))] = root(ci)
-    faces = 0
-    seen = [False] * len(across)
-    for start in range(len(across)):
-        if not seen[start]:
-            faces += 1
-            e = start
-            while not seen[e]:
-                seen[e] = True
-                e = across[e]
-                e += 1 if e % 4 < 3 else -3
-    pieces = len({root(ci) for ci, comp in enumerate(diagram.components) if comp})
-    vertices, edges = len(index), len(across) // 2
-    return vertices - edges + faces, pieces
-
-
 def _is_int(value) -> bool:
     """An integer of the JSON schema: a bool is not one, nor is 1.0."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -516,6 +469,32 @@ class LinkDiagram(_Linking):
         comps[comp] = seq
         return _trusted(comps, self.signs)
 
+    def braid(
+        self, charge: Callable[[int], None], max_strands: int
+    ) -> tuple[int, "ClosedBraid"] | None:
+        """(power, braid) with R(self) = t**power * R(braid), R the engine's
+        value: the braid's closure is this planar diagram without its R1
+        kinks, and power is the sum of the kinks' signs, the writhe they
+        add.  The braid is found by `planar.vogel_braid`, which calls
+        `charge` with the number of passages of each scan and returns None,
+        as this method does, when the diagram has more than `max_strands`
+        Seifert circles."""
+        # an R1 kink is two passages of one crossing in a row: with the
+        # passages of crossing k coded k + 1 (over) and -k - 1 (under),
+        # `_cancel` takes out every kink, nested ones too
+        ids = list(self.signs)
+        code = {cid: k + 1 for k, cid in enumerate(ids)}
+        comps = []
+        for comp in self.components:
+            kept = _cancel(tuple(code[cid] if role == OVER else -code[cid] for cid, role in comp))
+            comps.append([(ids[abs(x) - 1], OVER if x > 0 else UNDER) for x in kept])
+        signs = {cid: self.signs[cid] for comp in comps for cid, _ in comp}
+        braided = vogel_braid(comps, signs, charge, max_strands)
+        if braided is None:
+            return None
+        power = sum(sign for cid, sign in self.signs.items() if cid not in signs)
+        return power, ClosedBraid._of(braided[0], tuple(braided[1]))
+
     # -- identity and serialization -----------------------------------------
 
     def canonical_key(self) -> tuple[int, ...]:
@@ -631,7 +610,7 @@ class LinkDiagram(_Linking):
                     fail(where, f"passage reference [{ci}, {pi}] out of range")
                 if diagram.components[ci][pi] != (cid, role):
                     fail(where, f"passage reference [{ci}, {pi}] does not hold ({cid}, {role!r})")
-        euler, pieces = _euler_characteristic(diagram)
+        euler, pieces = euler_characteristic(diagram.components, diagram.signs)
         if euler != 2 * pieces:
             fail(
                 "$",

@@ -105,7 +105,8 @@ class SkeinEngine:
     leaf's, or a braid's split factor) is written in closed form but
     charged, up front, as multiplying out its factors t - t**-1 one at a
     time would be.  So an N-component crossing-free diagram costs what
-    ``strands=N;`` costs.  `max_nodes` bounds the nodes over
+    ``strands=N;`` costs.  `LinkDiagram.braid` charges its scans through
+    `charge` as well.  `max_nodes` bounds the nodes over
     every value the engine computes; exceeding it raises
     ResourceLimitExceeded.  No element of the trace holds more than
     MEMO_CAP permutations.
@@ -149,25 +150,28 @@ class SkeinEngine:
         else:
             # one skein step, recursing through this method so that a
             # resolution level costs one stack frame
-            self._charge(1)
+            self.charge(1)
             descending, cid = is_descending(link)
+            k = link.num_components
             if descending:
-                k = link.num_components
                 if k == 0:
                     raise ValueError("the empty diagram has no value R")
                 framing = sum(link.self_writhe(i) for i in range(k))
                 value = self._unlink(k - 1).shift(0, framing)
             else:
                 switched = self.reduced_invariant(link.switch_crossing(cid))
-                smoothed = self.reduced_invariant(link.smooth_crossing(cid))
-                if not link.is_self_crossing(cid):
+                smoothing = link.smooth_crossing(cid)
+                smoothed = self.reduced_invariant(smoothing)
+                # smoothing an inter-component crossing joins two components
+                if smoothing.num_components < k:
                     smoothed = smoothed.shift(2)
                 value = switched + smoothed if link.signs[cid] > 0 else switched - smoothed
         if len(self._memo) < MEMO_CAP:
             self._memo[key] = value
         return value
 
-    def _charge(self, nodes: int) -> None:
+    def charge(self, nodes: int) -> None:
+        """Count `nodes` more nodes; raise ResourceLimitExceeded past the budget."""
         self.nodes += nodes
         if self.nodes > self.max_nodes:
             raise ResourceLimitExceeded(f"node budget of {self.max_nodes} exceeded")
@@ -180,7 +184,7 @@ class SkeinEngine:
         power is then written in closed form,
         sum over j of (-1)**j * C(k, j) * t**(k - 2j)."""
         if k not in self._unlinks:
-            self._charge((k + 1) * (k + 2) // 2 - 3)
+            self.charge((k + 1) * (k + 2) // 2 - 3)
             terms = {}
             binomial = 1
             for j in range(k + 1):
@@ -200,12 +204,12 @@ class SkeinEngine:
                 value = factor
             else:
                 value = value * factor
-                self._charge(len(value))
+                self.charge(len(value))
         return value
 
     def _add(self, element: dict, w: tuple[int, ...], c: BivarLaurent) -> None:
         """Merge c into element[w] for the Hecke trace, charging len(c) nodes."""
-        self._charge(len(c))
+        self.charge(len(c))
         old = element.get(w)
         if old is None:
             if len(element) >= MEMO_CAP:

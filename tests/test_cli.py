@@ -103,16 +103,21 @@ class TestHomfly:
         assert code == EXIT_OK
 
     def test_deep_braid_is_a_resource_error(self, tmp_path, capsys):
-        # a diagram file goes to the skein engine, and 120 crossings nest its
-        # recursion past Python's stack limit
+        # `verify` resolves a diagram file by skein, and 120 crossings nest
+        # its recursion past Python's stack limit; `homfly` braids the file
+        # and traces it as it traces the braid
+        text = "strands=2; " + " ".join(["1"] * 120)
         path = tmp_path / "t2_120.json"
-        word = parse_braid("strands=2; " + " ".join(["1"] * 120))
-        path.write_text(json.dumps(close_braid(word).to_json_dict()))
-        code, _ = run_cli(["homfly", "--file", str(path)])
+        path.write_text(json.dumps(close_braid(parse_braid(text)).to_json_dict()))
+        code, _ = run_cli(["verify", "thm14", "--file", str(path)])
         assert code == EXIT_RESOURCE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        file_code, file_text = run_cli(["homfly", "--file", str(path)])
+        braid_code, braid_text = run_cli(["homfly", "--braid", text])
+        assert file_code == braid_code == EXIT_OK
+        assert file_text.split("\n", 1)[1] == braid_text.split("\n", 1)[1]
 
     def test_file_unlink_prints_the_braid_output(self, tmp_path):
         # a descending diagram's unlink value is multiplied out without

@@ -5,8 +5,14 @@ Subcommands: ``homfly`` (invariants and coefficient table of one link),
 ``catalog`` (built-in links with recomputed data).  Output is deterministic:
 identical invocations print identical bytes.
 
+Every link, whatever flag gave it, is evaluated by `skein.SkeinEngine`,
+which alone decides how: the front end has no path of its own per input.
+
 Exit codes: 0 success, 1 bad input (arguments the parser rejects
 included), 2 resource limit exceeded, 3 at least one verification failed.
+A `verify` link that hits a resource limit prints one `error:` line and
+loses its reports; the other links are reported as usual, and the run
+exits 2.
 A reader that closes the output pipe early (``homflypt random --count
 100000 | head -1``) ends the run with exit 1 and no message.
 """
@@ -16,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -32,6 +37,7 @@ from .identities import (
     verify_thm15,
 )
 from .combinatorics import LEMMA_RANGES, verify_lemma, verify_partition_identity
+from .laurent import T
 from .links import ClosedBraid, DiagramError, Link, LinkDiagram, ParseError, parse_braid
 from .report import VerificationReport
 from .rng import SplitMix64, random_braid
@@ -158,19 +164,6 @@ def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, Link]]:
 # -- homfly ------------------------------------------------------------------
 
 
-def _trace_width(crossings: int) -> int:
-    """The most strands n with n! <= 2**crossings.  The Hecke trace of a
-    braid on n strands writes at most n! permutations per element, and
-    skein resolution of a diagram with c crossings has at most 2**c leaves,
-    so `homfly` traces the braid of a diagram file only up to this width
-    and resolves a diagram with more Seifert circles as it stands."""
-    n, bits = 1, 0.0
-    while bits + math.log2(n + 1) <= crossings:
-        n += 1
-        bits += math.log2(n)
-    return n
-
-
 def cmd_homfly(args, out) -> int:
     links = _resolve_links(args, allow_stdin=False)
     if not links:
@@ -178,14 +171,9 @@ def cmd_homfly(args, out) -> int:
     label, link = links[0]
     if link.num_components == 0:
         raise _InputError("the empty diagram has no coefficient table")
-    engine = SkeinEngine(_max_nodes(args))
-    power, braid = 0, link
-    if isinstance(link, LinkDiagram):
-        braided = link.braid(engine.charge, _trace_width(link.num_crossings))
-        if braided is not None:
-            power, braid = braided
-    table = CoeffTable.from_reduced(link, engine.reduced_invariant(braid).shift(0, power))
-    framed = engine.framed_invariant(braid).shift(0, power)
+    reduced = SkeinEngine(_max_nodes(args)).reduced_invariant(link)
+    table = CoeffTable.from_reduced(link, reduced)
+    framed = reduced * (T - T**-1)
     homfly = table.polynomial()
     if args.format == "json":
         obj = dict(
@@ -319,12 +307,20 @@ def cmd_verify(args, out) -> int:
 
     if target in ("lemmas", "all"):
         reports.extend(_lemma_reports(args))
+    # a link that hits a resource limit loses its reports, not the others'
+    limited = False
     for label, diagram in links:
-        link_reports, link_skips = _link_reports(target, label, diagram, max_nodes)
+        try:
+            link_reports, link_skips = _link_reports(target, label, diagram, max_nodes)
+        except (ResourceLimitExceeded, RecursionError) as exc:
+            print(f"error: {exc} [{label}]", file=sys.stderr)
+            limited = True
+            continue
         reports.extend(link_reports)
         skipped.extend(link_skips)
 
-    all_passed = all(r.passed for r in reports)
+    # the JSON "passed" is false when a link's checks did not all run
+    all_passed = not limited and all(r.passed for r in reports)
     if args.format == "json":
         obj = {
             "reports": [r.to_json_dict() for r in reports],
@@ -338,6 +334,8 @@ def cmd_verify(args, out) -> int:
         for s in skipped:
             print(s, file=out)
         print(f"{sum(r.passed for r in reports)}/{len(reports)} checks passed", file=out)
+    if limited:
+        return EXIT_RESOURCE
     return EXIT_OK if all_passed else EXIT_FAILED
 
 
@@ -399,13 +397,14 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="node budget per link, in homfly and verify alike: one node per"
-        " skein resolution step of a --file diagram, per coefficient term"
-        " the Hecke traces of a braid's irreducible pieces write, and per"
-        " term of each product of values (braid pieces and their factors"
-        " t - 1/t; the k - 1 unlink factors of a descending diagram of k"
-        " components); homfly first braids a --file diagram that has few"
-        " Seifert circles for its crossings, at one node per passage of"
-        " each scan (default: 10^7)",
+        " passage of each scan that braids a --file diagram (or any diagram"
+        " verify derives from it) with few Seifert circles for its"
+        " crossings, per skein resolution step of any other diagram, per"
+        " letter of each pass of the braid moves, per coefficient term the"
+        " Hecke traces of a braid's irreducible pieces write, and per term"
+        " of each product of values (braid pieces and their factors t - 1/t;"
+        " the k - 1 unlink factors of a descending diagram of k components)"
+        " (default: 10^7)",
     )
 
 

@@ -477,8 +477,8 @@ class LinkDiagram(_Linking):
         kinks, and power is the sum of the kinks' signs, the writhe they
         add.  The braid is found by `planar.vogel_braid`, which calls
         `charge` with the number of passages of each scan and returns None,
-        as this method does, when the diagram has more than `max_strands`
-        Seifert circles."""
+        as this method does, when the diagram is not planar or has more
+        than `max_strands` Seifert circles."""
         # an R1 kink is two passages of one crossing in a row: with the
         # passages of crossing k coded k + 1 (over) and -k - 1 (under),
         # `_cancel` takes out every kink, nested ones too
@@ -765,7 +765,7 @@ class ClosedBraid(_Linking):
         shifted = tuple(x + n if x > 0 else x - n for x in other.letters)
         return ClosedBraid._of(n + other.strand_count, self.letters + shifted)
 
-    def pieces(self) -> tuple[int, int, list["ClosedBraid"]]:
+    def pieces(self, charge: Callable[[int], None]) -> tuple[int, int, list["ClosedBraid"]]:
         """(power, cuts, pieces) with R(self) = t**power times the product of
         R over the pieces times (t - t**-1)**(len(pieces) - 1 - cuts), where
         R = Hf / (t - t**-1) is the engine's value; (0, 0, [self]) when none
@@ -790,13 +790,15 @@ class ClosedBraid(_Linking):
           sum, so each cut, counted in `cuts`, saves one factor t - t**-1.
 
         The moves run in a loop over a work list until none applies, so a
-        piece is a word on which `pieces` returns (0, 0, [piece]).
+        piece is a word on which `pieces` returns (0, 0, [piece]).  Each
+        pass reads its whole word, and calls `charge` with its length.
         """
         power = cuts = 0
         done: list[tuple[int, tuple[int, ...]]] = []
         work = [(self.strand_count, _cancel(self.letters))]  # words cancelled
         while work:
             n, letters = work.pop()
+            charge(len(letters))
             used = set(map(abs, letters))
             if len(used) < n - 1:
                 # a maximal run g..h of used generators is a block on strands

@@ -20,13 +20,15 @@ R(unknot) = 1: the same recursion on R ends in
 ``(t - t^-1)**(components - 1)`` at a nonempty descending diagram.  It also
 takes a braid closure, a `ClosedBraid`, which it simplifies by braid moves
 and evaluates by the Hecke trace of `homflypt.hecke` in place of resolving
-crossings.  `CoeffTable.from_reduced` reads the coefficient table and the
+crossings, and it braids and traces every diagram that `_trace_width`
+allows.  `CoeffTable.from_reduced` reads the coefficient table and the
 HOMFLY-PT polynomial ``P = t**(-writhe) * z**(1-L) * R`` off R.  Nothing
 in the package divides one polynomial by another.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -59,6 +61,19 @@ class ResourceLimitExceeded(RuntimeError):
     """The configured resolution-node budget was exhausted."""
 
 
+def _trace_width(crossings: int) -> int:
+    """The most strands n with n! <= 2**crossings.  The Hecke trace of a
+    braid on n strands writes at most n! permutations per element, and
+    skein resolution of a diagram with c crossings has at most 2**c leaves,
+    so the engine traces the braid of a diagram only up to this width and
+    resolves a diagram with more Seifert circles as it stands."""
+    n, bits = 1, 0.0
+    while bits + math.log2(n + 1) <= crossings:
+        n += 1
+        bits += math.log2(n)
+    return n
+
+
 def is_descending(diagram: LinkDiagram) -> tuple[bool, Optional[int]]:
     """Check descending-ness under the based, ordered traversal.
 
@@ -87,9 +102,11 @@ class SkeinEngine:
     `ClosedBraid`, so that R(unknot) = 1; `framed_invariant` returns
     Hf = R * (t - t**-1).
 
-    A diagram is resolved crossing by crossing as in the module docstring,
-    on R: the skein relation is linear, and a descending leaf of k
-    components is ``t**framing * (t - t**-1)**(k - 1)``.  A braid closure is
+    A planar diagram with at most `_trace_width` Seifert circles for its
+    crossings is evaluated as its braid; any other diagram is resolved
+    crossing by crossing as in the module docstring, on R: the skein
+    relation is linear, and a descending leaf of k components is
+    ``t**framing * (t - t**-1)**(k - 1)``.  A braid closure is
     first simplified by `ClosedBraid.pieces` (cancellation, splitting at
     unused generators, Markov destabilization, connected-sum cuts):
     ``R = t**power * prod R(piece) * (t - t**-1)**(pieces - 1 - cuts)``, with
@@ -105,15 +122,16 @@ class SkeinEngine:
     leaf's, or a braid's split factor) is written in closed form but
     charged, up front, as multiplying out its factors t - t**-1 one at a
     time would be.  So an N-component crossing-free diagram costs what
-    ``strands=N;`` costs.  `LinkDiagram.braid` charges its scans through
-    `charge` as well.  `max_nodes` bounds the nodes over
-    every value the engine computes; exceeding it raises
-    ResourceLimitExceeded.  No element of the trace holds more than
+    ``strands=N;`` costs.  `LinkDiagram.braid` charges its scans, and
+    `ClosedBraid.pieces` its passes, through `charge` as well.  `max_nodes`
+    bounds the nodes over every value the engine computes; exceeding it
+    raises ResourceLimitExceeded.  No element of the trace holds more than
     MEMO_CAP permutations.
 
     Values of R are memoized on `link.canonical_key()` (at most MEMO_CAP
     of them): a tuple of ints for a diagram, and (strand count, letters)
-    for a braid, so no two links of different types share a key.  Equal
+    for a braid, so no two links of different types share a key; a
+    braided diagram is memoized under its braid's key only.  Equal
     diagrams up to crossing relabeling share one entry, and `f_memo` holds
     values of `identities.intermediate_F` under the same key.  The
     intermediate words of `pieces` are not memoized, nor are the
@@ -134,17 +152,29 @@ class SkeinEngine:
         return self.reduced_invariant(link) * _T_FACTOR
 
     def reduced_invariant(self, link: Link) -> BivarLaurent:
-        """R = Hf / (t - t**-1) of a nonempty link."""
+        """R = Hf / (t - t**-1) of a nonempty link; a diagram that
+        `LinkDiagram.braid` braids within `_trace_width` strands is
+        evaluated as its braid times t**power."""
+        if isinstance(link, LinkDiagram) and link.num_components:
+            braided = link.braid(self.charge, _trace_width(link.num_crossings))
+            if braided is not None:
+                return self.skein_invariant(braided[1]).shift(0, braided[0])
+        return self.skein_invariant(link)
+
+    def skein_invariant(self, link: Link) -> BivarLaurent:
+        """R of a nonempty link as it stands: a braid closure by its pieces
+        and their traces, a diagram by skein resolution, never braided
+        (switching and smoothing keep the Seifert circles)."""
         key = link.canonical_key()
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         if isinstance(link, ClosedBraid):
-            power, cuts, pieces = link.pieces()
+            power, cuts, pieces = link.pieces(self.charge)
             if pieces == [link]:  # no move applies
                 value = framed_trace(link, self._add)
             else:
-                factors = [self.reduced_invariant(piece) for piece in pieces]
+                factors = [self.skein_invariant(piece) for piece in pieces]
                 factors.append(self._unlink(len(pieces) - 1 - cuts))
                 value = self._product(factors).shift(0, power)
         else:
@@ -159,9 +189,9 @@ class SkeinEngine:
                 framing = sum(link.self_writhe(i) for i in range(k))
                 value = self._unlink(k - 1).shift(0, framing)
             else:
-                switched = self.reduced_invariant(link.switch_crossing(cid))
+                switched = self.skein_invariant(link.switch_crossing(cid))
                 smoothing = link.smooth_crossing(cid)
-                smoothed = self.reduced_invariant(smoothing)
+                smoothed = self.skein_invariant(smoothing)
                 # smoothing an inter-component crossing joins two components
                 if smoothing.num_components < k:
                     smoothed = smoothed.shift(2)

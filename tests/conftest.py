@@ -11,6 +11,10 @@ from homflypt import catalog as cat
 from homflypt import cli
 
 
+def no_charge(nodes: int) -> None:
+    """A `charge` callback without a budget."""
+
+
 def seeded_closures(seed: int, count: int, strands=(2, 3, 4), max_length: int = 12):
     """Deterministic list of (word, diagram) pairs with <= max_length crossings."""
     rng = SplitMix64(seed)

@@ -1,10 +1,12 @@
 """Braiding a planar diagram: `LinkDiagram.braid` against the skein engine.
 
 Every braid, times t to the power of the diagram's R1 kinks, is checked
-against the value `SkeinEngine` resolves on the diagram itself, and
-against the diagram's writhe, components and total linking number.  Each scan of the Vogel-move loop is also checked to see a
-planar diagram, and the braid has at most as many strands as the diagram
-has Seifert circles.
+against the value `SkeinEngine.skein_invariant` resolves on the diagram
+itself, and against the diagram's writhe, components and total linking
+number.  Each scan of the Vogel-move loop is also checked to see a planar
+diagram, and the braid has at most as many strands as the diagram has
+Seifert circles.  The engine braids every diagram file that the width
+rule lets through, under `homfly` and `verify` alike.
 """
 
 import io
@@ -23,12 +25,12 @@ from homflypt import (
     parse_braid,
 )
 from homflypt import catalog as cat
-from homflypt import planar
+from homflypt import planar, skein
 from homflypt.cli import EXIT_OK, EXIT_RESOURCE, main
 from homflypt.links import MAX_STRANDS
 from homflypt.skein import homfly as homfly_value
 
-from conftest import seeded_closures, seeded_links_with_components
+from conftest import no_charge, seeded_closures, seeded_links_with_components
 
 TREFOIL_CODE = [(0, OVER), (1, UNDER), (2, OVER), (0, UNDER), (1, OVER), (2, UNDER)]
 
@@ -71,10 +73,6 @@ def connected_pieces(components) -> int:
     return sum(1 for g in groups if any(components[ci] for ci in g))
 
 
-def no_charge(nodes: int) -> None:
-    pass
-
-
 def braid_of(diagram: LinkDiagram):
     """The braid of `diagram` without a budget or a width limit."""
     return diagram.braid(no_charge, MAX_STRANDS)[1]
@@ -107,7 +105,7 @@ def check(diagram: LinkDiagram) -> int:
     assert braid.total_linking() == diagram.total_linking()
     assert braid.strand_count <= seifert_circles(diagram)
     value = SkeinEngine().reduced_invariant(braid).shift(0, power)
-    assert value == SkeinEngine().reduced_invariant(diagram)
+    assert value == SkeinEngine().skein_invariant(diagram)
     return moves
 
 
@@ -225,10 +223,14 @@ class TestDifferential:
             assert diagram.braid(no_charge, crossings) is not None
 
 
-def homfly(argv):
+def run(argv):
     out = io.StringIO()
-    code = main(["homfly", *argv], out=out)
+    code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def homfly(argv):
+    return run(["homfly", *argv])
 
 
 class TestHomflyFile:
@@ -245,6 +247,22 @@ class TestHomflyFile:
                 assert [line for line in file_text.split("\n") if not line.startswith(drop)] == [
                     line for line in text.split("\n") if not line.startswith(drop)
                 ], (name, fmt)
+
+    def test_verify_braids_the_file_as_homfly_does(self, tmp_path, monkeypatch):
+        # no skein resolution step, on the file or on any sublink, switch
+        # or smoothing that verify derives from it
+        def refuse(diagram):
+            raise AssertionError("a narrow diagram reached skein resolution")
+
+        monkeypatch.setattr(skein, "is_descending", refuse)
+        small = ["--m-max", "2", "--n-max", "2"]
+        for name in cat.names():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cat.diagram(name).to_json_dict()))
+            file_code, file_text = run(["verify", "all", "--file", str(path), *small])
+            code, text = run(["verify", "all", "--catalog", name, *small])
+            assert file_code == code == EXIT_OK
+            assert file_text.replace(str(path), name) == text, name
 
     def test_braiding_is_charged_to_the_node_budget(self, tmp_path, capsys):
         # 62 Seifert circles on 360 crossings are few enough to braid, and

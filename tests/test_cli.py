@@ -103,26 +103,38 @@ class TestHomfly:
         assert code == EXIT_OK
 
     def test_deep_braid_is_a_resource_error(self, tmp_path, capsys):
-        # `verify` resolves a diagram file by skein, and 120 crossings nest
-        # its recursion past Python's stack limit; `homfly` braids the file
-        # and traces it as it traces the braid
+        # the engine braids a diagram file and traces it as it traces the
+        # braid, in `verify` as in `homfly`: the T(2,120) closure prints
+        # what the braid prints
         text = "strands=2; " + " ".join(["1"] * 120)
+        torus = close_braid(parse_braid(text))
         path = tmp_path / "t2_120.json"
-        path.write_text(json.dumps(close_braid(parse_braid(text)).to_json_dict()))
-        code, _ = run_cli(["verify", "thm14", "--file", str(path)])
-        assert code == EXIT_RESOURCE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-        file_code, file_text = run_cli(["homfly", "--file", str(path)])
-        braid_code, braid_text = run_cli(["homfly", "--braid", text])
-        assert file_code == braid_code == EXIT_OK
-        assert file_text.split("\n", 1)[1] == braid_text.split("\n", 1)[1]
+        path.write_text(json.dumps(torus.to_json_dict()))
+        for command in (["homfly"], ["verify", "thm14"]):
+            file_code, file_text = run_cli([*command, "--file", str(path)])
+            braid_code, braid_text = run_cli([*command, "--braid", text])
+            assert file_code == braid_code == EXIT_OK
+            assert file_text.replace(str(path), "L") == braid_text.replace(text, "L"), command
+        # beside 30 split two-crossing unlinks (descending, so their skein
+        # resolution does not branch) it has 62 Seifert circles, more than
+        # its 180 crossings allow to braid, so it is resolved by skein, and
+        # the torus link's 120 crossings nest the recursion past Python's
+        # stack limit
+        unlinks = "strands=60;" + "".join(f" {k} -{k}" for k in range(1, 60, 2))
+        wide = torus.disjoint_union(close_braid(parse_braid(unlinks)))
+        path.write_text(json.dumps(wide.to_json_dict()))
+        capsys.readouterr()
+        for command in (["homfly"], ["verify", "thm14"]):
+            code, _ = run_cli([*command, "--file", str(path)])
+            assert code == EXIT_RESOURCE, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: maximum recursion depth exceeded"), command
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_file_unlink_prints_the_braid_output(self, tmp_path):
-        # a descending diagram's unlink value is multiplied out without
-        # recursion, so 1500 crossing-free components print what
-        # strands=1500; prints
+        # 1500 crossing-free components are braided to strands=1500;, whose
+        # unlink value is written out without recursion, and print what it
+        # prints
         path = tmp_path / "unlink1500.json"
         path.write_text(json.dumps(UNLINK_1500))
         file_code, file_text = run_cli(["homfly", "--file", str(path)])
@@ -407,6 +419,31 @@ class TestVerify:
         code, text = run_cli(["verify", "prop31"], stdin_text=braids, monkeypatch=monkeypatch)
         assert code == EXIT_OK
         assert text.count("PASS") == 2
+
+    def test_pipe_goes_on_past_a_link_over_the_budget(self, monkeypatch, capsys):
+        # that link prints one error line and loses its report; the others
+        # print what they print without it, and the run exits 2
+        over = "strands=4; 1 -2 3 1 -2 3 1 -2 3 1 -2 3"
+        links = ["strands=2; 1 1", over, "strands=2; 1 1 1 1"]
+        argv = ["verify", "thm14", "--max-nodes", "200"]
+        for fmt in ([], ["--format", "json"]):
+            pipe = "".join(f"{link}\n" for link in links)
+            code, text = run_cli(argv + fmt, stdin_text=pipe, monkeypatch=monkeypatch)
+            assert code == EXIT_RESOURCE
+            assert capsys.readouterr().err == f"error: node budget of 200 exceeded [{over}]\n"
+            others = f"{links[0]}\n{links[2]}\n"
+            other_code, other_text = run_cli(argv + fmt, stdin_text=others, monkeypatch=monkeypatch)
+            assert other_code == EXIT_OK
+            if fmt:  # "passed" is false: not every check ran
+                assert json.loads(text) == dict(json.loads(other_text), passed=False)
+            else:
+                assert text == other_text
+        # a resource limit outranks a failed check
+        code, text = run_cli(
+            ["verify", "all", "--braid", over, "--max-nodes", "200", "--m-max", "2",
+             "--n-max", "2", "--include-lemma54-n1"]
+        )
+        assert code == EXIT_RESOURCE and "lemma5.4(n=1): FAIL" in text
 
     def test_stdin_skips_knots(self, monkeypatch):
         braids = "strands=2; 1 1 1\n"

@@ -7,6 +7,7 @@ target's reports on braids against the same reports on diagrams."""
 import io
 import itertools
 import json
+import time
 
 import pytest
 
@@ -34,7 +35,7 @@ from homflypt import cli, skein
 from homflypt.hecke import framed_trace
 from homflypt.identities import _F_partition_sum
 
-from conftest import seeded_closures
+from conftest import no_charge, seeded_closures
 
 CHAIN5 = "strands=5; 1 1 2 2 3 3 4 4"
 # Skein resolution of the reference reports stays fast up to here.
@@ -139,13 +140,14 @@ class TestSurgeries:
                 assert switched == diagram.switch_crossing(cid), word.as_text()
 
     def test_switched_and_smoothed_values_match_skein(self):
+        resolve = SkeinEngine().skein_invariant
         for word, diagram in seeded_closures(seed=63, count=30, strands=(2, 3, 4), max_length=9):
             link, engine = ClosedBraid(word), SkeinEngine()
             for cid in link.crossing_ids():
-                assert engine.framed_invariant(link.switch_crossing(cid)) == framed_homfly(
+                assert engine.reduced_invariant(link.switch_crossing(cid)) == resolve(
                     diagram.switch_crossing(cid)
                 ), (word.as_text(), cid)
-                assert engine.framed_invariant(link.smooth_crossing(cid)) == framed_homfly(
+                assert engine.reduced_invariant(link.smooth_crossing(cid)) == resolve(
                     diagram.smooth_crossing(cid)
                 ), (word.as_text(), cid)
 
@@ -213,7 +215,9 @@ def _reports(target: str, link) -> str:
 
 class TestReports:
     @pytest.mark.parametrize("target", list(cli._LINK_TARGETS))
-    def test_braid_reports_match_skein_reports(self, target):
+    def test_braid_reports_match_skein_reports(self, target, monkeypatch):
+        # no braid for a diagram: the engine resolves every one by skein
+        monkeypatch.setattr(LinkDiagram, "braid", lambda diagram, charge, width: None)
         for word in corpus():
             link = ClosedBraid(parse_braid(word))
             assert _reports(target, link) == _reports(target, close_braid(link.word)), word
@@ -303,7 +307,7 @@ def summed_words(seed: int, count: int) -> list[BraidWord]:
 def product_of_pieces(link) -> BivarLaurent:
     """t**power * prod R(piece) * (t - t^-1)**(pieces - 1 - cuts), each
     piece traced as it stands."""
-    power, cuts, pieces = link.pieces()
+    power, cuts, pieces = link.pieces(no_charge)
     value = (T - T**-1) ** (len(pieces) - 1 - cuts)
     for piece in pieces:
         value = value * trace(piece)
@@ -332,7 +336,7 @@ class TestPieces:
         moved = cut = 0
         for word in self.words():
             link = ClosedBraid(word)
-            _, cuts, pieces = link.pieces()
+            _, cuts, pieces = link.pieces(no_charge)
             moved += pieces != [link]
             cut += cuts > 0
             assert product_of_pieces(link) == trace(link), word.as_text()
@@ -348,13 +352,13 @@ class TestPieces:
 
     def test_pieces_are_irreducible(self):
         for word in self.words():
-            for piece in ClosedBraid(word).pieces()[2]:
-                assert piece.pieces() == (0, 0, [piece]), word.as_text()
+            for piece in ClosedBraid(word).pieces(no_charge)[2]:
+                assert piece.pieces(no_charge) == (0, 0, [piece]), word.as_text()
                 assert piece.num_components >= 1
 
     def test_each_move(self):
         def pieces(text):
-            power, cuts, parts = ClosedBraid(parse_braid(text)).pieces()
+            power, cuts, parts = ClosedBraid(parse_braid(text)).pieces(no_charge)
             return power, cuts, [(p.strand_count, p.letters) for p in parts]
 
         trefoil = (2, (1, 1, 1))
@@ -388,7 +392,7 @@ class TestPieces:
         link = ClosedBraid(parse_braid("strands=6; 1 -1 2 1 1 1 4 4 4 -5 4"))
         engine = SkeinEngine()
         engine.framed_invariant(link)
-        _, _, pieces = link.pieces()
+        _, _, pieces = link.pieces(no_charge)
         assert set(engine._memo) == {link.canonical_key()} | {p.canonical_key() for p in pieces}
 
     def test_products_are_charged_per_term_written(self):
@@ -402,11 +406,12 @@ class TestPieces:
 
     def test_crossing_free_diagram_costs_the_braid_unlink(self):
         # a descending diagram's unlink value is multiplied out one factor at
-        # a time and charged like the braid's products of unknots
+        # a time and charged like the braid's products of unknots; the
+        # engine would braid the diagram, so it is resolved directly
         for n in range(1, 40):
             diagram, braid = SkeinEngine(), SkeinEngine()
-            value = diagram.framed_invariant(LinkDiagram([()] * n, {}))
-            assert value == braid.framed_invariant(ClosedBraid(parse_braid(f"strands={n};")))
+            value = diagram.skein_invariant(LinkDiagram([()] * n, {}))
+            assert value == braid.reduced_invariant(ClosedBraid(parse_braid(f"strands={n};")))
             assert diagram.nodes == braid.nodes, n
 
     def test_stabilized_unknot_has_no_recursion(self):
@@ -414,6 +419,18 @@ class TestPieces:
         word = "strands=1500; " + " ".join(str(i) for i in range(1, 1500))
         assert cli.main(["homfly", "--braid", word], out=out) == cli.EXIT_OK
         assert "homfly: 1\n" in out.getvalue()
+
+    def test_each_pass_of_the_moves_is_charged_its_letters(self, capsys):
+        charges = []
+        assert ClosedBraid(parse_braid("strands=4; 1 2 3")).pieces(charges.append)[0] == 3
+        assert charges == [3, 2, 1, 0]
+        # a destabilization a pass, so the chain would cost about 5 * 10^7
+        # nodes: refused in the first pass
+        word = "strands=10001; " + " ".join(str(i) for i in range(1, 10001))
+        start = time.perf_counter()
+        code = cli.main(["homfly", "--braid", word, "--max-nodes", "10"], out=io.StringIO())
+        assert code == cli.EXIT_RESOURCE and time.perf_counter() - start < 2
+        assert capsys.readouterr().err == "error: node budget of 10 exceeded\n"
 
     @pytest.mark.parametrize("strands, code", [(1000, 0), (3000, 0), (6000, 2)])
     def test_unlink_exit_codes_under_the_default_budget(self, strands, code, capsys):

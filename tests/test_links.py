@@ -16,14 +16,30 @@ from homflypt import (
     OddCrossingParity,
     ParseError,
     SplitMix64,
+    T,
     UnknownCrossing,
+    Z,
     close_braid,
+    framed_homfly,
     parse_braid,
     random_braid,
 )
 from homflypt import catalog as cat
+from homflypt.links import MAX_STRANDS
 
 from conftest import seeded_closures
+
+TREFOIL_CODE = [(0, OVER), (1, UNDER), (2, OVER), (0, UNDER), (1, OVER), (2, UNDER)]
+NON_PLANAR = (
+    LinkDiagram([[(0, OVER), (1, UNDER), (0, UNDER), (1, OVER)]], {0: 1, 1: 1}),
+    LinkDiagram([TREFOIL_CODE], {0: 1, 1: -1, 2: 1}),
+    # strands=3; -2 -1 -2 closed, with the last sign flipped: Vogel moves on
+    # it go on without end
+    LinkDiagram(
+        [[(1, UNDER), (2, UNDER), (0, OVER), (1, OVER)], [(0, UNDER), (2, OVER)]],
+        {0: -1, 1: -1, 2: 1},
+    ),
+)
 
 
 class TestParseBraid:
@@ -419,14 +435,23 @@ class TestJson:
         # genus 1: the two-crossing code that prints P(t, t - 1/t) = 91/81
         # when accepted, and the trefoil's code with its middle sign flipped,
         # whose polynomial passes both the ring and the P(t, t - 1/t) = 1 test
-        virtual = LinkDiagram([[(0, OVER), (1, UNDER), (0, UNDER), (1, OVER)]], {0: 1, 1: 1})
-        trefoil_code = [(0, OVER), (1, UNDER), (2, OVER), (0, UNDER), (1, OVER), (2, UNDER)]
-        flipped = LinkDiagram([trefoil_code], {0: 1, 1: -1, 2: 1})
-        for diagram in (virtual, flipped):
+        for diagram in NON_PLANAR:
             with pytest.raises(DiagramError, match=r"^\$: the signed Gauss code is not planar"):
                 LinkDiagram.from_json_dict(diagram.to_json_dict())
-        trefoil = LinkDiagram([trefoil_code], {0: 1, 1: 1, 2: 1})
+        trefoil = LinkDiagram([TREFOIL_CODE], {0: 1, 1: 1, 2: 1})
         assert LinkDiagram.from_json_dict(trefoil.to_json_dict()) == trefoil
+
+    def test_non_planar_gauss_codes_are_resolved_by_skein(self):
+        # only the public constructor builds them; no braid exists, so the
+        # engine resolves them as they stand, to the values it always gave
+        virtual, flipped, endless = NON_PLANAR
+        for diagram in NON_PLANAR:
+            charges = []
+            assert diagram.braid(charges.append, MAX_STRANDS) is None
+            assert len(charges) == 1  # refused on the first scan
+        assert framed_homfly(virtual) == T**2 + T - 2 - T**-1 + T**-2 + (T - T**-1) * Z**2
+        assert framed_homfly(flipped) == T**4 - 2 * T**2 + 2 - T**-2 + (1 - T**2) * Z**2
+        assert framed_homfly(endless) == T - 2 * T**-1 + T**-3 + (T**-1 - T**-3) * Z**2
 
     def test_braid_closures_and_their_surgeries_are_planar(self):
         for _, diagram in seeded_closures(seed=57, count=80, strands=(2, 3, 4, 5), max_length=14):

@@ -132,6 +132,18 @@ class TestOracleAgreement:
         for _, diagram in seeded_closures(seed=2024, count=15, max_length=8):
             assert framed_homfly(diagram) == framed_homfly_bruteforce(diagram)
 
+    def test_skein_recursion_on_narrow_diagrams(self):
+        # the engine braids these diagrams, so its memoized skein recursion
+        # is called directly, on them and on their surgeries and kinks
+        rng = SplitMix64(2025)
+        for _, diagram in seeded_closures(seed=2025, count=30, max_length=8):
+            cid = diagram.crossing_ids()[rng.below(diagram.num_crossings)]
+            variants = [diagram, diagram.switch_crossing(cid), diagram.smooth_crossing(cid)]
+            variants += [diagram.sublink([0]), diagram.add_kink(0, 1 - 2 * rng.below(2))]
+            engine = SkeinEngine()
+            for d in variants:
+                assert engine.skein_invariant(d) * TFAC == framed_homfly_bruteforce(d)
+
 
 class TestStructuralProperties:
     def test_ring_membership(self, catalog_diagrams):

@@ -3,11 +3,11 @@
 A diagram is Gauss-code-like: each component is a cyclic sequence of
 *passages*, a passage being a crossing id paired with the role the strand
 plays there (``"o"`` over / ``"u"`` under), and each crossing carries a sign
-in {+1, -1}.  No planar embedding is stored; every surgery used by the
-skein recursion (crossing switch, oriented smoothing, sublink extraction,
-disjoint union) is well defined on this data alone.  A diagram read from
-JSON must also be planar: `LinkDiagram.from_json_dict` rejects a signed
-Gauss code that no plane diagram realizes.
+in {+1, -1}.  Every diagram is planar: the constructor rejects a signed
+Gauss code that no plane diagram realizes (`planar.euler_characteristic`),
+and every surgery (crossing switch, oriented smoothing, sublink
+extraction, disjoint union, kink, base-point rotation) is well defined on
+this data alone and keeps a plane diagram planar, so none checks again.
 
 A braid closure has a second representation, `ClosedBraid`, which does the
 same surgeries and answers the same queries on the braid word itself, so
@@ -43,7 +43,6 @@ __all__ = [
     "close_braid",
     "DiagramError",
     "UnknownCrossing",
-    "OddCrossingParity",
     "EmptySelection",
     "ParseError",
     "GeneratorOutOfRange",
@@ -61,10 +60,6 @@ class DiagramError(ValueError):
 
 class UnknownCrossing(DiagramError):
     """A crossing id that does not occur in the diagram."""
-
-
-class OddCrossingParity(DiagramError):
-    """Signed inter-component crossing count is odd (non-realizable data)."""
 
 
 class EmptySelection(DiagramError):
@@ -189,26 +184,11 @@ def close_braid(word: BraidWord) -> "LinkDiagram":
     return LinkDiagram(components, signs)
 
 
-def _total_linking(crossings: Iterable[tuple[int, int, int]]) -> int:
-    """Sum of the linking numbers given the (component, component, sign) of
-    every crossing between two distinct components; raises OddCrossingParity
-    for the first pair (a, b), a < b, whose signed count is odd."""
-    signed: dict[tuple[int, int], int] = {}
-    for a, b, sign in crossings:
-        pair = (a, b) if a < b else (b, a)
-        signed[pair] = signed.get(pair, 0) + sign
-    for (a, b), count in sorted(signed.items()):
-        if count % 2:
-            raise OddCrossingParity(
-                f"odd signed crossing count {count} between components {a} and {b}"
-            )
-    return sum(signed.values()) // 2
-
-
 class _Linking:
     """The linking numbers of both link types, read off the (component,
     component, sign) triples of their inter-component crossings that
-    `_linking()` lists in one pass."""
+    `_linking()` lists in one pass.  Two closed curves in the plane cross
+    an even number of times, so every signed count halves exactly."""
 
     __slots__ = ()
 
@@ -219,11 +199,11 @@ class _Linking:
         for idx in (a, b):
             if not 0 <= idx < self.num_components:
                 raise IndexError(f"component index {idx} out of range")
-        return _total_linking(c for c in self._linking() if {c[0], c[1]} == {a, b})
+        return sum(sign for c, d, sign in self._linking() if {c, d} == {a, b}) // 2
 
     def total_linking(self) -> int:
         """Sum of the linking numbers over all component pairs."""
-        return _total_linking(self._linking())
+        return sum(sign for _, _, sign in self._linking()) // 2
 
 
 def _cancel(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -274,8 +254,9 @@ def _is_int(value) -> bool:
 
 def _trusted(components: Iterable[tuple[Passage, ...]], signs: dict[int, int]) -> "LinkDiagram":
     """A diagram on data an internal surgery derived from a valid diagram:
-    tuples of (int, str) passages and an int -> int sign dict.  Skips the
-    conversion and validation of the public constructor."""
+    tuples of (int, str) passages and an int -> int sign dict, planar since
+    every surgery keeps a plane diagram planar.  Skips the conversion and
+    validation of the public constructor."""
     out = LinkDiagram.__new__(LinkDiagram)
     object.__setattr__(out, "components", tuple(components))
     object.__setattr__(out, "signs", signs)
@@ -286,7 +267,8 @@ class LinkDiagram(_Linking):
     """An oriented link diagram as component passage sequences plus signs.
 
     Instances are immutable; surgeries return new diagrams.  The empty
-    diagram (no components) and crossing-free circle components are legal.
+    diagram (no components) and crossing-free circle components are legal;
+    a signed Gauss code that is not planar raises DiagramError.
     """
 
     __slots__ = ("components", "signs")
@@ -321,6 +303,12 @@ class LinkDiagram(_Linking):
         for cid in sorted(self.signs):
             if self.signs[cid] not in (1, -1):
                 raise DiagramError(f"crossing {cid} has sign {self.signs[cid]}, expected +1/-1")
+        euler, pieces = euler_characteristic(self.components, self.signs)
+        if euler != 2 * pieces:
+            raise DiagramError(
+                f"the signed Gauss code is not planar (V - E + F = {euler} over {pieces}"
+                f" connected pieces, a plane diagram has 2 per piece); no link has this diagram"
+            )
 
     # -- basic queries ----------------------------------------------------
 
@@ -477,8 +465,8 @@ class LinkDiagram(_Linking):
         kinks, and power is the sum of the kinks' signs, the writhe they
         add.  The braid is found by `planar.vogel_braid`, which calls
         `charge` with the number of passages of each scan and returns None,
-        as this method does, when the diagram is not planar or has more
-        than `max_strands` Seifert circles."""
+        as this method does, when the diagram has more than `max_strands`
+        Seifert circles."""
         # an R1 kink is two passages of one crossing in a row: with the
         # passages of crossing k coded k + 1 (over) and -k - 1 (under),
         # `_cancel` takes out every kink, nested ones too
@@ -610,13 +598,6 @@ class LinkDiagram(_Linking):
                     fail(where, f"passage reference [{ci}, {pi}] out of range")
                 if diagram.components[ci][pi] != (cid, role):
                     fail(where, f"passage reference [{ci}, {pi}] does not hold ({cid}, {role!r})")
-        euler, pieces = euler_characteristic(diagram.components, diagram.signs)
-        if euler != 2 * pieces:
-            fail(
-                "$",
-                f"the signed Gauss code is not planar (V - E + F = {euler} over {pieces}"
-                f" connected pieces, a plane diagram has 2 per piece); no link has this diagram",
-            )
         return diagram
 
     def __eq__(self, other: object) -> bool:

@@ -67,12 +67,6 @@ def euler_characteristic(components, signs: Mapping[int, int]) -> tuple[int, int
     exactly when every piece is planar.  Crossing-free circles are planar
     pieces of their own and are not counted.
     """
-    # every crossing has four ends, and every edge two
-    return faces(components, signs)[2] - len(signs), _pieces(components)
-
-
-def _pieces(components) -> int:
-    """The connected pieces of the crossing graph, crossing-free circles not counted."""
     parent = list(range(len(components)))
 
     def root(ci: int) -> int:
@@ -84,7 +78,9 @@ def _pieces(components) -> int:
     for ci, comp in enumerate(components):
         for cid, _ in comp:
             parent[root(met.setdefault(cid, ci))] = root(ci)
-    return len({root(ci) for ci, comp in enumerate(components) if comp})
+    pieces = len({root(ci) for ci, comp in enumerate(components) if comp})
+    # every crossing has four ends, and every edge two
+    return faces(components, signs)[2] - len(signs), pieces
 
 
 def vogel_braid(
@@ -95,8 +91,7 @@ def vogel_braid(
 ) -> tuple[int, list[int]] | None:
     """(strand count, letters) of a braid whose closure is the planar
     diagram given, by Vogel's algorithm (P. Vogel, Comment. Math. Helv. 65,
-    1990) on the map of `faces`; None when the diagram is not planar (as
-    `euler_characteristic` tells on the first scan) or has more than
+    1990) on the map of `faces`; None when the diagram has more than
     `max_strands` Seifert circles.
 
     An arc runs from a passage to the next passage of its component, and
@@ -120,13 +115,9 @@ def vogel_braid(
     """
     comps = [list(comp) for comp in components]
     signs = dict(signs)
-    moves = 0
     while True:
         charge(2 * len(signs))
         out, face, count = faces(comps, signs)
-        # the moves keep the genus, so the first scan tells
-        if not moves and count - len(signs) != 2 * _pieces(comps):
-            return None
         where = [(ci, j) for ci, comp in enumerate(comps) for j in range(len(comp))]
         flat = [p for comp in comps for p in comp]
         succ: list[int] = []  # the next passage of the same component
@@ -157,7 +148,6 @@ def vogel_braid(
         else:
             break
         # push arc b over arc a across face key[0]
-        moves += 1
         x, y = max(signs) + 1, max(signs) + 2
         signs[x], signs[y] = (1, -1) if key[1] else (-1, 1)
         for ci, j, new in sorted(

@@ -102,7 +102,7 @@ class SkeinEngine:
     `ClosedBraid`, so that R(unknot) = 1; `framed_invariant` returns
     Hf = R * (t - t**-1).
 
-    A planar diagram with at most `_trace_width` Seifert circles for its
+    A diagram with at most `_trace_width` Seifert circles for its
     crossings is evaluated as its braid; any other diagram is resolved
     crossing by crossing as in the module docstring, on R: the skein
     relation is linear, and a descending leaf of k components is
@@ -131,7 +131,7 @@ class SkeinEngine:
     Values of R are memoized on `link.canonical_key()` (at most MEMO_CAP
     of them): a tuple of ints for a diagram, and (strand count, letters)
     for a braid, so no two links of different types share a key; a
-    braided diagram is memoized under its braid's key only.  Equal
+    braided diagram is memoized under its own key and its braid's.  Equal
     diagrams up to crossing relabeling share one entry, and `f_memo` holds
     values of `identities.intermediate_F` under the same key.  The
     intermediate words of `pieces` are not memoized, nor are the
@@ -154,11 +154,19 @@ class SkeinEngine:
     def reduced_invariant(self, link: Link) -> BivarLaurent:
         """R = Hf / (t - t**-1) of a nonempty link; a diagram that
         `LinkDiagram.braid` braids within `_trace_width` strands is
-        evaluated as its braid times t**power."""
+        evaluated as its braid times t**power, and memoized under its own
+        key as well, so that it is braided once."""
         if isinstance(link, LinkDiagram) and link.num_components:
+            key = link.canonical_key()
+            cached = self._memo.get(key)
+            if cached is not None:
+                return cached
             braided = link.braid(self.charge, _trace_width(link.num_crossings))
             if braided is not None:
-                return self.skein_invariant(braided[1]).shift(0, braided[0])
+                value = self.skein_invariant(braided[1]).shift(0, braided[0])
+                if len(self._memo) < MEMO_CAP:
+                    self._memo[key] = value
+                return value
         return self.skein_invariant(link)
 
     def skein_invariant(self, link: Link) -> BivarLaurent:

@@ -27,6 +27,18 @@ def seeded_closures(seed: int, count: int, strands=(2, 3, 4), max_length: int = 
     return out
 
 
+def reversed_component(diagram: LinkDiagram, ci: int) -> LinkDiagram:
+    """The same plane curves with component `ci` traversed backwards: the
+    signs of its crossings with other components change."""
+    comps = list(diagram.components)
+    comps[ci] = tuple(reversed(comps[ci]))
+    counts: dict[int, int] = {}
+    for cid, _ in comps[ci]:
+        counts[cid] = counts.get(cid, 0) + 1
+    signs = {c: -s if counts.get(c) == 1 else s for c, s in diagram.signs.items()}
+    return LinkDiagram(comps, signs)
+
+
 def seeded_links_with_components(seed: int, count: int, components: int,
                                  strands=(2, 3, 4, 5), max_length: int = 12):
     """Deterministic closures filtered to an exact component count."""

@@ -30,7 +30,12 @@ from homflypt.cli import EXIT_OK, EXIT_RESOURCE, main
 from homflypt.links import MAX_STRANDS
 from homflypt.skein import homfly as homfly_value
 
-from conftest import no_charge, seeded_closures, seeded_links_with_components
+from conftest import (
+    no_charge,
+    reversed_component,
+    seeded_closures,
+    seeded_links_with_components,
+)
 
 TREFOIL_CODE = [(0, OVER), (1, UNDER), (2, OVER), (0, UNDER), (1, OVER), (2, UNDER)]
 
@@ -122,18 +127,6 @@ def gauss_variant(rng: SplitMix64, diagram: LinkDiagram) -> LinkDiagram:
         shift = rng.below(len(comp)) if comp else 0
         comps.append([(relabel[c], r) for c, r in comp[shift:] + comp[:shift]])
     return LinkDiagram(comps, {relabel[c]: s for c, s in diagram.signs.items()})
-
-
-def reversed_component(diagram: LinkDiagram, ci: int) -> LinkDiagram:
-    """The same plane curves with component `ci` traversed backwards: the
-    signs of its crossings with other components change."""
-    comps = list(diagram.components)
-    comps[ci] = tuple(reversed(comps[ci]))
-    counts: dict[int, int] = {}
-    for cid, _ in comps[ci]:
-        counts[cid] = counts.get(cid, 0) + 1
-    signs = {c: -s if counts.get(c) == 1 else s for c, s in diagram.signs.items()}
-    return LinkDiagram(comps, signs)
 
 
 def antiparallel_twist(crossings: int) -> LinkDiagram:
@@ -263,6 +256,30 @@ class TestHomflyFile:
             code, text = run(["verify", "all", "--catalog", name, *small])
             assert file_code == code == EXIT_OK
             assert file_text.replace(str(path), name) == text, name
+
+    def test_each_distinct_diagram_is_braided_once(self, tmp_path, monkeypatch):
+        # a braided diagram is memoized under its own key, so verify braids
+        # each distinct diagram it derives once (24 for the Borromean rings)
+        braid, keys = LinkDiagram.braid, []
+
+        def counted(diagram, charge, max_strands):
+            keys.append(diagram.canonical_key())
+            return braid(diagram, charge, max_strands)
+
+        monkeypatch.setattr(LinkDiagram, "braid", counted)
+        small = ["--m-max", "2", "--n-max", "2"]
+        torus = "strands=2;" + " 1" * 120
+        links = [(name, cat.diagram(name), ["--catalog", name]) for name in ("borromean", "t26")]
+        links.append((torus, close_braid(parse_braid(torus)), ["--braid", torus]))
+        for label, diagram, source in links:
+            path = tmp_path / "link.json"
+            path.write_text(json.dumps(diagram.to_json_dict()))
+            keys.clear()
+            file_code, file_text = run(["verify", "all", "--file", str(path), *small])
+            assert len(keys) == len(set(keys)) > 1, label
+            code, text = run(["verify", "all", *source, *small])
+            assert file_code == code == EXIT_OK
+            assert file_text.replace(str(path), label) == text, label
 
     def test_braiding_is_charged_to_the_node_budget(self, tmp_path, capsys):
         # 62 Seifert circles on 360 crossings are few enough to braid, and

@@ -1,6 +1,7 @@
 """Diagram model: parsing, braid closure, surgeries, and bookkeeping."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -13,33 +14,59 @@ from homflypt import (
     EmptySelection,
     GeneratorOutOfRange,
     LinkDiagram,
-    OddCrossingParity,
     ParseError,
     SplitMix64,
-    T,
     UnknownCrossing,
-    Z,
     close_braid,
-    framed_homfly,
     parse_braid,
     random_braid,
 )
 from homflypt import catalog as cat
-from homflypt.links import MAX_STRANDS
 
-from conftest import seeded_closures
+from conftest import reversed_component, seeded_closures
 
 TREFOIL_CODE = [(0, OVER), (1, UNDER), (2, OVER), (0, UNDER), (1, OVER), (2, UNDER)]
+# (components, signs) of signed Gauss codes that no plane diagram realizes;
+# the constructor refuses each, so they stay raw data
 NON_PLANAR = (
-    LinkDiagram([[(0, OVER), (1, UNDER), (0, UNDER), (1, OVER)]], {0: 1, 1: 1}),
-    LinkDiagram([TREFOIL_CODE], {0: 1, 1: -1, 2: 1}),
-    # strands=3; -2 -1 -2 closed, with the last sign flipped: Vogel moves on
-    # it go on without end
-    LinkDiagram(
+    ([[(0, OVER), (1, UNDER), (0, UNDER), (1, OVER)]], {0: 1, 1: 1}),
+    ([TREFOIL_CODE], {0: 1, 1: -1, 2: 1}),
+    # strands=3; -2 -1 -2 closed, with the last sign flipped
+    (
         [[(1, UNDER), (2, UNDER), (0, OVER), (1, OVER)], [(0, UNDER), (2, OVER)]],
         {0: -1, 1: -1, 2: 1},
     ),
 )
+NOT_PLANAR = "the signed Gauss code is not planar"
+
+
+def gauss_json(components, signs) -> dict:
+    """The diagram JSON of a signed Gauss code, written without building a diagram."""
+    sites: dict[int, dict[str, list[int]]] = {}
+    for ci, comp in enumerate(components):
+        for pi, (cid, role) in enumerate(comp):
+            sites.setdefault(cid, {})[role] = [ci, pi]
+    return {
+        "components": [[[cid, role] for cid, role in comp] for comp in components],
+        "crossings": [
+            {"id": cid, "sign": signs[cid], "over": sites[cid][OVER], "under": sites[cid][UNDER]}
+            for cid in sorted(signs)
+        ],
+    }
+
+
+def random_gauss_code(rng: SplitMix64) -> tuple[list[list[tuple[int, str]]], dict[int, int]]:
+    """A random signed Gauss code: 1-7 crossings whose passages are shuffled
+    and cut into 2-4 components, some of them possibly crossing-free."""
+    crossings = 1 + rng.below(7)
+    passages = [(cid, role) for cid in range(crossings) for role in (OVER, UNDER)]
+    for i in range(len(passages) - 1, 0, -1):
+        j = rng.below(i + 1)
+        passages[i], passages[j] = passages[j], passages[i]
+    cuts = sorted(rng.below(len(passages) + 1) for _ in range(1 + rng.below(3)))
+    bounds = [0, *cuts, len(passages)]
+    components = [passages[a:b] for a, b in zip(bounds, bounds[1:])]
+    return components, {cid: 1 if rng.below(2) else -1 for cid in range(crossings)}
 
 
 class TestParseBraid:
@@ -155,11 +182,9 @@ class TestCounts:
             hopf.linking_number(0, 0)
         with pytest.raises(IndexError):
             hopf.linking_number(0, 5)
-        odd = LinkDiagram(
-            [((0, OVER),), ((0, UNDER),)], {0: 1}
-        )
-        with pytest.raises(OddCrossingParity):
-            odd.linking_number(0, 1)
+        # two components that cross once: no plane diagram has them
+        with pytest.raises(DiagramError, match=NOT_PLANAR):
+            LinkDiagram([((0, OVER),), ((0, UNDER),)], {0: 1})
 
     def test_total_linking(self, catalog_diagrams):
         assert catalog_diagrams["hopf+"].total_linking() == 1
@@ -173,9 +198,38 @@ class TestCounts:
                 diagram.linking_number(a, b) for a in pairs for b in pairs if a < b
             )
             assert diagram.total_linking() == pairwise
-        odd = LinkDiagram([((0, OVER),), ((0, UNDER),), ()], {0: 1})
-        with pytest.raises(OddCrossingParity, match="components 0 and 1"):
-            odd.total_linking()
+        with pytest.raises(DiagramError, match=NOT_PLANAR):
+            LinkDiagram([((0, OVER),), ((0, UNDER),), ()], {0: 1})
+
+    def test_odd_crossing_counts_are_not_planar(self):
+        # two closed curves in the plane cross an even number of times, so
+        # the planarity check refuses every code with an odd signed count
+        # between two components, and every linking number halves exactly
+        rng = SplitMix64(1811)
+        odd = accepted = 0
+        for _ in range(4000):
+            components, signs = random_gauss_code(rng)
+            first: dict[int, int] = {}
+            signed: Counter[tuple[int, int]] = Counter()
+            for ci, comp in enumerate(components):
+                for cid, _ in comp:
+                    other = first.setdefault(cid, ci)
+                    if other != ci:
+                        signed[other, ci] += signs[cid]
+            if any(count % 2 for count in signed.values()):
+                odd += 1
+                with pytest.raises(DiagramError, match=NOT_PLANAR):
+                    LinkDiagram(components, signs)
+                continue
+            try:
+                diagram = LinkDiagram(components, signs)
+            except DiagramError:
+                continue
+            accepted += 1
+            for (a, b), count in signed.items():
+                assert diagram.linking_number(a, b) * 2 == count
+            assert diagram.total_linking() * 2 == sum(signed.values())
+        assert odd > 1000 and accepted > 100
 
     def test_writhe_identity_on_random_diagrams(self):
         # writhe == sum of self-writhes + twice the total linking number,
@@ -432,34 +486,40 @@ class TestJson:
             LinkDiagram.from_json_dict(bad)
 
     def test_non_planar_gauss_codes_are_rejected(self):
-        # genus 1: the two-crossing code that prints P(t, t - 1/t) = 91/81
-        # when accepted, and the trefoil's code with its middle sign flipped,
-        # whose polynomial passes both the ring and the P(t, t - 1/t) = 1 test
-        for diagram in NON_PLANAR:
-            with pytest.raises(DiagramError, match=r"^\$: the signed Gauss code is not planar"):
-                LinkDiagram.from_json_dict(diagram.to_json_dict())
+        # genus 1: the two-crossing code whose value would give
+        # P(t, t - 1/t) = 91/81, and the trefoil's code with its middle sign
+        # flipped, whose value would pass the ring and P(t, t - 1/t) = 1 tests
+        for components, signs in NON_PLANAR:
+            with pytest.raises(DiagramError, match=f"^{NOT_PLANAR}"):
+                LinkDiagram(components, signs)
+            with pytest.raises(DiagramError, match=rf"^\$: {NOT_PLANAR}"):
+                LinkDiagram.from_json_dict(json.loads(json.dumps(gauss_json(components, signs))))
         trefoil = LinkDiagram([TREFOIL_CODE], {0: 1, 1: 1, 2: 1})
-        assert LinkDiagram.from_json_dict(trefoil.to_json_dict()) == trefoil
-
-    def test_non_planar_gauss_codes_are_resolved_by_skein(self):
-        # only the public constructor builds them; no braid exists, so the
-        # engine resolves them as they stand, to the values it always gave
-        virtual, flipped, endless = NON_PLANAR
-        for diagram in NON_PLANAR:
-            charges = []
-            assert diagram.braid(charges.append, MAX_STRANDS) is None
-            assert len(charges) == 1  # refused on the first scan
-        assert framed_homfly(virtual) == T**2 + T - 2 - T**-1 + T**-2 + (T - T**-1) * Z**2
-        assert framed_homfly(flipped) == T**4 - 2 * T**2 + 2 - T**-2 + (1 - T**2) * Z**2
-        assert framed_homfly(endless) == T - 2 * T**-1 + T**-3 + (T**-1 - T**-3) * Z**2
+        assert LinkDiagram.from_json_dict(gauss_json([TREFOIL_CODE], trefoil.signs)) == trefoil
 
     def test_braid_closures_and_their_surgeries_are_planar(self):
-        for _, diagram in seeded_closures(seed=57, count=80, strands=(2, 3, 4, 5), max_length=14):
-            variants = [diagram, diagram.sublink([0])]
-            for cid in diagram.crossing_ids()[:2]:
-                variants += [diagram.switch_crossing(cid), diagram.smooth_crossing(cid)]
-            for d in variants:
-                assert LinkDiagram.from_json_dict(d.to_json_dict()) == d
+        # the surgeries build their diagrams without the constructor's
+        # planarity check, so each must keep a plane diagram planar; a
+        # closure with a component reversed needs Vogel moves to braid
+        rng = SplitMix64(58)
+        other = cat.diagram("trefoil-hopf+")
+        for _, closure in seeded_closures(seed=57, count=80, strands=(2, 3, 4, 5), max_length=14):
+            flipped = reversed_component(closure, rng.below(closure.num_components))
+            for diagram in (closure, flipped):
+                ci = rng.below(diagram.num_components)
+                variants = [
+                    diagram,
+                    diagram.sublink([0]),
+                    diagram.add_kink(ci, 1 - 2 * rng.below(2), rng.below(2) == 0),
+                    diagram.rotate_base_point(ci, 1 + rng.below(5)),
+                    diagram.disjoint_union(other),
+                    other.disjoint_union(diagram),
+                ]
+                for cid in diagram.crossing_ids()[:2]:
+                    variants += [diagram.switch_crossing(cid), diagram.smooth_crossing(cid)]
+                for d in variants:
+                    assert LinkDiagram(d.components, d.signs) == d
+                    assert LinkDiagram.from_json_dict(d.to_json_dict()) == d
 
     def test_validation_catches_broken_diagrams(self):
         with pytest.raises(DiagramError):

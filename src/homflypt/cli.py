@@ -24,6 +24,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -37,11 +38,12 @@ from .identities import (
     verify_thm15,
 )
 from .combinatorics import LEMMA_RANGES, verify_lemma, verify_partition_identity
-from .laurent import T
-from .links import ClosedBraid, DiagramError, Link, LinkDiagram, ParseError, parse_braid
+from .links import (
+    MAX_STRANDS, ClosedBraid, DiagramError, Link, LinkDiagram, ParseError, parse_braid,
+)
 from .report import VerificationReport
 from .rng import SplitMix64, random_braid
-from .skein import DEFAULT_MAX_NODES, CoeffTable, ResourceLimitExceeded, SkeinEngine
+from .skein import _T_FACTOR, DEFAULT_MAX_NODES, CoeffTable, ResourceLimitExceeded, SkeinEngine
 
 VERIFY_TARGETS = ("prop31", "thm13", "thm14", "thm15", "lemmas", "skeinF", "splitF", "all")
 
@@ -56,43 +58,64 @@ EXIT_FAILED = 3
 # walks 2^n subsets.
 LEMMA_M_LIMIT = 11
 LEMMA_N_LIMIT = 20
+# Largest accepted `random --length`: a word is built whole before it is
+# printed.  `random --strands` is bounded by `links.MAX_STRANDS`, the
+# largest strand count `parse_braid` reads back.
+RANDOM_LENGTH_LIMIT = 10**6
 
 
 def json_text(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for values made of
     dicts with string keys, lists, tuples and scalars, built by joining
     strings: an int is its repr, a string is escaped as `json.dumps` escapes
-    it, and any other scalar is encoded by `json.dumps`."""
+    it, and any other scalar is encoded by `json.dumps`.  A list of ints (a
+    polynomial's term), or a list of such lists (a polynomial), is joined
+    in one step."""
     parts: list[str] = []
     _json_parts(value, "\n", parts)
     return "".join(parts)
 
 
 def _json_parts(value, indent: str, parts: list[str]) -> None:
-    """Append the text of `value`, whose lines start with `indent`."""
-    if type(value) is int:
+    """Append the text of `value`, whose lines start with `indent`; the
+    branches go by ``type(value)``, so a dict, list or tuple subclass is
+    a scalar here, as a bool is."""
+    kind = type(value)
+    if kind is int:
         parts.append(repr(value))
-    elif isinstance(value, dict) and value:
+    elif kind is str:
+        parts.append(encode_basestring_ascii(value))
+    elif kind is dict and value:
         inner, sep = indent + "  ", "{"
         for key in sorted(value):
             parts += (sep, inner, encode_basestring_ascii(key), ": ")
             _json_parts(value[key], inner, parts)
             sep = ","
         parts.append(indent + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        inner, sep = indent + "  ", "["
-        if all(type(item) is int for item in value):  # a polynomial's term
-            parts += (sep, inner, ("," + inner).join(map(repr, value)), indent, "]")
-            return
-        for item in value:
-            parts += (sep, inner)
-            _json_parts(item, inner, parts)
-            sep = ","
-        parts.append(indent + "]")
-    elif type(value) is str:
-        parts.append(encode_basestring_ascii(value))
+    elif (kind is list or kind is tuple) and value:
+        inner = indent + "  "
+        kinds = set(map(type, value))
+        if kinds == _INT:  # a polynomial's term
+            parts += ("[", inner, ("," + inner).join(map(repr, value)), indent, "]")
+        elif kinds <= _ROWS and all(value) and set(map(type, chain.from_iterable(value))) == _INT:
+            # a polynomial: nonempty rows of ints
+            row = inner + "  "
+            start, sep, end = "[" + row, "," + row, inner + "]"
+            rows = [start + sep.join(map(repr, item)) + end for item in value]
+            parts += ("[", inner, ("," + inner).join(rows), indent, "]")
+        else:
+            sep = "["
+            for item in value:
+                parts += (sep, inner)
+                _json_parts(item, inner, parts)
+                sep = ","
+            parts.append(indent + "]")
     else:  # another scalar or an empty container
         parts.append(json.dumps(value))
+
+
+_INT = {int}
+_ROWS = {list, tuple}
 
 
 class _InputError(Exception):
@@ -173,7 +196,7 @@ def cmd_homfly(args, out) -> int:
         raise _InputError("the empty diagram has no coefficient table")
     reduced = SkeinEngine(_max_nodes(args)).reduced_invariant(link)
     table = CoeffTable.from_reduced(link, reduced)
-    framed = reduced * (T - T**-1)
+    framed = reduced * _T_FACTOR
     homfly = table.polynomial()
     if args.format == "json":
         obj = dict(
@@ -345,8 +368,12 @@ def cmd_verify(args, out) -> int:
 def cmd_random(args, out) -> int:
     if args.strands < 2:
         raise _InputError("--strands must be at least 2")
+    if args.strands > MAX_STRANDS:
+        raise _InputError(f"--strands must be at most {MAX_STRANDS}, got {args.strands}")
     if args.length < 0:
         raise _InputError("--length must be nonnegative")
+    if args.length > RANDOM_LENGTH_LIMIT:
+        raise _InputError(f"--length must be at most {RANDOM_LENGTH_LIMIT}, got {args.length}")
     if args.count < 1:
         raise _InputError("--count must be positive")
     rng = SplitMix64(args.seed)
@@ -403,8 +430,9 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
         " letter of each pass of the braid moves, per coefficient term the"
         " Hecke traces of a braid's irreducible pieces write, and per term"
         " of each product of values (braid pieces and their factors t - 1/t;"
-        " the k - 1 unlink factors of a descending diagram of k components)"
-        " (default: 10^7)",
+        " the k - 1 unlink factors of a descending diagram of k components);"
+        " under verify also per sublink the identity checks build and per"
+        " part of a component set their walk enumerates (default: 10^7)",
     )
 
 
@@ -448,15 +476,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of `main`, built on its first call: parsing leaves it unchanged."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of `main` and its subcommands' parsers by name, built on
+    the first call: parsing leaves them unchanged."""
+    parser = build_parser()
+    (commands,) = (
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return parser, commands
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with one parser's work when
+    argv[0] names a subcommand: that subcommand's parser reads the rest,
+    as the top-level parser would hand it over.  Any other argv (none,
+    ``--help``, an unknown command), and one with arguments the
+    subcommand leaves, goes to the top-level parser, which refuses them
+    in its own words."""
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     stream = out if out is not None else sys.stdout
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args, stream)
     except (_InputError, ParseError, DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

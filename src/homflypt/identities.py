@@ -116,9 +116,19 @@ def intermediate_F(diagram: Link, engine: SkeinEngine | None = None) -> FValue:
     F(S) is intrinsic to the sublink on S, so it is memoized in the
     engine's `f_memo` on the sublink's canonical key.  Links that share
     sublinks, such as the two sides and the smoothing of a skeinF check,
-    share those values of F and of H.
+    share those values of F and of H.  F of the whole link, zero when it
+    is split, is read off the memo before any walk.
+
+    The walk is charged to the engine's node budget as it goes: one node
+    per part enumerated (on a complete crossing graph, 2^(L-1) of them
+    for the whole link) and, in `_subset_F`, one per sublink built.
     """
     L = diagram.num_components
+    eng = engine if engine is not None else SkeinEngine()
+    if L:
+        cached = eng.f_memo.get(diagram.canonical_key())
+        if cached is not None:
+            return FValue(L, cached)
     adjacent: list[set[int]] = [set() for _ in range(L)]
     for a, b, _sign in diagram._linking():
         adjacent[a].add(b)
@@ -135,6 +145,7 @@ def intermediate_F(diagram: Link, engine: SkeinEngine | None = None) -> FValue:
         work = [((), [v for v in adjacent[0] if v in allowed], frozenset())]
         while work:
             chosen, frontier, out = work.pop()
+            eng.charge(1)
             found.append(tuple(sorted(chosen)))
             for i, v in enumerate(frontier):
                 out = out | {v}  # v is added here and left out after
@@ -145,8 +156,10 @@ def intermediate_F(diagram: Link, engine: SkeinEngine | None = None) -> FValue:
 
     whole = tuple(range(1, L))
     if L and parts(whole)[-1] != whole:  # the link is split
+        if len(eng.f_memo) < MEMO_CAP:
+            eng.f_memo[diagram.canonical_key()] = BivarLaurent.zero()
         return FValue(L, BivarLaurent.zero())
-    return _subset_F(diagram, engine, lambda others: parts(others)[:-1])
+    return _subset_F(diagram, eng, lambda others: parts(others)[:-1])
 
 
 def _subset_F(
@@ -160,20 +173,27 @@ def _subset_F(
 
     H = (t - t^-1) * h with h(S) = z**(-|S|) * R(S), the engine's value, so
     F(S) = (t - t^-1) * (h(S) - sum of F(T) * h(S - T)): one multiplication
-    by t - t^-1 per F, and none per H."""
+    by t - t^-1 per F, and none per H.  Each sublink built is charged one
+    node of the engine's budget; the whole link is no sublink."""
     L = diagram.num_components
     if L < 1:
         raise ValueError("F needs at least one component")
     eng = engine if engine is not None else SkeinEngine()
 
+    def build(subset: tuple[int, ...]) -> Link:
+        if len(subset) == L:
+            return diagram
+        eng.charge(1)
+        return diagram.sublink(subset)
+
     @functools.cache
     def h(subset: tuple[int, ...]) -> BivarLaurent:
-        return eng.reduced_invariant(diagram.sublink(subset)).shift(-len(subset))
+        return eng.reduced_invariant(build(subset)).shift(-len(subset))
 
     @functools.cache
     def F(others: tuple[int, ...]) -> BivarLaurent:
         """F of the sublink on component 0 and `others`."""
-        sublink = diagram.sublink((0,) + others)
+        sublink = build((0,) + others)
         key = sublink.canonical_key()
         value = eng.f_memo.get(key)
         if value is None:
@@ -452,12 +472,17 @@ def verify_split_F(
     union = knots[0]
     for d in knots[1:]:
         union = union.disjoint_union(d)
+    eng = engine if engine is not None else SkeinEngine()
+
     # the split rule of `intermediate_F` is the theorem checked here, so
-    # this F is computed on every subset, split or not
+    # this F is computed on every subset, split or not; each part is
+    # charged one node as it is enumerated
     def every_part(others):
         for size in range(len(others)):
-            yield from itertools.combinations(others, size)
+            for part in itertools.combinations(others, size):
+                eng.charge(1)
+                yield part
 
-    value = _subset_F(union, engine, every_part)
+    value = _subset_F(union, eng, every_part)
     context = _context(union, label, factors=len(knots))
     return VerificationReport.of("splitF", value.poly, BivarLaurent.zero(), context)

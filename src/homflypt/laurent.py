@@ -103,8 +103,7 @@ class BivarLaurent:
 
     def terms(self) -> Iterator[tuple[tuple[int, int], int]]:
         """Terms in canonical order (ascending e_z, then ascending e_t)."""
-        for key in sorted(self._terms):
-            yield key, self._terms[key]
+        return iter(sorted(self._terms.items()))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -202,6 +201,16 @@ class BivarLaurent:
         for ez in sorted(levels):
             yield ez, _wrap(levels[ez])
 
+    @classmethod
+    def from_z_levels(cls, levels: Iterable[tuple[int, "BivarLaurent"]]) -> "BivarLaurent":
+        """The inverse of `by_z`: the sum of z**ez * coeff over the pairs
+        (ez, coeff) of distinct ez and z-free coeff, written into one dict."""
+        data: dict[tuple[int, int], int] = {}
+        for ez, coeff in levels:
+            for (_, et), c in coeff._terms.items():
+                data[ez, et] = c
+        return _wrap(data)
+
     def min_z_degree(self) -> int | None:
         """Lowest z exponent over nonzero terms, or None for the zero polynomial."""
         if not self._terms:
@@ -231,14 +240,15 @@ class BivarLaurent:
     def to_quadruples(self) -> list[list[int]]:
         """Canonical serialization: [e_z, e_t, coefficient, 1] per term; the
         denominator, always 1, keeps the format of rational coefficients."""
-        return [[ez, et, c, 1] for (ez, et), c in self.terms()]
+        return [[ez, et, c, 1] for (ez, et), c in sorted(self._terms.items())]
 
     def to_triples(self) -> list[list[int]]:
         """Canonical serialization of a z-free polynomial: [e_t, coefficient,
         1] per term.  Raises ValueError if any term has a power of z."""
-        if any(ez for ez, _ in self._terms):
+        terms = sorted(self._terms.items())
+        if terms and (terms[0][0][0] or terms[-1][0][0]):  # the least or the most z exponent
             raise ValueError(f"{self} is not a polynomial in t alone")
-        return [[et, c, 1] for (_, et), c in self.terms()]
+        return [[et, c, 1] for (_, et), c in terms]
 
     @classmethod
     def from_quadruples(cls, quadruples: Iterable[Iterable[int]]) -> "BivarLaurent":

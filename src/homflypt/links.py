@@ -88,12 +88,12 @@ class BraidWord:
     def __post_init__(self):
         if self.strand_count < 1:
             raise ValueError("strand count must be positive")
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
-        for x in self.letters:
-            if x == 0 or abs(x) >= self.strand_count:
-                raise GeneratorOutOfRange(
-                    f"generator {x} invalid for {self.strand_count} strands"
-                )
+        n = self.strand_count
+        letters = tuple(map(int, self.letters))
+        object.__setattr__(self, "letters", letters)
+        if 0 in letters or max(letters, default=0) >= n or min(letters, default=0) <= -n:
+            bad = next(x for x in letters if x == 0 or abs(x) >= n)
+            raise GeneratorOutOfRange(f"generator {bad} invalid for {n} strands")
 
     def as_text(self) -> str:
         body = " ".join(str(x) for x in self.letters)
@@ -102,6 +102,8 @@ class BraidWord:
 
 _HEADER = re.compile(r"\s*strands\s*=\s*([0-9]+)\s*;")
 _LETTER = re.compile(r"[+-]?[0-9]+")
+# a body of letters only: signed integers separated by whitespace
+_LETTERS = re.compile(r"\s*(?:[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*)?")
 # The largest strand count `parse_braid` accepts: a closure allocates per
 # strand before any node budget applies.  The 6000-strand unlink already
 # exceeds the default budget, so only words that braid moves shrink fit
@@ -125,8 +127,14 @@ def parse_braid(text: str) -> BraidWord:
         raise ParseError(f"strand count must be at most {MAX_STRANDS}", m.start(1))
     if strands < 1:
         raise ParseError("strand count must be at least 1", m.start(1))
-    letters: list[int] = []
-    for tok in re.finditer(r"\S+", text[m.end():]):
+    body = text[m.end():]
+    if _LETTERS.fullmatch(body):
+        try:
+            return BraidWord(strands, tuple(map(int, body.split())))
+        except GeneratorOutOfRange:
+            pass
+    # a token is bad: scan the tokens again for the first one and its offset
+    for tok in re.finditer(r"\S+", body):
         pos = m.end() + tok.start()
         if not _LETTER.fullmatch(tok.group()):
             raise ParseError(f"expected a signed integer, got {tok.group()!r}", pos)
@@ -135,8 +143,7 @@ def parse_braid(text: str) -> BraidWord:
             raise GeneratorOutOfRange(
                 f"generator {value} out of range for {strands} strands", pos
             )
-        letters.append(value)
-    return BraidWord(strands, tuple(letters))
+    raise AssertionError(f"no bad token in {body!r}")
 
 
 def close_braid(word: BraidWord) -> "LinkDiagram":

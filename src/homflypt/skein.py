@@ -314,17 +314,16 @@ class CoeffTable:
         t - t^-1.  Raises ValueError if R cannot be a link's value."""
         if diagram.num_components == 0:
             raise ValueError("the empty diagram has no coefficient expansion")
-        if not reduced.is_even_nonneg_in_z():
-            raise ValueError(
-                "framed invariant left Z[z^2, t^(+-1)]; the diagram data is not realizable"
-            )
         w = diagram.writhe()
         h: dict[int, BivarLaurent] = {}
         p: dict[int, BivarLaurent] = {}
         for ez, coeff in reduced.by_z():
-            g = ez // 2
-            h[g] = coeff * _T_FACTOR
-            p[g] = coeff.shift(0, -w)
+            if ez < 0 or ez & 1:
+                raise ValueError(
+                    "framed invariant left Z[z^2, t^(+-1)]; the diagram data is not realizable"
+                )
+            h[ez >> 1] = coeff * _T_FACTOR
+            p[ez >> 1] = coeff.shift(0, -w)
         return cls(
             components=diagram.num_components,
             writhe=w,
@@ -344,10 +343,9 @@ class CoeffTable:
 
     def polynomial(self) -> BivarLaurent:
         """The HOMFLY-PT polynomial: the sum of p[g] * z**(2g+1-L)."""
-        total = BivarLaurent.zero()
-        for g in self.genus_range():
-            total = total + self.p[g].shift(2 * g + 1 - self.components)
-        return total
+        return BivarLaurent.from_z_levels(
+            (2 * g + 1 - self.components, coeff) for g, coeff in self.p.items()
+        )
 
     def to_json_dict(self) -> dict:
         return {

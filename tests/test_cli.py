@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from homflypt import BivarLaurent, SplitMix64, T, Z, close_braid, parse_braid
+from homflypt.links import MAX_STRANDS
 from homflypt import cli
 from homflypt.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
 
@@ -519,6 +520,85 @@ class TestRandom:
         code, _ = run_cli(["random", "--strands", "1"])
         assert code == EXIT_INPUT
         capsys.readouterr()
+
+    def test_length_and_strands_past_their_caps(self, capsys):
+        # refused before any letter is drawn: one past each cap
+        for flag, cap in (("--length", cli.RANDOM_LENGTH_LIMIT), ("--strands", MAX_STRANDS)):
+            code, text = run_cli(["random", flag, str(cap + 1)])
+            err = capsys.readouterr().err
+            assert code == EXIT_INPUT and text == ""
+            assert err == f"error: {flag} must be at most {cap}, got {cap + 1}\n"
+
+    def test_words_at_the_strand_cap_read_back(self):
+        code, text = run_cli(["random", "--strands", str(MAX_STRANDS), "--length", "3"])
+        assert code == EXIT_OK
+        assert parse_braid(text).as_text() == text.strip()
+
+
+# argvs of every kind that `main` dispatches: each subcommand, help before
+# and after the command, none, an unknown command, leftover arguments, a bad
+# verify target, a node budget below one and a non-integer count
+DISPATCH_ARGVS = [
+    ["homfly", "--catalog", "hopf+"],
+    ["homfly", "--braid", "strands=2; 1 1 1", "--format", "json"],
+    ["homfly", "--braid=strands=2; 1 1", "--max-nodes=100"],
+    ["homfly", "--form", "json", "--catalog", "trefoil"],
+    ["verify", "prop31", "--braid", "strands=3; 1 1 2 2"],
+    ["verify", "lemmas", "--m-max", "3", "--n-max", "3", "--format", "json"],
+    ["random", "--strands", "4", "--length", "5", "--count", "2", "--seed", "9"],
+    ["catalog"],
+    ["catalog", "--format", "json"],
+    ["-h"],
+    ["--help"],
+    ["-h", "homfly"],
+    ["homfly", "-h"],
+    ["verify", "prop31", "--help"],
+    ["random", "-h"],
+    ["catalog", "-h"],
+    [],
+    ["bogus"],
+    ["bogus", "--catalog", "hopf+"],
+    ["--", "homfly", "--catalog", "hopf+"],
+    ["homfly", "--", "--catalog"],
+    ["homfly", "--catalog", "unknot", "extra"],
+    ["catalog", "extra", "more"],
+    ["random", "--seed", "1", "2"],
+    ["verify", "prop31", "--braid", "strands=3; 1 1 2 2", "x", "--y"],
+    ["verify", "nope", "--catalog", "hopf+"],
+    ["homfly", "--catalog", "hopf+", "--max-nodes", "0"],
+    ["homfly", "--catalog", "hopf+", "--max-nodes", "x"],
+    ["random", "--count", "1.5"],
+]
+
+
+class TestDispatch:
+    """`main` parses with the subcommand's own parser; it must answer as
+    parsing every argv through the top-level parser of `build_parser` does."""
+
+    @staticmethod
+    def _answer(argv, capsys) -> tuple:
+        try:
+            code, text = run_cli(argv)
+        except SystemExit as exc:  # --help
+            code, text = f"exit {exc.code}", ""
+        captured = capsys.readouterr()
+        return code, text + captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+    def test_same_answer_as_the_top_level_parser(self, argv, capsys, monkeypatch):
+        answer = self._answer(argv, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse_args", lambda args: cli.build_parser().parse_args(args))
+            assert self._answer(argv, capsys) == answer
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS[:9], ids=" ".join)
+    def test_same_namespace_as_the_top_level_parser(self, argv):
+        assert cli._parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    def test_leftovers_are_refused_by_the_top_level_parser(self, capsys):
+        assert run_cli(["homfly", "--catalog", "unknot", "extra"])[0] == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: unrecognized arguments: extra (see 'homflypt --help')\n"
 
 
 class TestCatalog:

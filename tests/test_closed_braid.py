@@ -196,16 +196,37 @@ class TestEngine:
 
     def test_F_of_split_unions_is_computed_zero(self):
         # no crossing joins the two sides, so F of the union is zero by the
-        # split rule, with no engine work; the partition sum on the diagram
-        # computes every sublink's value and must find the same zero
+        # split rule, with no sublink built and nothing traced: the engine
+        # is charged only the walk, one node per component set containing
+        # component 0 that the crossing graph connects; the partition sum
+        # on the diagram computes every sublink's value and must find the
+        # same zero
         words = [parse_braid(w) for w in corpus()[:12]]
         for left, right in zip(words, words[1:]):
             union = ClosedBraid(left).disjoint_union(ClosedBraid(right))
             engine = SkeinEngine()
             value = intermediate_F(union, engine=engine)
             assert value.poly.is_zero(), (left.as_text(), right.as_text())
-            assert engine.nodes == 0
+            assert engine.nodes == _connected_sets_with_first(union)
             assert value == _F_partition_sum(close_braid(union.word))
+
+
+def _connected_sets_with_first(link) -> int:
+    """The number of component sets containing component 0 that the
+    crossing graph connects, by brute force over all sets."""
+    L = link.num_components
+    edges = {frozenset(pair[:2]) for pair in link._linking()}
+    count = 0
+    for size in range(L):
+        for rest in itertools.combinations(range(1, L), size):
+            members, reached = {0, *rest}, {0}
+            while True:
+                grown = {v for v in members for u in reached if frozenset((u, v)) in edges}
+                if grown <= reached:
+                    break
+                reached |= grown
+            count += reached == members
+    return count
 
 
 def _reports(target: str, link) -> str:

@@ -1,5 +1,8 @@
 """The decomposition-sum invariant F and the coefficient identities."""
 
+import io
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,6 +32,7 @@ from homflypt import (
     verify_thm15,
 )
 from homflypt import catalog as cat
+from homflypt import cli
 from homflypt.identities import _F_partition_sum
 
 from conftest import seeded_links_with_components
@@ -174,7 +178,33 @@ class TestSplitRule:
             union = left.disjoint_union(right)
             engine = SkeinEngine()
             assert intermediate_F(union, engine=engine).poly.is_zero()
-            assert engine.nodes == 0 and not engine.f_memo
+            # no sublink is built and nothing is traced: the one node is
+            # the one part the walk from the first knot enumerates, the
+            # empty one, and the memo holds the union's F alone
+            assert engine.nodes == 1
+            assert engine.f_memo == {union.canonical_key(): BivarLaurent.zero()}
+
+    def test_the_subset_walk_is_charged_as_it_goes(self, capsys):
+        # splitF on 20 unknots walks every subset, and prop31 on the full
+        # twist of 18 strands (a complete crossing graph) enumerates 2^17
+        # connected parts for the whole link alone; with the walk's parts
+        # and sublinks charged, both stop at the budget at once, before
+        # the walk has allocated much
+        chain = "strands=20; " + " ".join(f"{i} {i}" for i in range(1, 20))
+        twist = "strands=18; " + " ".join(" ".join(map(str, range(1, 18))) for _ in range(18))
+        for target, word in (("splitF", chain), ("prop31", twist)):
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                code = cli.main(["verify", target, "--braid", word, "--max-nodes", "1000"],
+                                out=io.StringIO())
+                seconds = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == cli.EXIT_RESOURCE, target
+            assert capsys.readouterr().err == f"error: node budget of 1000 exceeded [{word}]\n"
+            assert seconds < 2 and peak < 5 * 2**20, (target, seconds, peak)
 
     def test_split_F_does_not_use_the_rule(self):
         # the rule is the theorem splitF checks, so splitF computes its F

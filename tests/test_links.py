@@ -1,6 +1,7 @@
 """Diagram model: parsing, braid closure, surgeries, and bookkeeping."""
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -22,6 +23,7 @@ from homflypt import (
     random_braid,
 )
 from homflypt import catalog as cat
+from homflypt.links import MAX_STRANDS
 
 from conftest import reversed_component, seeded_closures
 
@@ -112,6 +114,33 @@ class TestParseBraid:
     def test_round_trip_text(self):
         word = parse_braid("strands=3; 1 -2 1")
         assert parse_braid(word.as_text()) == word
+
+    def test_messages_and_offsets_match_a_token_scan(self):
+        # seeded braid text, mostly malformed, against an oracle that scans
+        # the letters token by token as `re.finditer(r"\S+")` finds them
+        rng = SplitMix64(1919)
+        headers = ("strands=3;", " strands = 4 ;", "\tstrands=05;\n", "strands=1;",
+                   "strands=0;", f"strands={MAX_STRANDS + 1};", "strands=;", "strand=3;",
+                   "strands=3", "strands=\u0663;", "strands=\uff13;", "strands=2;;", "")
+        tokens = ("1", "-1", "2", "-2", "+1", "+2", "007", "-3", "4", "-5", "0", "+3",
+                  "--1", "-0", "+-1", "1_0", "x", "1a", "1;", "99999999999999999999",
+                  "\u0661", "\uff12", "\u00b2", "-\u0661", "\u00e9")
+        spaces = (" ", " ", " ", "\t", "\n", "\r\n", "\u00a0", "\u2003", "\u3000",
+                  "\x1c", "\u2028", "", "  ")
+        texts = ["strands=3; 1 2 -1 -2", "strands=4;", "strands=2;\u00a0"]
+        for _ in range(3000):
+            text = headers[rng.below(len(headers))]
+            for _ in range(rng.below(7)):
+                text += spaces[rng.below(len(spaces))] + tokens[rng.below(len(tokens))]
+            if rng.below(3) == 0:
+                text += spaces[rng.below(len(spaces))]
+            texts.append(text)
+        good = 0
+        for text in texts:
+            expected = _answer(_scan_tokens, text)
+            assert _answer(parse_braid, text) == expected, text
+            good += expected[0] == "ok"
+        assert 100 < good < len(texts) - 1000  # both kinds are well represented
 
 
 class TestCloseBraid:
@@ -539,3 +568,37 @@ class TestRandomBraid:
     def test_rejects_single_strand(self):
         with pytest.raises(ValueError):
             random_braid(SplitMix64(1), 1, 5)
+
+
+def _answer(parse, text: str) -> tuple:
+    """What `parse` makes of `text`: its word, or its error's type, message
+    and offset."""
+    try:
+        return ("ok", parse(text))
+    except ParseError as exc:
+        return (type(exc).__name__, str(exc), exc.position)
+
+
+def _scan_tokens(text: str) -> BraidWord:
+    """`parse_braid` as a scan of one token after another: the oracle of
+    its messages and offsets."""
+    m = re.match(r"\s*strands\s*=\s*([0-9]+)\s*;", text)
+    if not m:
+        raise ParseError("expected a 'strands=N;' header", 0)
+    strands = int(m.group(1))
+    if strands > MAX_STRANDS:
+        raise ParseError(f"strand count must be at most {MAX_STRANDS}", m.start(1))
+    if strands < 1:
+        raise ParseError("strand count must be at least 1", m.start(1))
+    letters = []
+    for tok in re.finditer(r"\S+", text[m.end():]):
+        pos = m.end() + tok.start()
+        if not re.fullmatch(r"[+-]?[0-9]+", tok.group()):
+            raise ParseError(f"expected a signed integer, got {tok.group()!r}", pos)
+        value = int(tok.group())
+        if value == 0 or abs(value) >= strands:
+            raise GeneratorOutOfRange(
+                f"generator {value} out of range for {strands} strands", pos
+            )
+        letters.append(value)
+    return BraidWord(strands, tuple(letters))

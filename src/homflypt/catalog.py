@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .links import BraidWord, LinkDiagram, close_braid, parse_braid
+from .links import ClosedBraid, LinkDiagram, close_braid, parse_braid
 
 __all__ = ["CatalogEntry", "CATALOG", "names", "get", "diagram"]
 
@@ -21,7 +21,7 @@ class CatalogEntry:
     summary: str
     expected: dict
 
-    def word(self) -> BraidWord:
+    def word(self) -> ClosedBraid:
         return parse_braid(self.braid)
 
     def diagram(self) -> LinkDiagram:

@@ -38,12 +38,10 @@ from .identities import (
     verify_thm15,
 )
 from .combinatorics import LEMMA_RANGES, verify_lemma, verify_partition_identity
-from .links import (
-    MAX_STRANDS, ClosedBraid, DiagramError, Link, LinkDiagram, ParseError, parse_braid,
-)
+from .links import MAX_STRANDS, DiagramError, Link, LinkDiagram, ParseError, parse_braid
 from .report import VerificationReport
 from .rng import SplitMix64, random_braid
-from .skein import _T_FACTOR, DEFAULT_MAX_NODES, CoeffTable, ResourceLimitExceeded, SkeinEngine
+from .skein import DEFAULT_MAX_NODES, CoeffTable, ResourceLimitExceeded, SkeinEngine
 
 VERIFY_TARGETS = ("prop31", "thm13", "thm14", "thm15", "lemmas", "skeinF", "splitF", "all")
 
@@ -163,9 +161,9 @@ def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, Link]]:
             entry = catalog.get(args.catalog)
         except KeyError as exc:
             raise _InputError(str(exc.args[0])) from None
-        return [(entry.name, ClosedBraid(entry.word()))]
+        return [(entry.name, entry.word())]
     if args.braid:
-        return [(args.braid.strip(), ClosedBraid(parse_braid(args.braid)))]
+        return [(args.braid.strip(), parse_braid(args.braid))]
     if getattr(args, "file", None):
         return [(args.file, _load_file(args.file))]
     if allow_stdin:
@@ -178,7 +176,7 @@ def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, Link]]:
             line = line.strip()
             if not line:
                 continue
-            links.append((line, ClosedBraid(parse_braid(line))))
+            links.append((line, parse_braid(line)))
         if links:
             return links
     return []
@@ -194,18 +192,9 @@ def cmd_homfly(args, out) -> int:
     label, link = links[0]
     if link.num_components == 0:
         raise _InputError("the empty diagram has no coefficient table")
-    reduced = SkeinEngine(_max_nodes(args)).reduced_invariant(link)
-    table = CoeffTable.from_reduced(link, reduced)
-    framed = reduced * _T_FACTOR
-    homfly = table.polynomial()
+    table = CoeffTable.from_reduced(link, SkeinEngine(_max_nodes(args)).reduced_invariant(link))
     if args.format == "json":
-        obj = dict(
-            table.to_json_dict(),
-            link=label,
-            framed=framed.to_quadruples(),
-            homfly=homfly.to_quadruples(),
-        )
-        print(json_text(obj), file=out)
+        print(json_text(dict(table.to_json_dict(), link=label)), file=out)
         return EXIT_OK
     print(f"link: {label}", file=out)
     print(
@@ -213,8 +202,8 @@ def cmd_homfly(args, out) -> int:
         f"  total_linking: {table.total_linking}",
         file=out,
     )
-    print(f"framed: {framed}", file=out)
-    print(f"homfly: {homfly}", file=out)
+    print(f"framed: {table.framed}", file=out)
+    print(f"homfly: {table.homfly}", file=out)
     for g in table.genus_range():
         print(f"h[g={g}] (z^{2 * g - table.components}): {table.h_at(g)}", file=out)
     for g in table.genus_range():
@@ -321,7 +310,7 @@ def cmd_verify(args, out) -> int:
         links = _resolve_links(args, allow_stdin=target != "all")
         if not links:
             if target == "all":
-                links = [(entry.name, ClosedBraid(entry.word())) for entry in catalog.CATALOG]
+                links = [(entry.name, entry.word()) for entry in catalog.CATALOG]
             else:
                 raise _InputError(
                     "give one of --catalog, --braid, --file, or pipe braid lines on stdin"
@@ -389,7 +378,7 @@ def cmd_random(args, out) -> int:
 def cmd_catalog(args, out) -> int:
     rows = []
     for entry in catalog.CATALOG:
-        link = ClosedBraid(entry.word())
+        link = entry.word()
         rows.append(
             {
                 "name": entry.name,

@@ -164,7 +164,7 @@ def intermediate_F(diagram: Link, engine: SkeinEngine | None = None) -> FValue:
 
 def _subset_F(
     diagram: Link,
-    engine: SkeinEngine | None,
+    engine: SkeinEngine,
     parts: Callable[[tuple[int, ...]], Iterable[tuple[int, ...]]],
 ) -> FValue:
     """F by the subset recursion of `intermediate_F`, in which F(S) of
@@ -178,33 +178,32 @@ def _subset_F(
     L = diagram.num_components
     if L < 1:
         raise ValueError("F needs at least one component")
-    eng = engine if engine is not None else SkeinEngine()
 
     def build(subset: tuple[int, ...]) -> Link:
         if len(subset) == L:
             return diagram
-        eng.charge(1)
+        engine.charge(1)
         return diagram.sublink(subset)
 
     @functools.cache
     def h(subset: tuple[int, ...]) -> BivarLaurent:
-        return eng.reduced_invariant(build(subset)).shift(-len(subset))
+        return engine.reduced_invariant(build(subset)).shift(-len(subset))
 
     @functools.cache
     def F(others: tuple[int, ...]) -> BivarLaurent:
         """F of the sublink on component 0 and `others`."""
         sublink = build((0,) + others)
         key = sublink.canonical_key()
-        value = eng.f_memo.get(key)
+        value = engine.f_memo.get(key)
         if value is None:
-            value = eng.reduced_invariant(sublink).shift(-1 - len(others))
+            value = engine.reduced_invariant(sublink).shift(-1 - len(others))
             for part in parts(others):
                 f_part = F(part)
                 if f_part:
                     value = value - f_part * h(tuple(i for i in others if i not in part))
             value = value * _T_FACTOR
-            if len(eng.f_memo) < MEMO_CAP:
-                eng.f_memo[key] = value
+            if len(engine.f_memo) < MEMO_CAP:
+                engine.f_memo[key] = value
         return value
 
     try:

@@ -201,16 +201,6 @@ class BivarLaurent:
         for ez in sorted(levels):
             yield ez, _wrap(levels[ez])
 
-    @classmethod
-    def from_z_levels(cls, levels: Iterable[tuple[int, "BivarLaurent"]]) -> "BivarLaurent":
-        """The inverse of `by_z`: the sum of z**ez * coeff over the pairs
-        (ez, coeff) of distinct ez and z-free coeff, written into one dict."""
-        data: dict[tuple[int, int], int] = {}
-        for ez, coeff in levels:
-            for (_, et), c in coeff._terms.items():
-                data[ez, et] = c
-        return _wrap(data)
-
     def min_z_degree(self) -> int | None:
         """Lowest z exponent over nonzero terms, or None for the zero polynomial."""
         if not self._terms:

@@ -11,9 +11,10 @@ this data alone and keeps a plane diagram planar, so none checks again.
 
 A braid closure has a second representation, `ClosedBraid`, which does the
 same surgeries and answers the same queries on the braid word itself, so
-that no diagram is built for its sublinks, switches and smoothings.
-`LinkDiagram.braid` turns a planar diagram into a `ClosedBraid` of the same
-link by Vogel's algorithm.
+that no diagram is built for its sublinks, switches and smoothings.  It is
+the one braid type: `parse_braid` reads a word into it, and `close_braid`
+builds its diagram.  `LinkDiagram.braid` turns a planar diagram into a
+`ClosedBraid` of the same link by Vogel's algorithm.
 
 Sign convention, fixed once for the whole library: the braid generator with
 positive index is a positive crossing, and in its picture the strand coming
@@ -26,7 +27,6 @@ from __future__ import annotations
 import bisect
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .planar import euler_characteristic, vogel_braid
@@ -38,7 +38,6 @@ __all__ = [
     "LinkDiagram",
     "ClosedBraid",
     "Link",
-    "BraidWord",
     "parse_braid",
     "close_braid",
     "DiagramError",
@@ -78,28 +77,6 @@ class GeneratorOutOfRange(ParseError):
     """Braid letter outside the valid generator range."""
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    """A braid word: strand count n and letters i with 1 <= |i| <= n-1."""
-
-    strand_count: int
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.strand_count < 1:
-            raise ValueError("strand count must be positive")
-        n = self.strand_count
-        letters = tuple(map(int, self.letters))
-        object.__setattr__(self, "letters", letters)
-        if 0 in letters or max(letters, default=0) >= n or min(letters, default=0) <= -n:
-            bad = next(x for x in letters if x == 0 or abs(x) >= n)
-            raise GeneratorOutOfRange(f"generator {bad} invalid for {n} strands")
-
-    def as_text(self) -> str:
-        body = " ".join(str(x) for x in self.letters)
-        return f"strands={self.strand_count};" + (f" {body}" if body else "")
-
-
 _HEADER = re.compile(r"\s*strands\s*=\s*([0-9]+)\s*;")
 _LETTER = re.compile(r"[+-]?[0-9]+")
 # a body of letters only: signed integers separated by whitespace
@@ -111,8 +88,8 @@ _LETTERS = re.compile(r"\s*(?:[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*)?")
 MAX_STRANDS = 100_000
 
 
-def parse_braid(text: str) -> BraidWord:
-    """Parse ``"strands=N; i1 i2 ..."`` into a BraidWord.
+def parse_braid(text: str) -> "ClosedBraid":
+    """Parse ``"strands=N; i1 i2 ..."`` into the closure of that word.
 
     Raises ParseError / GeneratorOutOfRange with the offending offset, also
     for a strand count outside 1..MAX_STRANDS.
@@ -130,7 +107,7 @@ def parse_braid(text: str) -> BraidWord:
     body = text[m.end():]
     if _LETTERS.fullmatch(body):
         try:
-            return BraidWord(strands, tuple(map(int, body.split())))
+            return ClosedBraid(strands, body.split())
         except GeneratorOutOfRange:
             pass
     # a token is bad: scan the tokens again for the first one and its offset
@@ -146,8 +123,9 @@ def parse_braid(text: str) -> BraidWord:
     raise AssertionError(f"no bad token in {body!r}")
 
 
-def close_braid(word: BraidWord) -> "LinkDiagram":
-    """Close a braid word into a link diagram.
+def close_braid(word: "ClosedBraid") -> "LinkDiagram":
+    """The link diagram of a braid closure, built from its strand count and
+    letters alone.
 
     Components are the cycles of the braid permutation, ordered by their
     smallest starting strand; crossing signs equal the letter signs.  The
@@ -623,12 +601,19 @@ class LinkDiagram(_Linking):
 
 
 class ClosedBraid(_Linking):
-    """The closure of a braid word, with LinkDiagram's surgeries and queries
-    done on the word itself.
+    """The closure of a braid word on `strand_count` strands, with
+    LinkDiagram's surgeries and queries done on the word itself: the one
+    braid type, from `parse_braid` to the engine's trace.
+
+    ``ClosedBraid(n, letters)`` takes letters i with 1 <= |i| <= n - 1 and
+    raises ValueError for n < 1 and GeneratorOutOfRange for any other
+    letter.  Instances are immutable, and two closures are equal when their
+    strand counts and letters are; `as_text` writes the word as
+    `parse_braid` reads it.
 
     Crossing k is letter k and components are numbered by their smallest
     starting strand, as in `close_braid`, so every answer is the answer of
-    the diagram ``close_braid(link.word)``:
+    the diagram ``close_braid(link)``:
 
     * the sublink on some components keeps their strands, renumbered, and
       the letters between two kept strands;
@@ -642,8 +627,15 @@ class ClosedBraid(_Linking):
 
     __slots__ = ("strand_count", "letters", "num_components", "_lines", "_component")
 
-    def __init__(self, word: BraidWord):
-        self._close(word.strand_count, word.letters)
+    def __init__(self, strand_count: int, letters: Iterable[int]):
+        if strand_count < 1:
+            raise ValueError("strand count must be positive")
+        n = strand_count
+        letters = tuple(map(int, letters))
+        if 0 in letters or max(letters, default=0) >= n or min(letters, default=0) <= -n:
+            bad = next(x for x in letters if x == 0 or abs(x) >= n)
+            raise GeneratorOutOfRange(f"generator {bad} invalid for {n} strands")
+        self._close(n, letters)
 
     @classmethod
     def _of(cls, strand_count: int, letters: tuple[int, ...]) -> "ClosedBraid":
@@ -672,15 +664,30 @@ class ClosedBraid(_Linking):
                     component[line] = count
                     line = succ[line]
                 count += 1
-        self.strand_count = strand_count
-        self.letters = letters
-        self.num_components = count
-        self._lines = lines
-        self._component = component
+        put = object.__setattr__  # instances are immutable, as their hash requires
+        put(self, "strand_count", strand_count)
+        put(self, "letters", letters)
+        put(self, "num_components", count)
+        put(self, "_lines", lines)
+        put(self, "_component", component)
 
-    @property
-    def word(self) -> BraidWord:
-        return BraidWord(self.strand_count, self.letters)
+    def __setattr__(self, name, value):
+        raise AttributeError("ClosedBraid is immutable")
+
+    def as_text(self) -> str:
+        body = " ".join(str(x) for x in self.letters)
+        return f"strands={self.strand_count};" + (f" {body}" if body else "")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClosedBraid):
+            return NotImplemented
+        return self.strand_count == other.strand_count and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.strand_count, self.letters))
+
+    def __repr__(self) -> str:
+        return f"ClosedBraid(strand_count={self.strand_count}, letters={self.letters})"
 
     @property
     def num_crossings(self) -> int:
@@ -829,3 +836,5 @@ class ClosedBraid(_Linking):
 
 # A link in either representation; both answer the queries of the verifiers.
 Link = LinkDiagram | ClosedBraid
+# the former name of the braid type, which perfbench/corpus.py imports
+BraidWord = ClosedBraid

@@ -4,11 +4,13 @@ This is SplitMix64: state advances by the 64-bit odd constant
 0x9E3779B97F4A7C15; output mixes the state with xor-shifts by 30/27/31 and
 the multipliers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB.  The same seed
 yields the same stream on every platform and Python version.
+`random_braid` draws a braid word from it and returns the word's closure,
+a `ClosedBraid`, as `parse_braid` does for a word read from text.
 """
 
 from __future__ import annotations
 
-from .links import BraidWord
+from .links import ClosedBraid
 
 __all__ = ["SplitMix64", "random_braid"]
 
@@ -34,8 +36,9 @@ class SplitMix64:
         return self.next_u64() % n
 
 
-def random_braid(rng: SplitMix64, strands: int, length: int) -> BraidWord:
-    """A deterministic random braid word on the given strand count."""
+def random_braid(rng: SplitMix64, strands: int, length: int) -> ClosedBraid:
+    """The closure of a deterministic random braid word on the given strand
+    count; each letter draws its generator in 1..strands-1, then its sign."""
     if strands < 2:
         raise ValueError("random braids need at least 2 strands")
     if length < 0:
@@ -45,4 +48,4 @@ def random_braid(rng: SplitMix64, strands: int, length: int) -> BraidWord:
         gen = 1 + rng.below(strands - 1)
         sign = 1 if rng.below(2) == 0 else -1
         letters.append(sign * gen)
-    return BraidWord(strands, tuple(letters))
+    return ClosedBraid(strands, letters)

@@ -21,9 +21,10 @@ R(unknot) = 1: the same recursion on R ends in
 takes a braid closure, a `ClosedBraid`, which it simplifies by braid moves
 and evaluates by the Hecke trace of `homflypt.hecke` in place of resolving
 crossings, and it braids and traces every diagram that `_trace_width`
-allows.  `CoeffTable.from_reduced` reads the coefficient table and the
-HOMFLY-PT polynomial ``P = t**(-writhe) * z**(1-L) * R`` off R.  Nothing
-in the package divides one polynomial by another.
+allows.  `CoeffTable.from_reduced` computes Hf = R * (t - t^-1) and the
+HOMFLY-PT polynomial ``P = t**(-writhe) * z**(1-L) * R`` once each, and
+reads the coefficient table off their z-levels.  Nothing in the package
+divides one polynomial by another.
 """
 
 from __future__ import annotations
@@ -291,45 +292,51 @@ def framed_homfly_bruteforce(
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Coefficient polynomials of one link, indexed by the genus parameter g.
+    """The values of one link that the CLI prints, each computed once from
+    the engine's value R = Hf / (t - t^-1): the framed invariant
+    ``framed`` = Hf = R * (t - t^-1), one product, and the HOMFLY-PT
+    polynomial ``homfly`` = P = t**(-writhe) * z**(1-L) * R, one shift.
 
-    ``h[g]`` is the z**(2g) coefficient of the framed invariant (an integer
-    Laurent polynomial in t, sitting at z-power 2g-L in the unframed
-    expansion); ``p[g]`` is the z**(2g+1-L) coefficient of the HOMFLY-PT
-    polynomial.  The two are linked by
+    The coefficient polynomials, indexed by the genus parameter g, are their
+    z-levels: ``h[g]`` is the z**(2g) coefficient of Hf (an integer Laurent
+    polynomial in t, sitting at z-power 2g-L in the unframed expansion);
+    ``p[g]`` is the z**(2g+1-L) coefficient of P.  The two are linked by
     ``h[g] == p[g] * t**writhe * (t - t^-1)`` for every g.
     """
 
     components: int
     writhe: int
     total_linking: int
+    framed: BivarLaurent = field(repr=False)
+    homfly: BivarLaurent = field(repr=False)
     h: dict[int, BivarLaurent] = field(repr=False)
     p: dict[int, BivarLaurent] = field(repr=False)
 
     @classmethod
     def from_reduced(cls, diagram: Link, reduced: BivarLaurent) -> "CoeffTable":
-        """The table of a nonempty diagram from its value R = Hf / (t - t^-1)
-        = t**writhe * z**(L-1) * P, without division: p[g] is t**-writhe
-        times the z**(2g) coefficient of R and h[g] that coefficient times
-        t - t^-1.  Raises ValueError if R cannot be a link's value."""
+        """The table of a nonempty diagram from its value R, without
+        division.  Raises ValueError if R cannot be a link's value: if Hf,
+        whose z-levels are R's, has an odd or a negative power of z."""
         if diagram.num_components == 0:
             raise ValueError("the empty diagram has no coefficient expansion")
-        w = diagram.writhe()
+        L, w = diagram.num_components, diagram.writhe()
+        framed = reduced * _T_FACTOR
         h: dict[int, BivarLaurent] = {}
-        p: dict[int, BivarLaurent] = {}
-        for ez, coeff in reduced.by_z():
+        for ez, coeff in framed.by_z():
             if ez < 0 or ez & 1:
                 raise ValueError(
                     "framed invariant left Z[z^2, t^(+-1)]; the diagram data is not realizable"
                 )
-            h[ez >> 1] = coeff * _T_FACTOR
-            p[ez >> 1] = coeff.shift(0, -w)
+            h[ez >> 1] = coeff
+        homfly = reduced.shift(1 - L, -w)  # P
         return cls(
-            components=diagram.num_components,
+            components=L,
             writhe=w,
             total_linking=diagram.total_linking(),
+            framed=framed,
+            homfly=homfly,
             h=h,
-            p=p,
+            p={(ez + L - 1) >> 1: coeff for ez, coeff in homfly.by_z()},
         )
 
     def h_at(self, g: int) -> BivarLaurent:
@@ -343,15 +350,15 @@ class CoeffTable:
 
     def polynomial(self) -> BivarLaurent:
         """The HOMFLY-PT polynomial: the sum of p[g] * z**(2g+1-L)."""
-        return BivarLaurent.from_z_levels(
-            (2 * g + 1 - self.components, coeff) for g, coeff in self.p.items()
-        )
+        return self.homfly
 
     def to_json_dict(self) -> dict:
         return {
             "components": self.components,
             "writhe": self.writhe,
             "total_linking": self.total_linking,
+            "framed": self.framed.to_quadruples(),
+            "homfly": self.homfly.to_quadruples(),
             "h": {str(g): self.h[g].to_triples() for g in sorted(self.h)},
             "p": {str(g): self.p[g].to_triples() for g in sorted(self.p)},
         }

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from homflypt import BraidWord, LinkDiagram, SplitMix64, close_braid, random_braid
+from homflypt import ClosedBraid, LinkDiagram, SplitMix64, close_braid, random_braid
 from homflypt import catalog as cat
 from homflypt import cli
 
@@ -62,7 +62,7 @@ def seeded_links_with_components(seed: int, count: int, components: int,
 # -- braid-word moves that preserve the ambient invariant ---------------------
 
 
-def braid_relation_sites(word: BraidWord) -> list[int]:
+def braid_relation_sites(word: ClosedBraid) -> list[int]:
     """Positions where letters (i, i+1, i) with equal signs occur."""
     xs = word.letters
     sites = []
@@ -73,43 +73,43 @@ def braid_relation_sites(word: BraidWord) -> list[int]:
     return sites
 
 
-def apply_braid_relation(word: BraidWord, k: int) -> BraidWord:
+def apply_braid_relation(word: ClosedBraid, k: int) -> ClosedBraid:
     xs = list(word.letters)
     a, b, _ = xs[k : k + 3]
     xs[k : k + 3] = [b, a, b]
-    return BraidWord(word.strand_count, tuple(xs))
+    return ClosedBraid(word.strand_count, tuple(xs))
 
 
-def commutation_sites(word: BraidWord) -> list[int]:
+def commutation_sites(word: ClosedBraid) -> list[int]:
     xs = word.letters
     return [k for k in range(len(xs) - 1) if abs(abs(xs[k]) - abs(xs[k + 1])) >= 2]
 
 
-def apply_commutation(word: BraidWord, k: int) -> BraidWord:
+def apply_commutation(word: ClosedBraid, k: int) -> ClosedBraid:
     xs = list(word.letters)
     xs[k], xs[k + 1] = xs[k + 1], xs[k]
-    return BraidWord(word.strand_count, tuple(xs))
+    return ClosedBraid(word.strand_count, tuple(xs))
 
 
-def apply_conjugation(word: BraidWord, generator: int) -> BraidWord:
-    return BraidWord(
+def apply_conjugation(word: ClosedBraid, generator: int) -> ClosedBraid:
+    return ClosedBraid(
         word.strand_count, (generator,) + word.letters + (-generator,)
     )
 
 
-def apply_stabilization(word: BraidWord, sign: int) -> BraidWord:
+def apply_stabilization(word: ClosedBraid, sign: int) -> ClosedBraid:
     """Add one strand and one crossing with the new strand."""
     n = word.strand_count
-    return BraidWord(n + 1, word.letters + (sign * n,))
+    return ClosedBraid(n + 1, word.letters + (sign * n,))
 
 
-def apply_free_insertion(word: BraidWord, position: int, generator: int) -> BraidWord:
+def apply_free_insertion(word: ClosedBraid, position: int, generator: int) -> ClosedBraid:
     xs = list(word.letters)
     xs[position:position] = [generator, -generator]
-    return BraidWord(word.strand_count, tuple(xs))
+    return ClosedBraid(word.strand_count, tuple(xs))
 
 
-def markov_variant(word: BraidWord, rng: SplitMix64, moves: int = 3) -> BraidWord:
+def markov_variant(word: ClosedBraid, rng: SplitMix64, moves: int = 3) -> ClosedBraid:
     """Apply a few random invariance-preserving word moves."""
     out = word
     for _ in range(moves):

@@ -516,6 +516,27 @@ class TestRandom:
         assert len(lines) == 7
         assert all(line.startswith("strands=4;") for line in lines)
 
+    def test_readme_pipe_prints_these_words_and_reports(self, monkeypatch):
+        # the words of the README's `random | verify prop31` pipe, and the
+        # lines verify prints for them: two links and two knots
+        words = (
+            "strands=3; 2 -1 -1 1 -2 2\n"
+            "strands=3; 1 1 -2 2 -2 -2\n"
+            "strands=3; -1 -1 -2 1 1 -2\n"
+            "strands=3; -1 -2 -2 1 1 2\n"
+        )
+        argv = ["random", "--strands", "3", "--length", "6", "--seed", "7", "--count", "4"]
+        assert run_cli(argv) == (EXIT_OK, words)
+        code, text = run_cli(["verify", "prop31"], stdin_text=words, monkeypatch=monkeypatch)
+        assert code == EXIT_OK
+        assert text == (
+            "prop31 [strands=3; 1 1 -2 2 -2 -2]: PASS\n"
+            "prop31 [strands=3; -1 -1 -2 1 1 -2]: PASS\n"
+            "prop31 [strands=3; 2 -1 -1 1 -2 2]: SKIP (needs >= 2 components)\n"
+            "prop31 [strands=3; -1 -2 -2 1 1 2]: SKIP (needs >= 2 components)\n"
+            "2/2 checks passed\n"
+        )
+
     def test_invalid_strands(self, capsys):
         code, _ = run_cli(["random", "--strands", "1"])
         assert code == EXIT_INPUT

@@ -13,7 +13,6 @@ import pytest
 
 from homflypt import (
     BivarLaurent,
-    BraidWord,
     ClosedBraid,
     EmptySelection,
     LinkDiagram,
@@ -90,10 +89,9 @@ def corpus() -> list[str]:
 class TestQueries:
     def test_queries_match_the_diagram(self):
         words = [word for word, _ in seeded_closures(seed=61, count=60, strands=(2, 3, 4, 5))]
-        for word in words + [entry.word() for entry in cat.CATALOG]:
-            link, diagram = ClosedBraid(word), close_braid(word)
-            text = word.as_text()
-            assert link.word == word
+        for link in words + [entry.word() for entry in cat.CATALOG]:
+            diagram = close_braid(link)
+            text = link.as_text()
             assert link.num_components == diagram.num_components, text
             assert link.num_crossings == diagram.num_crossings, text
             assert link.crossing_ids() == diagram.crossing_ids(), text
@@ -106,7 +104,7 @@ class TestQueries:
                 assert link.linking_number(a, b) == diagram.linking_number(a, b), text
 
     def test_bad_crossing_and_component(self):
-        link = ClosedBraid(parse_braid("strands=2; 1 1"))
+        link = parse_braid("strands=2; 1 1")
         for surgery in (link.switch_crossing, link.smooth_crossing, link.is_self_crossing):
             with pytest.raises(UnknownCrossing):
                 surgery(2)
@@ -123,54 +121,54 @@ class TestSurgeries:
         # the closure of the reduced word is the diagram sublink, crossing
         # relabelling aside
         for word in corpus():
-            link = ClosedBraid(parse_braid(word))
-            diagram = close_braid(link.word)
+            link = parse_braid(word)
+            diagram = close_braid(link)
             for subset in subsets(link.num_components):
-                reduced = close_braid(link.sublink(subset).word)
+                reduced = close_braid(link.sublink(subset))
                 assert reduced.canonical_key() == diagram.sublink(subset).canonical_key(), (
                     word,
                     subset,
                 )
 
     def test_switch_is_the_diagram_switch(self):
-        for word, diagram in seeded_closures(seed=62, count=40, strands=(2, 3, 4)):
-            link = ClosedBraid(word)
+        for link, diagram in seeded_closures(seed=62, count=40, strands=(2, 3, 4)):
             for cid in link.crossing_ids():
-                switched = close_braid(link.switch_crossing(cid).word)
-                assert switched == diagram.switch_crossing(cid), word.as_text()
+                switched = close_braid(link.switch_crossing(cid))
+                assert switched == diagram.switch_crossing(cid), link.as_text()
 
     def test_switched_and_smoothed_values_match_skein(self):
         resolve = SkeinEngine().skein_invariant
-        for word, diagram in seeded_closures(seed=63, count=30, strands=(2, 3, 4), max_length=9):
-            link, engine = ClosedBraid(word), SkeinEngine()
+        for link, diagram in seeded_closures(seed=63, count=30, strands=(2, 3, 4), max_length=9):
+            engine = SkeinEngine()
             for cid in link.crossing_ids():
                 assert engine.reduced_invariant(link.switch_crossing(cid)) == resolve(
                     diagram.switch_crossing(cid)
-                ), (word.as_text(), cid)
+                ), (link.as_text(), cid)
                 assert engine.reduced_invariant(link.smooth_crossing(cid)) == resolve(
                     diagram.smooth_crossing(cid)
-                ), (word.as_text(), cid)
+                ), (link.as_text(), cid)
 
     def test_union_is_the_diagram_union(self):
         words = [word for word, _ in seeded_closures(seed=64, count=20)]
         for left, right in zip(words, words[1:]):
-            union = ClosedBraid(left).disjoint_union(ClosedBraid(right))
+            union = left.disjoint_union(right)
             expected = close_braid(left).disjoint_union(close_braid(right))
-            assert close_braid(union.word).canonical_key() == expected.canonical_key()
+            assert close_braid(union).canonical_key() == expected.canonical_key()
 
 
 class TestGenericApi:
     def test_no_engine_given_on_braids(self):
         # the module functions build their own engine for either link type
         for entry in cat.CATALOG:
-            link, diagram = ClosedBraid(entry.word()), close_braid(entry.word())
+            link = entry.word()
+            diagram = close_braid(link)
             for function in (coeff_table, homfly, framed_homfly, intermediate_F):
                 assert function(link) == function(diagram), (entry.name, function.__name__)
 
 
 class TestEngine:
     def test_memo_and_budget_span_the_link(self):
-        link = ClosedBraid(parse_braid(CHAIN5))
+        link = parse_braid(CHAIN5)
         engine = SkeinEngine()
         value = engine.framed_invariant(link)
         one_trace = engine.nodes
@@ -186,10 +184,10 @@ class TestEngine:
 
     def test_F_on_braids_matches_the_partition_sum_on_diagrams(self):
         for word in corpus():
-            link = ClosedBraid(parse_braid(word))
+            link = parse_braid(word)
             engine = SkeinEngine()
             value = intermediate_F(link, engine=engine)
-            assert value == _F_partition_sum(close_braid(link.word)), word
+            assert value == _F_partition_sum(close_braid(link)), word
             # the second call reads F off the memo: no engine work
             nodes = engine.nodes
             assert intermediate_F(link, engine=engine) == value and engine.nodes == nodes
@@ -203,12 +201,12 @@ class TestEngine:
         # same zero
         words = [parse_braid(w) for w in corpus()[:12]]
         for left, right in zip(words, words[1:]):
-            union = ClosedBraid(left).disjoint_union(ClosedBraid(right))
+            union = left.disjoint_union(right)
             engine = SkeinEngine()
             value = intermediate_F(union, engine=engine)
             assert value.poly.is_zero(), (left.as_text(), right.as_text())
             assert engine.nodes == _connected_sets_with_first(union)
-            assert value == _F_partition_sum(close_braid(union.word))
+            assert value == _F_partition_sum(close_braid(union))
 
 
 def _connected_sets_with_first(link) -> int:
@@ -240,8 +238,8 @@ class TestReports:
         # no braid for a diagram: the engine resolves every one by skein
         monkeypatch.setattr(LinkDiagram, "braid", lambda diagram, charge, width: None)
         for word in corpus():
-            link = ClosedBraid(parse_braid(word))
-            assert _reports(target, link) == _reports(target, close_braid(link.word)), word
+            link = parse_braid(word)
+            assert _reports(target, link) == _reports(target, close_braid(link)), word
 
     def test_verify_on_braids_never_runs_skein(self, monkeypatch):
         def refuse(diagram):
@@ -270,7 +268,7 @@ def trace(link) -> BivarLaurent:
     return framed_trace(link, add)
 
 
-def moved_words(seed: int, count: int) -> list[BraidWord]:
+def moved_words(seed: int, count: int) -> list[ClosedBraid]:
     """Seeded words on which the moves of `pieces` apply: a cancelling pair
     inserted inside or around the word, letterless strands added on either
     side, and a single top or bottom letter added on a new strand."""
@@ -297,11 +295,11 @@ def moved_words(seed: int, count: int) -> list[BraidWord]:
         else:
             letters = [v + 1 if v > 0 else v - 1 for v in letters]
             letters.insert(rng.below(len(letters) + 1), sign)  # a new bottom strand
-        words.append(BraidWord(n + 1, tuple(letters)))
+        words.append(ClosedBraid(n + 1, tuple(letters)))
     return words
 
 
-def summed_words(seed: int, count: int) -> list[BraidWord]:
+def summed_words(seed: int, count: int) -> list[ClosedBraid]:
     """Seeded words a*b whose closures are connected sums: a on k strands
     and b on the strands k.., with commuting neighbours swapped at random
     so that a's and b's letters interleave, then a cancelling pair
@@ -321,7 +319,7 @@ def summed_words(seed: int, count: int) -> list[BraidWord]:
         i = rng.below(len(letters) + 1)
         letters[i:i] = [x, -x]
         i = rng.below(len(letters))
-        words.append(BraidWord(k + m - 1, tuple(letters[i:] + letters[:i])))
+        words.append(ClosedBraid(k + m - 1, tuple(letters[i:] + letters[:i])))
     return words
 
 
@@ -336,50 +334,49 @@ def product_of_pieces(link) -> BivarLaurent:
 
 
 class TestPieces:
-    def words(self) -> list[BraidWord]:
+    def words(self) -> list[ClosedBraid]:
         words = [word for word, _ in seeded_closures(seed=65, count=80, strands=(2, 3, 4, 5))]
         words += moved_words(66, 80)
         words += [entry.word() for entry in cat.CATALOG]
         left, right = words[:20], words[20:40]
-        words += [ClosedBraid(a).disjoint_union(ClosedBraid(b)).word for a, b in zip(left, right)]
+        words += [a.disjoint_union(b) for a, b in zip(left, right)]
         for text in (CHAIN5, "strands=6; 1 1 -2 -2 3 3 4 4 5 5 1"):
-            link = ClosedBraid(parse_braid(text))
+            link = parse_braid(text)
             for k in link.crossing_ids():
-                words += [link.switch_crossing(k).word, link.smooth_crossing(k).word]
+                words += [link.switch_crossing(k), link.smooth_crossing(k)]
             for subset in subsets(link.num_components):
-                words.append(link.sublink(subset).word)
-        words += [BraidWord(n, ()) for n in range(1, 6)]
+                words.append(link.sublink(subset))
+        words += [ClosedBraid(n, ()) for n in range(1, 6)]
         words += summed_words(67, 80)
         words.append(parse_braid("strands=5; 1 2 1 2 -3 1 4 -3 4"))
         return words
 
     def test_pieces_multiply_to_the_trace_of_the_word(self):
         moved = cut = 0
-        for word in self.words():
-            link = ClosedBraid(word)
+        for link in self.words():
             _, cuts, pieces = link.pieces(no_charge)
             moved += pieces != [link]
             cut += cuts > 0
-            assert product_of_pieces(link) == trace(link), word.as_text()
-            assert SkeinEngine().reduced_invariant(link) == trace(link), word.as_text()
+            assert product_of_pieces(link) == trace(link), link.as_text()
+            assert SkeinEngine().reduced_invariant(link) == trace(link), link.as_text()
         assert moved > 300 and cut > 80
 
     def test_unknot_is_one_up_to_its_writhe(self):
         # the closure of s1 s2 ... s(n-1) is the unknot with writhe n - 1
         for n in range(1, 6):
-            link = ClosedBraid(BraidWord(n, tuple(range(1, n))))
+            link = ClosedBraid(n, tuple(range(1, n)))
             assert trace(link) == T ** (n - 1) == SkeinEngine().reduced_invariant(link), n
             assert SkeinEngine().framed_invariant(link) == T ** (n - 1) * (T - T**-1), n
 
     def test_pieces_are_irreducible(self):
         for word in self.words():
-            for piece in ClosedBraid(word).pieces(no_charge)[2]:
+            for piece in word.pieces(no_charge)[2]:
                 assert piece.pieces(no_charge) == (0, 0, [piece]), word.as_text()
                 assert piece.num_components >= 1
 
     def test_each_move(self):
         def pieces(text):
-            power, cuts, parts = ClosedBraid(parse_braid(text)).pieces(no_charge)
+            power, cuts, parts = parse_braid(text).pieces(no_charge)
             return power, cuts, [(p.strand_count, p.letters) for p in parts]
 
         trefoil = (2, (1, 1, 1))
@@ -410,7 +407,7 @@ class TestPieces:
         assert pieces("strands=3; -2 -2 1") == (1, 0, [(2, (-1, -1))])
 
     def test_memo_holds_the_link_and_its_pieces_only(self):
-        link = ClosedBraid(parse_braid("strands=6; 1 -1 2 1 1 1 4 4 4 -5 4"))
+        link = parse_braid("strands=6; 1 -1 2 1 1 1 4 4 4 -5 4")
         engine = SkeinEngine()
         engine.framed_invariant(link)
         _, _, pieces = link.pieces(no_charge)
@@ -422,7 +419,7 @@ class TestPieces:
         # in n - 2 products whose results have 3, 4, ..., n terms
         for n in range(1, 40):
             engine = SkeinEngine()
-            engine.framed_invariant(ClosedBraid(parse_braid(f"strands={n};")))
+            engine.framed_invariant(parse_braid(f"strands={n};"))
             assert engine.nodes == 1 + sum(k + 1 for k in range(2, n)), n
 
     def test_crossing_free_diagram_costs_the_braid_unlink(self):
@@ -432,7 +429,7 @@ class TestPieces:
         for n in range(1, 40):
             diagram, braid = SkeinEngine(), SkeinEngine()
             value = diagram.skein_invariant(LinkDiagram([()] * n, {}))
-            assert value == braid.reduced_invariant(ClosedBraid(parse_braid(f"strands={n};")))
+            assert value == braid.reduced_invariant(parse_braid(f"strands={n};"))
             assert diagram.nodes == braid.nodes, n
 
     def test_stabilized_unknot_has_no_recursion(self):
@@ -443,7 +440,7 @@ class TestPieces:
 
     def test_each_pass_of_the_moves_is_charged_its_letters(self, capsys):
         charges = []
-        assert ClosedBraid(parse_braid("strands=4; 1 2 3")).pieces(charges.append)[0] == 3
+        assert parse_braid("strands=4; 1 2 3").pieces(charges.append)[0] == 3
         assert charges == [3, 2, 1, 0]
         # a destabilization a pass, so the chain would cost about 5 * 10^7
         # nodes: refused in the first pass

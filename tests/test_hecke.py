@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from homflypt import (
-    BraidWord,
     ClosedBraid,
     ResourceLimitExceeded,
     SplitMix64,
@@ -28,48 +27,48 @@ from conftest import no_charge
 TFAC = T - T**-1
 
 
-def seeded_words(seed: int, strands, lengths, per_cell: int) -> list[BraidWord]:
+def seeded_words(seed: int, strands, lengths, per_cell: int) -> list[ClosedBraid]:
     rng = SplitMix64(seed)
     words = []
     for n in strands:
         for length in lengths:
             for _ in range(per_cell):
-                words.append(random_braid(rng, n, length) if n > 1 else BraidWord(1, ()))
+                words.append(random_braid(rng, n, length) if n > 1 else ClosedBraid(1, ()))
     return words
 
 
-def torus_word(n: int) -> BraidWord:
-    return BraidWord(2, (1,) * n)
+def torus_word(n: int) -> ClosedBraid:
+    return ClosedBraid(2, (1,) * n)
 
 
-def polynomial(word: BraidWord):
+def polynomial(word: ClosedBraid):
     """P of the closure, read off the engine's value by the coefficient table."""
-    return coeff_table(ClosedBraid(word)).polynomial()
+    return coeff_table(word).polynomial()
 
 
 class TestAgreement:
     def test_catalog_matches_skein(self):
         for entry in cat.CATALOG:
-            braid = ClosedBraid(entry.word())
+            braid = entry.word()
             assert framed_homfly(braid) == framed_homfly(entry.diagram()), entry.name
 
     def test_random_words_match_skein(self):
         words = seeded_words(11, range(1, 6), range(0, 11), 3)
         assert len(words) == 165
         for word in words:
-            value = framed_homfly(ClosedBraid(word))
+            value = framed_homfly(word)
             assert value == framed_homfly(close_braid(word)), word.as_text()
 
     def test_short_words_match_bruteforce(self):
         for word in seeded_words(12, (2, 3, 4), range(0, 9), 2):
-            value = framed_homfly(ClosedBraid(word))
+            value = framed_homfly(word)
             assert value == framed_homfly_bruteforce(close_braid(word)), word.as_text()
 
     def test_tables_match(self):
         # the braid's table off the Hecke trace, the diagram's off skein
         # resolution
         for entry in cat.CATALOG:
-            table = coeff_table(ClosedBraid(entry.word()))
+            table = coeff_table(entry.word())
             assert table == coeff_table(entry.diagram()), entry.name
 
     def test_table_from_R_matches_the_bruteforce_value(self):
@@ -79,7 +78,7 @@ class TestAgreement:
         words = [entry.word() for entry in cat.CATALOG]
         words += seeded_words(14, (2, 3, 4, 5), range(0, 9), 4)
         for word in words:
-            table = coeff_table(ClosedBraid(word))
+            table = coeff_table(word)
             framed = framed_homfly_bruteforce(close_braid(word))
             assert {ez: coeff for ez, coeff in framed.by_z()} == {
                 2 * g: h for g, h in table.h.items()
@@ -115,22 +114,22 @@ class TestIndependentChecks:
 class TestLimits:
     def test_tiny_budget_raises(self):
         with pytest.raises(ResourceLimitExceeded):
-            framed_homfly(ClosedBraid(cat.get("borromean").word()), max_nodes=3)
+            framed_homfly(cat.get("borromean").word(), max_nodes=3)
 
     def test_budget_bounds_coefficient_growth(self):
         # two basis terms throughout, but their coefficients grow with n
         word = torus_word(400)
         with pytest.raises(ResourceLimitExceeded):
-            framed_homfly(ClosedBraid(word), max_nodes=100_000)
-        assert framed_homfly(ClosedBraid(word), max_nodes=200_000)
+            framed_homfly(word, max_nodes=100_000)
+        assert framed_homfly(word, max_nodes=200_000)
 
     def test_element_cap_raises(self, monkeypatch):
         monkeypatch.setattr(skein, "MEMO_CAP", 5)
         # a word no braid move simplifies, so the trace runs on all 4 strands
-        link = ClosedBraid(parse_braid("strands=4; 1 2 3 1 2 3 1 2 3"))
+        link = parse_braid("strands=4; 1 2 3 1 2 3 1 2 3")
         assert link.pieces(no_charge) == (0, 0, [link])
         with pytest.raises(ResourceLimitExceeded):
             framed_homfly(link)
-        assert framed_homfly(ClosedBraid(cat.get("trefoil").word())) == framed_homfly(
+        assert framed_homfly(cat.get("trefoil").word()) == framed_homfly(
             cat.diagram("trefoil")
         )

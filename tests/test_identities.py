@@ -9,7 +9,6 @@ import pytest
 
 from homflypt import (
     BivarLaurent,
-    ClosedBraid,
     GOutOfRange,
     LinkDiagram,
     NotInterComponent,
@@ -137,16 +136,16 @@ class TestSplitRule:
 
     def test_F_equals_the_partition_sum(self):
         rng = SplitMix64(1105)
-        links = [ClosedBraid(entry.word()) for entry in cat.CATALOG]
+        links = [entry.word() for entry in cat.CATALOG]
         # linking number zero and F nonzero: the graph, not lk, decides
-        lk_zero = ClosedBraid(parse_braid("strands=3; 1 1 -2 1 -2"))
+        lk_zero = parse_braid("strands=3; 1 1 -2 1 -2")
         assert lk_zero.total_linking() == 0 and not intermediate_F(lk_zero).poly.is_zero()
         links.append(lk_zero)
         for L in range(2, 9):
             corpus = seeded_links_with_components(1110 + L, 3, L, (L, L + 1), max_length=14)
-            links += [ClosedBraid(word) for word, _ in corpus]
-            links += [ClosedBraid(parse_braid(clasp_word(rng, L))) for _ in range(3)]
-        knots = [ClosedBraid(w) for w, _ in seeded_links_with_components(1120, 8, 1, (2, 3, 4))]
+            links += [word for word, _ in corpus]
+            links += [parse_braid(clasp_word(rng, L)) for _ in range(3)]
+        knots = [w for w, _ in seeded_links_with_components(1120, 8, 1, (2, 3, 4))]
         links += [a.disjoint_union(b) for a, b in zip(knots, knots[1:])]
         links.append(knots[0].disjoint_union(knots[1]).disjoint_union(knots[2]))
 
@@ -155,7 +154,7 @@ class TestSplitRule:
         for link in links:
             value = intermediate_F(link, engine=engine)
             expected = _F_partition_sum(link, engine=oracle)
-            assert value == expected, link.word.as_text()
+            assert value == expected, link.as_text()
             if value.poly.is_zero():
                 split += link.num_components > 1
             else:
@@ -173,7 +172,7 @@ class TestSplitRule:
             assert intermediate_F(diagram) == expected, name
 
     def test_split_link_costs_no_engine_work(self):
-        knots = [ClosedBraid(w) for w, _ in seeded_links_with_components(1130, 4, 1, (3, 4))]
+        knots = [w for w, _ in seeded_links_with_components(1130, 4, 1, (3, 4))]
         for left, right in zip(knots, knots[1:]):
             union = left.disjoint_union(right)
             engine = SkeinEngine()
@@ -208,12 +207,12 @@ class TestSplitRule:
 
     def test_split_F_does_not_use_the_rule(self):
         # the rule is the theorem splitF checks, so splitF computes its F
-        knots = [ClosedBraid(w) for w, _ in seeded_links_with_components(1130, 4, 1, (3, 4))]
+        knots = [w for w, _ in seeded_links_with_components(1130, 4, 1, (3, 4))]
         for left, right in zip(knots, knots[1:]):
             engine = SkeinEngine()
             report = verify_split_F([left, right], engine=engine)
             assert report.passed
-            assert engine.nodes > 0 and engine.f_memo, (left.word.as_text(), right.word.as_text())
+            assert engine.nodes > 0 and engine.f_memo, (left.as_text(), right.as_text())
 
 
 class TestProp31:

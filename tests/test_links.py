@@ -9,7 +9,6 @@ import pytest
 from homflypt import (
     OVER,
     UNDER,
-    BraidWord,
     ClosedBraid,
     DiagramError,
     EmptySelection,
@@ -23,6 +22,7 @@ from homflypt import (
     random_braid,
 )
 from homflypt import catalog as cat
+from homflypt import links
 from homflypt.links import MAX_STRANDS
 
 from conftest import reversed_component, seeded_closures
@@ -74,11 +74,11 @@ def random_gauss_code(rng: SplitMix64) -> tuple[list[list[tuple[int, str]]], dic
 class TestParseBraid:
     def test_basic(self):
         word = parse_braid("strands=2; 1 1")
-        assert word == BraidWord(2, (1, 1))
+        assert word == ClosedBraid(2, (1, 1))
 
     def test_negative_letters(self):
         word = parse_braid("strands=3; 1 -2 1 -2 1 -2")
-        assert word == BraidWord(3, (1, -2, 1, -2, 1, -2))
+        assert word == ClosedBraid(3, (1, -2, 1, -2, 1, -2))
 
     def test_out_of_range(self):
         with pytest.raises(GeneratorOutOfRange):
@@ -98,7 +98,7 @@ class TestParseBraid:
         assert err.value.position == text.index("x")
 
     def test_empty_word(self):
-        assert parse_braid("strands=4;") == BraidWord(4, ())
+        assert parse_braid("strands=4;") == ClosedBraid(4, ())
 
     def test_only_ascii_integers(self):
         # int() would read 1_0 as 10, and \d matches the Arabic-Indic three
@@ -109,7 +109,7 @@ class TestParseBraid:
         for text in ("strands=\u0663; 1 2", "strands=3; \u0661"):
             with pytest.raises(ParseError):
                 parse_braid(text)
-        assert parse_braid("strands=3; +1 -2") == BraidWord(3, (1, -2))
+        assert parse_braid("strands=3; +1 -2") == ClosedBraid(3, (1, -2))
 
     def test_round_trip_text(self):
         word = parse_braid("strands=3; 1 -2 1")
@@ -143,20 +143,76 @@ class TestParseBraid:
         assert 100 < good < len(texts) - 1000  # both kinds are well represented
 
 
+class TestBraidType:
+    def test_constructor_refuses_strand_counts_and_generators(self):
+        # the exception types and messages of the former BraidWord type
+        cases = [
+            (0, (), ValueError, "strand count must be positive"),
+            (-1, (), ValueError, "strand count must be positive"),
+            (3, (1, 0), GeneratorOutOfRange, "generator 0 invalid for 3 strands (at offset 0)"),
+            (3, (2, 3), GeneratorOutOfRange, "generator 3 invalid for 3 strands (at offset 0)"),
+            (3, (-3, 1), GeneratorOutOfRange, "generator -3 invalid for 3 strands (at offset 0)"),
+        ]
+        for strands, letters, kind, message in cases:
+            with pytest.raises(kind) as err:
+                ClosedBraid(strands, letters)
+            assert type(err.value) is kind and str(err.value) == message
+
+    def test_parse_braid_refuses_the_same_at_their_offsets(self):
+        cases = [
+            ("strands=0;", ParseError, "strand count must be at least 1", 8),
+            ("strands=-1;", ParseError, "expected a 'strands=N;' header", 0),
+            ("strands=3; 1 0", GeneratorOutOfRange, "generator 0 out of range for 3 strands", 13),
+            ("strands=3; 2 3", GeneratorOutOfRange, "generator 3 out of range for 3 strands", 13),
+            ("strands=3; -3 1", GeneratorOutOfRange, "generator -3 out of range for 3 strands", 11),
+        ]
+        for text, kind, message, offset in cases:
+            with pytest.raises(kind) as err:
+                parse_braid(text)
+            assert type(err.value) is kind, text
+            assert str(err.value) == f"{message} (at offset {offset})"
+            assert err.value.position == offset
+
+    def test_equality_and_hash_go_by_strand_count_and_letters(self):
+        word = ClosedBraid(3, (1, -2))
+        same = parse_braid("strands=3;  +1 -2")
+        assert word == same and hash(word) == hash(same)
+        assert word.switch_crossing(0).switch_crossing(0) == word
+        for other in (ClosedBraid(4, (1, -2)), ClosedBraid(3, (1, 2)), ClosedBraid(3, (1,))):
+            assert word != other
+        assert word != close_braid(word) and word != (3, (1, -2))
+        assert len({word, same, ClosedBraid(4, (1, -2)), ClosedBraid(3, ())}) == 3
+        assert repr(word) == "ClosedBraid(strand_count=3, letters=(1, -2))"
+        with pytest.raises(AttributeError):
+            word.letters = (1,)
+        assert word.letters == (1, -2) and hash(word) == hash(same)
+
+    def test_former_name_is_the_braid_type(self):
+        assert links.BraidWord is ClosedBraid
+
+    def test_text_round_trip_on_seeded_words(self):
+        rng = SplitMix64(2020)
+        words = [parse_braid("strands=1;"), ClosedBraid(1, ()), ClosedBraid(5, ())]
+        words += [random_braid(rng, 2 + rng.below(5), rng.below(15)) for _ in range(300)]
+        assert words[0].as_text() == "strands=1;"
+        for word in words:
+            assert parse_braid(word.as_text()) == word, word
+
+
 class TestCloseBraid:
     def test_hopf(self):
-        d = close_braid(BraidWord(2, (1, 1)))
+        d = close_braid(ClosedBraid(2, (1, 1)))
         assert d.num_components == 2
         assert d.num_crossings == 2
         assert all(s == 1 for s in d.signs.values())
 
     def test_trefoil(self):
-        d = close_braid(BraidWord(2, (1, 1, 1)))
+        d = close_braid(ClosedBraid(2, (1, 1, 1)))
         assert d.num_components == 1
         assert d.num_crossings == 3
 
     def test_borromean(self):
-        d = close_braid(BraidWord(3, (1, -2, 1, -2, 1, -2)))
+        d = close_braid(ClosedBraid(3, (1, -2, 1, -2, 1, -2)))
         assert d.num_components == 3
         assert d.num_crossings == 6
 
@@ -448,10 +504,10 @@ class TestCanonicalKey:
         braid_keys = set()
         for entry in cat.CATALOG:
             diagram_keys.add(close_braid(entry.word()).canonical_key())
-            braid_keys.add(ClosedBraid(entry.word()).canonical_key())
+            braid_keys.add(entry.word().canonical_key())
         for n in range(1, 60):
             diagram_keys.add(LinkDiagram([()] * n, {}).canonical_key())
-            braid_keys.add(ClosedBraid(parse_braid(f"strands={n};")).canonical_key())
+            braid_keys.add(parse_braid(f"strands={n};").canonical_key())
         assert all(isinstance(item, int) for key in diagram_keys for item in key)
         assert not diagram_keys & braid_keys
 
@@ -579,7 +635,7 @@ def _answer(parse, text: str) -> tuple:
         return (type(exc).__name__, str(exc), exc.position)
 
 
-def _scan_tokens(text: str) -> BraidWord:
+def _scan_tokens(text: str) -> ClosedBraid:
     """`parse_braid` as a scan of one token after another: the oracle of
     its messages and offsets."""
     m = re.match(r"\s*strands\s*=\s*([0-9]+)\s*;", text)
@@ -601,4 +657,4 @@ def _scan_tokens(text: str) -> BraidWord:
                 f"generator {value} out of range for {strands} strands", pos
             )
         letters.append(value)
-    return BraidWord(strands, tuple(letters))
+    return ClosedBraid(strands, tuple(letters))

@@ -1,11 +1,13 @@
 """Skein engine: frozen values, oracle agreement, and invariance properties."""
 
+import json
 import math
 
 import pytest
 
 from homflypt import (
     BivarLaurent,
+    CoeffTable,
     LinkDiagram,
     ResourceLimitExceeded,
     SkeinEngine,
@@ -19,10 +21,11 @@ from homflypt import (
     homfly,
     is_descending,
     parse_braid,
+    random_braid,
 )
 from homflypt import catalog as cat
 
-from conftest import markov_variant, seeded_closures
+from conftest import markov_variant, reversed_component, seeded_closures
 
 TFAC = T - T**-1
 
@@ -165,6 +168,23 @@ class TestStructuralProperties:
             for g in table.genus_range():
                 assert table.h_at(g) == table.p_at(g).shift(0, table.writhe) * TFAC
 
+    def test_table_holds_the_framed_invariant_and_the_polynomial(self):
+        for link in _table_links():
+            table = coeff_table(link)
+            assert table.framed == SkeinEngine().framed_invariant(link)
+            L = table.components
+            levels = BivarLaurent.zero()
+            for g in table.genus_range():
+                levels = levels + table.p_at(g).shift(2 * g + 1 - L)
+            assert table.homfly == levels == table.polynomial()
+
+    def test_table_refuses_values_outside_the_ring(self):
+        # an odd or a negative power of z in R, alone or beside an even one
+        link = cat.get("unknot").word()
+        for reduced in (Z, Z**-2, Z**-1 * T, T + Z**3, 1 + Z**-2):
+            with pytest.raises(ValueError, match=r"left Z\[z\^2"):
+                CoeffTable.from_reduced(link, reduced)
+
     def test_skein_triple(self):
         rng = SplitMix64(99)
         engine = SkeinEngine()
@@ -226,6 +246,21 @@ class TestStructuralProperties:
         for word in words:
             variant = markov_variant(word, rng, moves=3)
             assert homfly(close_braid(word)) == homfly(close_braid(variant))
+
+
+def _table_links() -> list:
+    """The catalog braids and diagrams, seeded braids, and seeded diagram
+    files: closures with a component reversed and a kink added, read back
+    from their JSON text, so the engine braids some and resolves others."""
+    rng = SplitMix64(2021)
+    links = [entry.word() for entry in cat.CATALOG] + [cat.diagram(name) for name in cat.names()]
+    links += [random_braid(rng, 2 + rng.below(3), rng.below(10)) for _ in range(30)]
+    for _, diagram in seeded_closures(seed=2022, count=30, max_length=8):
+        if diagram.num_components > 1:
+            diagram = reversed_component(diagram, rng.below(diagram.num_components))
+        diagram = diagram.add_kink(0, 1 if rng.below(2) else -1, bool(rng.below(2)))
+        links.append(LinkDiagram.from_json_dict(json.loads(json.dumps(diagram.to_json_dict()))))
+    return links
 
 
 class TestTermination:

@@ -1,116 +1,28 @@
 """Exact HOMFLY-PT polynomials of oriented links, their coefficient
-polynomials, and exact verifiers for the identities relating them."""
+polynomials, and exact verifiers for the identities relating them.
 
-from .laurent import BivarLaurent, PoleAtZero, T, Z
-from .links import (
-    OVER,
-    UNDER,
-    ClosedBraid,
-    DiagramError,
-    EmptySelection,
-    GeneratorOutOfRange,
-    LinkDiagram,
-    ParseError,
-    UnknownCrossing,
-    close_braid,
-    parse_braid,
-)
-from .skein import (
-    DEFAULT_MAX_NODES,
-    CoeffTable,
-    ResourceLimitExceeded,
-    SkeinEngine,
-    coeff_table,
-    descending_value,
-    framed_homfly,
-    framed_homfly_bruteforce,
-    homfly,
-    is_descending,
-)
-from .combinatorics import (
-    InvalidRange,
-    aut_order,
-    multiplicities,
-    ordered_decompositions,
-    partitions,
-    set_partitions,
-    surjection_count,
-    surjection_count_enumerated,
-    surjection_count_partition_form,
-    verify_lemma,
-    verify_partition_identity,
-)
-from .identities import (
-    FValue,
-    GOutOfRange,
-    NotInterComponent,
-    f_coefficients,
-    intermediate_F,
-    verify_prop31,
-    verify_skein_F,
-    verify_split_F,
-    verify_thm13,
-    verify_thm13_all,
-    verify_thm14,
-    verify_thm15,
-)
-from .report import VerificationReport
-from .rng import SplitMix64, random_braid
+The package namespace is the public names of its modules: each module's
+``__all__`` lists them once, and the package re-exports them all, with
+the `catalog` module itself."""
+
+from .laurent import *
+from .links import *
+from .skein import *
+from .combinatorics import *
+from .identities import *
+from .report import *
+from .rng import *
 from . import catalog
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivarLaurent",
-    "PoleAtZero",
-    "Z",
-    "T",
-    "OVER",
-    "UNDER",
-    "LinkDiagram",
-    "ClosedBraid",
-    "parse_braid",
-    "close_braid",
-    "DiagramError",
-    "UnknownCrossing",
-    "EmptySelection",
-    "ParseError",
-    "GeneratorOutOfRange",
-    "DEFAULT_MAX_NODES",
-    "ResourceLimitExceeded",
-    "SkeinEngine",
-    "CoeffTable",
-    "is_descending",
-    "descending_value",
-    "framed_homfly",
-    "framed_homfly_bruteforce",
-    "coeff_table",
-    "homfly",
-    "InvalidRange",
-    "partitions",
-    "multiplicities",
-    "aut_order",
-    "set_partitions",
-    "ordered_decompositions",
-    "surjection_count",
-    "surjection_count_enumerated",
-    "surjection_count_partition_form",
-    "verify_lemma",
-    "verify_partition_identity",
-    "FValue",
-    "NotInterComponent",
-    "GOutOfRange",
-    "intermediate_F",
-    "f_coefficients",
-    "verify_prop31",
-    "verify_thm13",
-    "verify_thm13_all",
-    "verify_thm14",
-    "verify_thm15",
-    "verify_skein_F",
-    "verify_split_F",
-    "VerificationReport",
-    "SplitMix64",
-    "random_braid",
-    "catalog",
-]
+__all__ = (
+    laurent.__all__
+    + links.__all__
+    + skein.__all__
+    + combinatorics.__all__
+    + identities.__all__
+    + report.__all__
+    + rng.__all__
+    + ["catalog"]
+)

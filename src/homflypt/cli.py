@@ -41,7 +41,7 @@ from .combinatorics import LEMMA_RANGES, verify_lemma, verify_partition_identity
 from .links import MAX_STRANDS, DiagramError, Link, LinkDiagram, ParseError, parse_braid
 from .report import VerificationReport
 from .rng import SplitMix64, random_braid
-from .skein import DEFAULT_MAX_NODES, CoeffTable, ResourceLimitExceeded, SkeinEngine
+from .skein import DEFAULT_MAX_NODES, ResourceLimitExceeded, SkeinEngine, coeff_table
 
 VERIFY_TARGETS = ("prop31", "thm13", "thm14", "thm15", "lemmas", "skeinF", "splitF", "all")
 
@@ -123,7 +123,10 @@ class _InputError(Exception):
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are bad input (exit 1, one `error:`
     line) rather than argparse's exit 2, the exit code of a resource limit;
-    ``--help`` still exits 0."""
+    ``--help`` still exits 0.  `build_parser` sets `commands` on the
+    top-level parser: the subcommands' parsers by name."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message):
         raise _InputError(f"{message} (see '{self.prog} --help')")
@@ -192,7 +195,7 @@ def cmd_homfly(args, out) -> int:
     label, link = links[0]
     if link.num_components == 0:
         raise _InputError("the empty diagram has no coefficient table")
-    table = CoeffTable.from_reduced(link, SkeinEngine(_max_nodes(args)).reduced_invariant(link))
+    table = coeff_table(link, SkeinEngine(_max_nodes(args)))
     if args.format == "json":
         print(json_text(dict(table.to_json_dict(), link=label)), file=out)
         return EXIT_OK
@@ -461,20 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument("--format", choices=("text", "json"), default="text")
     p_catalog.set_defaults(func=cmd_catalog)
 
+    parser.commands = sub.choices
     return parser
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser of `main` and its subcommands' parsers by name, built on
-    the first call: parsing leaves them unchanged."""
-    parser = build_parser()
-    (commands,) = (
-        action.choices
-        for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    return parser, commands
+def _parser() -> _Parser:
+    """The parser of `main`, built on the first call: parsing leaves it
+    unchanged."""
+    return build_parser()
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
@@ -484,8 +482,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     ``--help``, an unknown command), and one with arguments the
     subcommand leaves, goes to the top-level parser, which refuses them
     in its own words."""
-    parser, commands = _parser()
-    command = commands.get(argv[0]) if argv else None
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
     if command is not None:
         args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if not extra:

@@ -47,7 +47,6 @@ __all__ = [
     "NotInterComponent",
     "GOutOfRange",
     "intermediate_F",
-    "f_coefficients",
     "verify_prop31",
     "verify_thm13",
     "verify_thm13_all",
@@ -239,21 +238,6 @@ def _F_partition_sum(
     return FValue(diagram.num_components, total)
 
 
-def f_coefficients(
-    diagram: Link,
-    engine: SkeinEngine | None = None,
-) -> dict[int, BivarLaurent]:
-    """Nonzero coefficients of F by genus index: g -> z**(2g-L) coefficient.
-
-    Absent keys are zero; for a knot this is exactly the h-table.
-    """
-    value = intermediate_F(diagram, engine=engine)
-    out: dict[int, BivarLaurent] = {}
-    for ez, coeff in value.poly.by_z():
-        out[(ez + value.components) // 2] = coeff
-    return out
-
-
 def _context(diagram: Link, label: str | None, **extra) -> dict:
     ctx = {
         "label": label or f"{diagram.num_components}-component diagram "
@@ -329,6 +313,13 @@ def verify_thm13_all(
     return reports
 
 
+def _sublink_table(diagram: Link, subset: Iterable[int], engine: SkeinEngine) -> CoeffTable:
+    """The table of the sublink on `subset`, charged one node of the
+    engine's budget for the sublink built, as `_subset_F` charges it."""
+    engine.charge(1)
+    return coeff_table(diagram.sublink(subset), engine=engine)
+
+
 def _two_form_report(
     identity: str, diagram: Link, label: str | None, g: int, h_lhs, h_rhs, p_lhs, p_rhs
 ) -> VerificationReport:
@@ -364,7 +355,7 @@ def verify_thm14(
     if L < 1:
         raise ValueError("needs at least one component")
     eng = engine if engine is not None else SkeinEngine()
-    knots = [coeff_table(diagram.sublink([alpha]), engine=eng) for alpha in range(L)]
+    knots = [_sublink_table(diagram, [alpha], eng) for alpha in range(L)]
     full = coeff_table(diagram, engine=eng)
 
     h_lhs = full.h_at(0)
@@ -402,7 +393,7 @@ def verify_thm15(
         raise ValueError("the pair-sum identity needs at least 2 components")
     eng = engine if engine is not None else SkeinEngine()
     tables = {
-        subset: coeff_table(diagram.sublink(subset), engine=eng)
+        subset: _sublink_table(diagram, subset, eng)
         for size in (1, 2)
         for subset in itertools.combinations(range(L), size)
     }

@@ -105,9 +105,6 @@ class BivarLaurent:
         """Terms in canonical order (ascending e_z, then ascending e_t)."""
         return iter(sorted(self._terms.items()))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -185,10 +182,6 @@ class BivarLaurent:
         """Multiply by the monomial z**ez * t**et."""
         return _wrap({(z + ez, t + et): c for (z, t), c in self._terms.items()})
 
-    def reciprocal_t(self) -> "BivarLaurent":
-        """Substitute t -> 1/t."""
-        return _wrap({(ez, -et): c for (ez, et), c in self._terms.items()})
-
     def coeff_of_z(self, k: int) -> "BivarLaurent":
         """The coefficient of z**k, as a z-free polynomial in t (zero if absent)."""
         return _wrap({(0, et): c for (ez, et), c in self._terms.items() if ez == k})
@@ -206,10 +199,6 @@ class BivarLaurent:
         if not self._terms:
             return None
         return min(ez for ez, _ in self._terms)
-
-    def is_even_nonneg_in_z(self) -> bool:
-        """True iff every nonzero term has an even, nonnegative z exponent."""
-        return all(ez >= 0 and ez % 2 == 0 for ez, _ in self._terms)
 
     def evaluate(self, z0: int | Fraction, t0: int | Fraction) -> Fraction:
         """Exact value of the substitution z -> z0, t -> t0 at a rational

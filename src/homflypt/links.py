@@ -6,8 +6,8 @@ plays there (``"o"`` over / ``"u"`` under), and each crossing carries a sign
 in {+1, -1}.  Every diagram is planar: the constructor rejects a signed
 Gauss code that no plane diagram realizes (`planar.euler_characteristic`),
 and every surgery (crossing switch, oriented smoothing, sublink
-extraction, disjoint union, kink, base-point rotation) is well defined on
-this data alone and keeps a plane diagram planar, so none checks again.
+extraction, disjoint union) is well defined on this data alone and keeps
+a plane diagram planar, so none checks again.
 
 A braid closure has a second representation, `ClosedBraid`, which does the
 same surgeries and answers the same queries on the braid word itself, so
@@ -415,32 +415,6 @@ class LinkDiagram(_Linking):
         for cid, s in sorted(other.signs.items()):
             signs[relabel[cid]] = s
         return _trusted(comps, signs)
-
-    def add_kink(self, comp: int, sign: int, over_first: bool = True) -> "LinkDiagram":
-        """Append a one-crossing curl (R1 loop) to a component."""
-        if not 0 <= comp < len(self.components):
-            raise IndexError(f"component index {comp} out of range")
-        if sign not in (1, -1):
-            raise ValueError("kink sign must be +1 or -1")
-        cid = max(self.signs, default=-1) + 1
-        pair = ((cid, OVER), (cid, UNDER)) if over_first else ((cid, UNDER), (cid, OVER))
-        comps = list(self.components)
-        comps[comp] = comps[comp] + pair
-        signs = dict(self.signs)
-        signs[cid] = sign
-        return _trusted(comps, signs)
-
-    def rotate_base_point(self, comp: int, shift: int) -> "LinkDiagram":
-        """Move a component's base point along its cyclic sequence."""
-        if not 0 <= comp < len(self.components):
-            raise IndexError(f"component index {comp} out of range")
-        seq = self.components[comp]
-        if seq:
-            k = shift % len(seq)
-            seq = seq[k:] + seq[:k]
-        comps = list(self.components)
-        comps[comp] = seq
-        return _trusted(comps, self.signs)
 
     def braid(
         self, charge: Callable[[int], None], max_strands: int

@@ -348,10 +348,6 @@ class CoeffTable:
     def genus_range(self) -> list[int]:
         return sorted(self.h)
 
-    def polynomial(self) -> BivarLaurent:
-        """The HOMFLY-PT polynomial: the sum of p[g] * z**(2g+1-L)."""
-        return self.homfly
-
     def to_json_dict(self) -> dict:
         return {
             "components": self.components,
@@ -372,5 +368,5 @@ def coeff_table(diagram: Link, engine: SkeinEngine | None = None) -> CoeffTable:
 
 
 def homfly(diagram: Link, engine: SkeinEngine | None = None) -> BivarLaurent:
-    """The HOMFLY-PT polynomial, assembled from the coefficient table."""
-    return coeff_table(diagram, engine=engine).polynomial()
+    """The HOMFLY-PT polynomial, read off the coefficient table."""
+    return coeff_table(diagram, engine=engine).homfly

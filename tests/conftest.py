@@ -1,4 +1,5 @@
-"""Shared helpers: seeded diagram corpora and braid-word moves."""
+"""Shared helpers: seeded diagram corpora, diagram and polynomial
+surgeries only the tests need, and braid-word moves."""
 
 from __future__ import annotations
 
@@ -6,7 +7,16 @@ import json
 
 import pytest
 
-from homflypt import ClosedBraid, LinkDiagram, SplitMix64, close_braid, random_braid
+from homflypt import (
+    OVER,
+    UNDER,
+    BivarLaurent,
+    ClosedBraid,
+    LinkDiagram,
+    SplitMix64,
+    close_braid,
+    random_braid,
+)
 from homflypt import catalog as cat
 from homflypt import cli
 
@@ -37,6 +47,35 @@ def reversed_component(diagram: LinkDiagram, ci: int) -> LinkDiagram:
         counts[cid] = counts.get(cid, 0) + 1
     signs = {c: -s if counts.get(c) == 1 else s for c, s in diagram.signs.items()}
     return LinkDiagram(comps, signs)
+
+
+def add_kink(diagram: LinkDiagram, comp: int, sign: int, over_first: bool = True) -> LinkDiagram:
+    """`diagram` with a one-crossing curl (R1 loop) of sign `sign` appended
+    to component `comp`, built by the public constructor, which checks it."""
+    cid = max(diagram.signs, default=-1) + 1
+    comps = list(diagram.components)
+    comps[comp] += ((cid, OVER), (cid, UNDER)) if over_first else ((cid, UNDER), (cid, OVER))
+    return LinkDiagram(comps, {**diagram.signs, cid: sign})
+
+
+def rotate_base_point(diagram: LinkDiagram, comp: int, shift: int) -> LinkDiagram:
+    """`diagram` with the base point of component `comp` moved `shift`
+    passages along it, built by the public constructor, which checks it."""
+    comps = list(diagram.components)
+    seq = comps[comp]
+    k = shift % len(seq) if seq else 0
+    comps[comp] = seq[k:] + seq[:k]
+    return LinkDiagram(comps, diagram.signs)
+
+
+def reciprocal_t(poly: BivarLaurent) -> BivarLaurent:
+    """`poly` with t -> 1/t substituted."""
+    return BivarLaurent({(ez, -et): c for (ez, et), c in poly.terms()})
+
+
+def is_even_nonneg_in_z(poly: BivarLaurent) -> bool:
+    """True iff every nonzero term of `poly` has an even, nonnegative z exponent."""
+    return all(ez >= 0 and ez % 2 == 0 for (ez, _), _ in poly.terms())
 
 
 def seeded_links_with_components(seed: int, count: int, components: int,

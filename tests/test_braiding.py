@@ -31,8 +31,10 @@ from homflypt.links import MAX_STRANDS
 from homflypt.skein import homfly as homfly_value
 
 from conftest import (
+    add_kink,
     no_charge,
     reversed_component,
+    rotate_base_point,
     seeded_closures,
     seeded_links_with_components,
 )
@@ -138,7 +140,7 @@ def antiparallel_twist(crossings: int) -> LinkDiagram:
 def kinked(diagram: LinkDiagram, rng: SplitMix64, kinks: int) -> LinkDiagram:
     for _ in range(kinks):
         sign = 1 if rng.below(2) else -1
-        diagram = diagram.add_kink(rng.below(diagram.num_components), sign, bool(rng.below(2)))
+        diagram = add_kink(diagram, rng.below(diagram.num_components), sign, bool(rng.below(2)))
     return diagram
 
 
@@ -160,7 +162,7 @@ class TestDifferential:
         for word, diagram in seeded_closures(seed=17, count=40, strands=(2, 3, 4), max_length=8):
             variant = kinked(diagram, rng, 1 + rng.below(3))
             for ci in range(variant.num_components):
-                variant = variant.rotate_base_point(ci, rng.below(5))
+                variant = rotate_base_point(variant, ci, rng.below(5))
             assert check(variant) == 0, word.as_text()
             assert braid_of(variant).strand_count <= word.strand_count
 

@@ -204,7 +204,7 @@ class TestEngine:
             union = left.disjoint_union(right)
             engine = SkeinEngine()
             value = intermediate_F(union, engine=engine)
-            assert value.poly.is_zero(), (left.as_text(), right.as_text())
+            assert value.poly == 0, (left.as_text(), right.as_text())
             assert engine.nodes == _connected_sets_with_first(union)
             assert value == _F_partition_sum(close_braid(union))
 

@@ -43,7 +43,7 @@ def torus_word(n: int) -> ClosedBraid:
 
 def polynomial(word: ClosedBraid):
     """P of the closure, read off the engine's value by the coefficient table."""
-    return coeff_table(word).polynomial()
+    return coeff_table(word).homfly
 
 
 class TestAgreement:

@@ -12,13 +12,13 @@ from homflypt import (
     GOutOfRange,
     LinkDiagram,
     NotInterComponent,
+    ResourceLimitExceeded,
     SkeinEngine,
     SplitMix64,
     T,
     VerificationReport,
     close_braid,
     coeff_table,
-    f_coefficients,
     framed_homfly,
     intermediate_F,
     parse_braid,
@@ -48,7 +48,7 @@ class TestIntermediateF:
 
     def test_split_two_unknots_vanishes(self):
         u = cat.diagram("unknot")
-        assert intermediate_F(u.disjoint_union(u)).poly.is_zero()
+        assert intermediate_F(u.disjoint_union(u)).poly == 0
 
     def test_hopf_value(self, catalog_diagrams):
         value = intermediate_F(catalog_diagrams["hopf+"])
@@ -59,22 +59,24 @@ class TestIntermediateF:
         with pytest.raises(ValueError):
             intermediate_F(LinkDiagram([], {}))
 
+    # the nonzero z-levels of F, by z exponent 2g - L
+
     def test_f_coefficients_of_hopf(self, catalog_diagrams):
-        coeffs = f_coefficients(catalog_diagrams["hopf+"])
-        assert 0 not in coeffs  # the g = 0 coefficient vanishes
-        assert coeffs[1] == T**2 - 1
+        levels = dict(intermediate_F(catalog_diagrams["hopf+"]).poly.by_z())
+        assert -2 not in levels  # the g = 0 coefficient vanishes
+        assert levels[0] == T**2 - 1
 
     def test_f_coefficients_of_knot_match_h_table(self, catalog_diagrams):
         diagram = catalog_diagrams["figure8"]
-        coeffs = f_coefficients(diagram)
+        levels = dict(intermediate_F(diagram).poly.by_z())
         table = coeff_table(diagram)
-        assert set(coeffs) == set(table.genus_range())
-        for g, value in sorted(coeffs.items()):
-            assert value == table.h_at(g)
+        assert set(levels) == {2 * g - 1 for g in table.genus_range()}
+        for ez, value in sorted(levels.items()):
+            assert value == table.h_at((ez + 1) // 2)
 
     def test_borromean_low_coefficients_vanish(self, catalog_diagrams):
-        coeffs = f_coefficients(catalog_diagrams["borromean"])
-        assert 0 not in coeffs and 1 not in coeffs
+        levels = dict(intermediate_F(catalog_diagrams["borromean"]).poly.by_z())
+        assert -3 not in levels and -1 not in levels
 
 
 class TestFAgainstDecompositionSum:
@@ -100,7 +102,7 @@ class TestFAgainstDecompositionSum:
         for diagram in diagrams:
             expected = _F_partition_sum(diagram, engine=engine).poly
             assert intermediate_F(diagram, engine=engine).poly == expected, diagram
-            nonzero += not expected.is_zero()
+            nonzero += expected != 0
         assert nonzero >= 20
 
 
@@ -139,7 +141,7 @@ class TestSplitRule:
         links = [entry.word() for entry in cat.CATALOG]
         # linking number zero and F nonzero: the graph, not lk, decides
         lk_zero = parse_braid("strands=3; 1 1 -2 1 -2")
-        assert lk_zero.total_linking() == 0 and not intermediate_F(lk_zero).poly.is_zero()
+        assert lk_zero.total_linking() == 0 and intermediate_F(lk_zero).poly != 0
         links.append(lk_zero)
         for L in range(2, 9):
             corpus = seeded_links_with_components(1110 + L, 3, L, (L, L + 1), max_length=14)
@@ -155,7 +157,7 @@ class TestSplitRule:
             value = intermediate_F(link, engine=engine)
             expected = _F_partition_sum(link, engine=oracle)
             assert value == expected, link.as_text()
-            if value.poly.is_zero():
+            if value.poly == 0:
                 split += link.num_components > 1
             else:
                 skipped_nonzero += not crossing_graph_is_complete(link)
@@ -176,7 +178,7 @@ class TestSplitRule:
         for left, right in zip(knots, knots[1:]):
             union = left.disjoint_union(right)
             engine = SkeinEngine()
-            assert intermediate_F(union, engine=engine).poly.is_zero()
+            assert intermediate_F(union, engine=engine).poly == 0
             # no sublink is built and nothing is traced: the one node is
             # the one part the walk from the first knot enumerates, the
             # empty one, and the memo holds the union's F alone
@@ -334,6 +336,24 @@ class TestThm15:
                 report = verify_thm15(diagram, engine=engine)
                 assert report.passed
                 assert report.context["h_form_pass"] == report.context["p_form_pass"]
+
+
+class TestSublinkCharge:
+    # each sublink thm14 and thm15 build is charged one node, as `_subset_F`
+    # charges its sublinks, also when the sublink's value is memoized: L of
+    # them for thm14, L + C(L, 2) for thm15
+
+    @pytest.mark.parametrize("verify, nodes", [(verify_thm14, 3), (verify_thm15, 6)])
+    def test_borromean_on_a_warm_engine(self, catalog_diagrams, verify, nodes):
+        for link in (cat.get("borromean").word(), catalog_diagrams["borromean"]):
+            engine = SkeinEngine()
+            verify(link, engine=engine)
+            before = engine.nodes
+            assert verify(link, engine=engine).passed
+            assert engine.nodes - before == nodes
+            engine.max_nodes = engine.nodes + nodes - 1
+            with pytest.raises(ResourceLimitExceeded):
+                verify(link, engine=engine)
 
 
 class TestSkeinF:

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from homflypt import BivarLaurent, PoleAtZero, T, Z
 
+from conftest import is_even_nonneg_in_z, reciprocal_t
+
 TFAC = T - T**-1  # t - t^-1
 
 
 class TestExamples:
     def test_additive_inverse(self):
-        assert (T + (-T)).is_zero()
+        assert T + (-T) == 0
 
     def test_add_cancels_term(self):
         assert (T - T**-1) + T**-1 == T
@@ -33,7 +35,7 @@ class TestExamples:
 
     def test_scale(self):
         assert TFAC * -3 == -3 * T + 3 * T**-1
-        assert (TFAC * 0).is_zero()
+        assert TFAC * 0 == 0
         assert TFAC * 1 == TFAC
 
     def test_shift(self):
@@ -43,7 +45,7 @@ class TestExamples:
 
     def test_coeff_of_z(self):
         assert TFAC.coeff_of_z(0) == TFAC
-        assert TFAC.coeff_of_z(2).is_zero()
+        assert TFAC.coeff_of_z(2) == 0
         hopf = TFAC**2 + T * TFAC * Z**2
         assert hopf.coeff_of_z(2) == T**2 - 1
 
@@ -53,9 +55,9 @@ class TestExamples:
         assert BivarLaurent.zero().min_z_degree() is None
 
     def test_even_nonneg(self):
-        assert TFAC.is_even_nonneg_in_z()
-        assert not (Z * T).is_even_nonneg_in_z()
-        assert BivarLaurent.zero().is_even_nonneg_in_z()
+        assert is_even_nonneg_in_z(TFAC)
+        assert not is_even_nonneg_in_z(Z * T)
+        assert is_even_nonneg_in_z(BivarLaurent.zero())
 
     def test_evaluate(self):
         assert TFAC.evaluate(1, 2) == Fraction(3, 2)
@@ -176,7 +178,7 @@ class TestUnivar:
 
     def test_reciprocal(self):
         p = T**2 + 3 * T**-1
-        assert p.reciprocal_t() == T**-2 + 3 * T
+        assert reciprocal_t(p) == T**-2 + 3 * T
 
     def test_shift_and_pow(self):
         assert (T - T**-1) * (T + T**-1) == T**2 - T**-2

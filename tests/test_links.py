@@ -25,7 +25,7 @@ from homflypt import catalog as cat
 from homflypt import links
 from homflypt.links import MAX_STRANDS
 
-from conftest import reversed_component, seeded_closures
+from conftest import add_kink, reversed_component, rotate_base_point, seeded_closures
 
 TREFOIL_CODE = [(0, OVER), (1, UNDER), (2, OVER), (0, UNDER), (1, OVER), (2, UNDER)]
 # (components, signs) of signed Gauss codes that no plane diagram realizes;
@@ -412,7 +412,7 @@ class TestSurgeries:
 
     def test_add_kink(self, catalog_diagrams):
         tref = catalog_diagrams["trefoil"]
-        kinked = tref.add_kink(0, -1)
+        kinked = add_kink(tref, 0, -1)
         assert kinked.num_crossings == 4
         assert kinked.self_writhe(0) == 2
 
@@ -490,7 +490,7 @@ class TestCanonicalKey:
             corpus += [d.switch_crossing(cid) for cid in ids]
             corpus += [d.smooth_crossing(cid) for cid in ids]
             corpus += [
-                d.rotate_base_point(ci, shift)
+                rotate_base_point(d, ci, shift)
                 for ci, comp in enumerate(d.components)
                 for shift in range(1, len(comp))
             ]
@@ -595,8 +595,8 @@ class TestJson:
                 variants = [
                     diagram,
                     diagram.sublink([0]),
-                    diagram.add_kink(ci, 1 - 2 * rng.below(2), rng.below(2) == 0),
-                    diagram.rotate_base_point(ci, 1 + rng.below(5)),
+                    add_kink(diagram, ci, 1 - 2 * rng.below(2), rng.below(2) == 0),
+                    rotate_base_point(diagram, ci, 1 + rng.below(5)),
                     diagram.disjoint_union(other),
                     other.disjoint_union(diagram),
                 ]

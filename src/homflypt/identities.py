@@ -363,9 +363,8 @@ def verify_thm14(
     for knot in knots:
         h_rhs = h_rhs * knot.h_at(0)
 
-    lk = diagram.total_linking()
     p_lhs = full.p_at(0)
-    p_rhs = (_T_FACTOR ** (L - 1)).shift(0, -2 * lk)
+    p_rhs = (_T_FACTOR ** (L - 1)).shift(0, -2 * full.total_linking)
     for knot in knots:
         p_rhs = p_rhs * knot.p_at(0)
 
@@ -399,12 +398,16 @@ def verify_thm15(
     }
     full = coeff_table(diagram, engine=eng)
 
-    def subset_sum(size, at, twist=lambda subset: 0):
+    def subset_sum(size, at, twist=lambda table: 0):
         """Sum over the `size`-subsets S of at(S, 1) * t**twist(S) times the
-        product of at(alpha, 0) over the components alpha outside S."""
+        product of at(alpha, 0) over the components alpha outside S; a term
+        with at(S, 1) = 0, such as that of each split pair, is skipped."""
         total = BivarLaurent.zero()
         for subset in itertools.combinations(range(L), size):
-            term = at(tables[subset], 1).shift(0, twist(subset))
+            term = at(tables[subset], 1)
+            if not term:
+                continue
+            term = term.shift(0, twist(tables[subset]))
             for alpha in range(L):
                 if alpha not in subset:
                     term = term * at(tables[(alpha,)], 0)
@@ -414,13 +417,12 @@ def verify_thm15(
     h_lhs = full.h_at(1)
     h_rhs = subset_sum(2, CoeffTable.h_at) - subset_sum(1, CoeffTable.h_at) * (L - 2)
 
-    lk = diagram.total_linking()
     p_lhs = full.p_at(1)
-    p_pairs = subset_sum(2, CoeffTable.p_at, lambda pair: 2 * diagram.linking_number(*pair))
+    p_pairs = subset_sum(2, CoeffTable.p_at, lambda pair: 2 * pair.total_linking)
     p_single = subset_sum(1, CoeffTable.p_at)
     p_rhs = (
         p_pairs * _T_FACTOR ** (L - 2) - p_single * _T_FACTOR ** (L - 1) * (L - 2)
-    ).shift(0, -2 * lk)
+    ).shift(0, -2 * full.total_linking)
 
     return _two_form_report("thm15", diagram, label, 1, h_lhs, h_rhs, p_lhs, p_rhs)
 

@@ -21,10 +21,10 @@ R(unknot) = 1: the same recursion on R ends in
 takes a braid closure, a `ClosedBraid`, which it simplifies by braid moves
 and evaluates by the Hecke trace of `homflypt.hecke` in place of resolving
 crossings, and it braids and traces every diagram that `_trace_width`
-allows.  `CoeffTable.from_reduced` computes Hf = R * (t - t^-1) and the
-HOMFLY-PT polynomial ``P = t**(-writhe) * z**(1-L) * R`` once each, and
-reads the coefficient table off their z-levels.  Nothing in the package
-divides one polynomial by another.
+allows.  A `CoeffTable` stores R alone and reads Hf = R * (t - t^-1),
+the HOMFLY-PT polynomial ``P = t**(-writhe) * z**(1-L) * R`` and the
+coefficients h and p off R's z-levels.  Nothing in the package divides
+one polynomial by another.
 """
 
 from __future__ import annotations
@@ -292,25 +292,20 @@ def framed_homfly_bruteforce(
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """The values of one link that the CLI prints, each computed once from
-    the engine's value R = Hf / (t - t^-1): the framed invariant
-    ``framed`` = Hf = R * (t - t^-1), one product, and the HOMFLY-PT
-    polynomial ``homfly`` = P = t**(-writhe) * z**(1-L) * R, one shift.
-
-    The coefficient polynomials, indexed by the genus parameter g, are their
-    z-levels: ``h[g]`` is the z**(2g) coefficient of Hf (an integer Laurent
-    polynomial in t, sitting at z-power 2g-L in the unframed expansion);
-    ``p[g]`` is the z**(2g+1-L) coefficient of P.  The two are linked by
-    ``h[g] == p[g] * t**writhe * (t - t^-1)`` for every g.
+    """The values of one link that the CLI prints, all read off the one
+    polynomial it stores, the engine's value R = Hf / (t - t^-1).  With R_g
+    the z**(2g) coefficient of R, for the genus parameter g: ``framed`` is
+    Hf = R * (t - t^-1) and ``homfly`` is the HOMFLY-PT polynomial
+    P = t**(-writhe) * z**(1-L) * R; ``h_at(g)`` = R_g * (t - t^-1) is the
+    z**(2g) coefficient of Hf (at z-power 2g-L in the unframed expansion)
+    and ``p_at(g)`` = R_g * t**(-writhe) the z**(2g+1-L) coefficient of P,
+    so ``h_at(g) == p_at(g) * t**writhe * (t - t^-1)`` for every g.
     """
 
     components: int
     writhe: int
     total_linking: int
-    framed: BivarLaurent = field(repr=False)
-    homfly: BivarLaurent = field(repr=False)
-    h: dict[int, BivarLaurent] = field(repr=False)
-    p: dict[int, BivarLaurent] = field(repr=False)
+    reduced: BivarLaurent = field(repr=False)
 
     @classmethod
     def from_reduced(cls, diagram: Link, reduced: BivarLaurent) -> "CoeffTable":
@@ -319,44 +314,45 @@ class CoeffTable:
         whose z-levels are R's, has an odd or a negative power of z."""
         if diagram.num_components == 0:
             raise ValueError("the empty diagram has no coefficient expansion")
-        L, w = diagram.num_components, diagram.writhe()
-        framed = reduced * _T_FACTOR
-        h: dict[int, BivarLaurent] = {}
-        for ez, coeff in framed.by_z():
-            if ez < 0 or ez & 1:
-                raise ValueError(
-                    "framed invariant left Z[z^2, t^(+-1)]; the diagram data is not realizable"
-                )
-            h[ez >> 1] = coeff
-        homfly = reduced.shift(1 - L, -w)  # P
+        if any(ez < 0 or ez & 1 for ez, _ in reduced.by_z()):
+            raise ValueError(
+                "framed invariant left Z[z^2, t^(+-1)]; the diagram data is not realizable"
+            )
         return cls(
-            components=L,
-            writhe=w,
+            components=diagram.num_components,
+            writhe=diagram.writhe(),
             total_linking=diagram.total_linking(),
-            framed=framed,
-            homfly=homfly,
-            h=h,
-            p={(ez + L - 1) >> 1: coeff for ez, coeff in homfly.by_z()},
+            reduced=reduced,
         )
 
+    @property
+    def framed(self) -> BivarLaurent:
+        return self.reduced * _T_FACTOR
+
+    @property
+    def homfly(self) -> BivarLaurent:
+        return self.reduced.shift(1 - self.components, -self.writhe)
+
     def h_at(self, g: int) -> BivarLaurent:
-        return self.h.get(g, BivarLaurent.zero())
+        return self.reduced.coeff_of_z(2 * g) * _T_FACTOR
 
     def p_at(self, g: int) -> BivarLaurent:
-        return self.p.get(g, BivarLaurent.zero())
+        return self.reduced.coeff_of_z(2 * g).shift(0, -self.writhe)
 
     def genus_range(self) -> list[int]:
-        return sorted(self.h)
+        return [ez >> 1 for ez, _ in self.reduced.by_z()]
 
     def to_json_dict(self) -> dict:
+        """The table as JSON, h and p read off the z-levels of Hf and P."""
+        framed, homfly, L = self.framed, self.homfly, self.components
         return {
-            "components": self.components,
+            "components": L,
             "writhe": self.writhe,
             "total_linking": self.total_linking,
-            "framed": self.framed.to_quadruples(),
-            "homfly": self.homfly.to_quadruples(),
-            "h": {str(g): self.h[g].to_triples() for g in sorted(self.h)},
-            "p": {str(g): self.p[g].to_triples() for g in sorted(self.p)},
+            "framed": framed.to_quadruples(),
+            "homfly": homfly.to_quadruples(),
+            "h": {str(ez >> 1): h.to_triples() for ez, h in framed.by_z()},
+            "p": {str((ez + L - 1) >> 1): p.to_triples() for ez, p in homfly.by_z()},
         }
 
 

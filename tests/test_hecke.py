@@ -81,11 +81,15 @@ class TestAgreement:
             table = coeff_table(word)
             framed = framed_homfly_bruteforce(close_braid(word))
             assert {ez: coeff for ez, coeff in framed.by_z()} == {
-                2 * g: h for g, h in table.h.items()
+                2 * g: table.h_at(g) for g in table.genus_range()
             }, word.as_text()
-            assert table.h.keys() == table.p.keys(), word.as_text()
-            for g, h in table.h.items():
-                assert h == table.p[g].shift(0, table.writhe) * TFAC, (word.as_text(), g)
+            L = table.components
+            assert {(ez + L - 1) // 2 for ez, _ in table.homfly.by_z()} == set(
+                table.genus_range()
+            ), word.as_text()
+            for g in table.genus_range():
+                h, p = table.h_at(g), table.p_at(g)
+                assert h == p.shift(0, table.writhe) * TFAC, (word.as_text(), g)
 
 
 class TestIndependentChecks:

@@ -30,7 +30,6 @@ Identity ids (also the CLI vocabulary):
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Callable, Iterable
@@ -115,25 +114,19 @@ def intermediate_F(diagram: Link, engine: SkeinEngine | None = None) -> FValue:
     F(S) is intrinsic to the sublink on S, so it is memoized in the
     engine's `f_memo` on the sublink's canonical key.  Links that share
     sublinks, such as the two sides and the smoothing of a skeinF check,
-    share those values of F and of H.  F of the whole link, zero when it
-    is split, is read off the memo before any walk.
+    share those values of F and of H.  `_subset_F` reads F of the whole
+    link off the memo, and applies the split rule, before any walk.
 
     The walk is charged to the engine's node budget as it goes: one node
     per part enumerated (on a complete crossing graph, 2^(L-1) of them
     for the whole link) and, in `_subset_F`, one per sublink built.
     """
-    L = diagram.num_components
     eng = engine if engine is not None else SkeinEngine()
-    if L:
-        cached = eng.f_memo.get(diagram.canonical_key())
-        if cached is not None:
-            return FValue(L, cached)
-    adjacent: list[set[int]] = [set() for _ in range(L)]
+    adjacent: list[set[int]] = [set() for _ in range(diagram.num_components)]
     for a, b, _sign in diagram._linking():
         adjacent[a].add(b)
         adjacent[b].add(a)
 
-    @functools.cache
     def parts(members: tuple[int, ...]) -> list[tuple[int, ...]]:
         """Every T among `members` with {0} and T connected, each once, by
         size and then in order: grown from component 0 one neighbour at a
@@ -153,22 +146,21 @@ def intermediate_F(diagram: Link, engine: SkeinEngine | None = None) -> FValue:
                 work.append((chosen + (v,), rest + new, out))
         return sorted(found, key=lambda part: (len(part), part))
 
-    whole = tuple(range(1, L))
-    if L and parts(whole)[-1] != whole:  # the link is split
-        if len(eng.f_memo) < MEMO_CAP:
-            eng.f_memo[diagram.canonical_key()] = BivarLaurent.zero()
-        return FValue(L, BivarLaurent.zero())
-    return _subset_F(diagram, eng, lambda others: parts(others)[:-1])
+    return _subset_F(diagram, eng, eng.f_memo, parts)
 
 
 def _subset_F(
     diagram: Link,
     engine: SkeinEngine,
+    memo: dict[tuple, BivarLaurent],
     parts: Callable[[tuple[int, ...]], Iterable[tuple[int, ...]]],
 ) -> FValue:
-    """F by the subset recursion of `intermediate_F`, in which F(S) of
-    S = {0} + `others` is H(S) less F(T) * H(S - T) over the parts T in
-    `parts(others)`, the proper parts of `others` on which F may not be zero.
+    """F by the subset recursion of `intermediate_F`, in one loop over the
+    sets S = {0} + `others` in the order `parts` lists them for the whole
+    link.  `parts(others)` yields the parts T of `others` by size, and
+    `others` itself last exactly when F(S) may not be zero: the split rule.
+    Each F is read off `memo` under its sublink's key, or summed over its
+    parts and stored there, and kept in a local dict for the sets after it.
 
     H = (t - t^-1) * h with h(S) = z**(-|S|) * R(S), the engine's value, so
     F(S) = (t - t^-1) * (h(S) - sum of F(T) * h(S - T)): one multiplication
@@ -177,41 +169,43 @@ def _subset_F(
     L = diagram.num_components
     if L < 1:
         raise ValueError("F needs at least one component")
-
-    def build(subset: tuple[int, ...]) -> Link:
-        if len(subset) == L:
-            return diagram
-        engine.charge(1)
-        return diagram.sublink(subset)
-
-    @functools.cache
-    def h(subset: tuple[int, ...]) -> BivarLaurent:
-        return engine.reduced_invariant(build(subset)).shift(-len(subset))
-
-    @functools.cache
-    def F(others: tuple[int, ...]) -> BivarLaurent:
-        """F of the sublink on component 0 and `others`."""
-        sublink = build((0,) + others)
-        key = sublink.canonical_key()
-        value = engine.f_memo.get(key)
-        if value is None:
-            value = engine.reduced_invariant(sublink).shift(-1 - len(others))
-            for part in parts(others):
-                f_part = F(part)
-                if f_part:
-                    value = value - f_part * h(tuple(i for i in others if i not in part))
-            value = value * _T_FACTOR
-            if len(engine.f_memo) < MEMO_CAP:
-                engine.f_memo[key] = value
-        return value
-
-    try:
-        return FValue(L, F(tuple(range(1, L))))
-    finally:
-        # F refers to itself through its closure: a cycle that would keep
-        # the engine and every cached value alive until the next cyclic
-        # garbage collection, not just until return
-        del F
+    whole_key = diagram.canonical_key()
+    cached = memo.get(whole_key)
+    if cached is not None:
+        return FValue(L, cached)
+    whole = tuple(range(1, L))
+    order = list(parts(whole))
+    if order[-1] != whole:  # the link is split
+        if len(memo) < MEMO_CAP:
+            memo[whole_key] = BivarLaurent.zero()
+        return FValue(L, BivarLaurent.zero())
+    F: dict[tuple[int, ...], BivarLaurent | None] = {}
+    h: dict[tuple[int, ...], BivarLaurent] = {}
+    for others in order:
+        if others == whole:
+            sublink, key, its_parts = diagram, whole_key, order
+        else:
+            engine.charge(1)
+            sublink = diagram.sublink((0,) + others)
+            key = sublink.canonical_key()
+            F[others] = memo.get(key)
+            if F[others] is not None:
+                continue
+            its_parts = parts(others)
+        value = engine.reduced_invariant(sublink).shift(-1 - len(others))
+        for part in its_parts:
+            if part == others:
+                break
+            if F[part]:
+                rest = tuple(i for i in others if i not in part)
+                if rest not in h:
+                    engine.charge(1)
+                    h[rest] = engine.reduced_invariant(diagram.sublink(rest)).shift(-len(rest))
+                value = value - F[part] * h[rest]
+        F[others] = value * _T_FACTOR
+        if len(memo) < MEMO_CAP:
+            memo[key] = F[others]
+    return FValue(L, F[whole])
 
 
 def _F_partition_sum(
@@ -466,15 +460,15 @@ def verify_split_F(
         union = union.disjoint_union(d)
     eng = engine if engine is not None else SkeinEngine()
 
-    # the split rule of `intermediate_F` is the theorem checked here, so
-    # this F is computed on every subset, split or not; each part is
-    # charged one node as it is enumerated
+    # the split rule of `_subset_F` is the theorem checked here, so every
+    # subset is a part, `others` last, each charged one node as it is
+    # enumerated, and F goes into a memo of its own, not `f_memo`
     def every_part(others):
-        for size in range(len(others)):
+        for size in range(len(others) + 1):
             for part in itertools.combinations(others, size):
                 eng.charge(1)
                 yield part
 
-    value = _subset_F(union, eng, every_part)
+    value = _subset_F(union, eng, {}, every_part)
     context = _context(union, label, factors=len(knots))
     return VerificationReport.of("splitF", value.poly, BivarLaurent.zero(), context)

@@ -134,7 +134,8 @@ class SkeinEngine:
     for a braid, so no two links of different types share a key; a
     braided diagram is memoized under its own key and its braid's.  Equal
     diagrams up to crossing relabeling share one entry, and `f_memo` holds
-    values of `identities.intermediate_F` under the same key.  The
+    values of `identities.intermediate_F` under the same key (splitF, which
+    checks the split rule, keeps its own).  The
     intermediate words of `pieces` are not memoized, nor are the
     intermediate powers of an unlink value: only the powers asked for.
     """

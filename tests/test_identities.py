@@ -208,13 +208,34 @@ class TestSplitRule:
             assert seconds < 2 and peak < 5 * 2**20, (target, seconds, peak)
 
     def test_split_F_does_not_use_the_rule(self):
-        # the rule is the theorem splitF checks, so splitF computes its F
+        # the rule is the theorem splitF checks, so splitF computes its F,
+        # at the same cost on an engine whose memo holds the zero that the
+        # rule stored for the union
         knots = [w for w, _ in seeded_links_with_components(1130, 4, 1, (3, 4))]
         for left, right in zip(knots, knots[1:]):
+            fresh = SkeinEngine()
+            assert verify_split_F([left, right], engine=fresh).passed
+            assert fresh.nodes > 0, (left.as_text(), right.as_text())
             engine = SkeinEngine()
-            report = verify_split_F([left, right], engine=engine)
-            assert report.passed
-            assert engine.nodes > 0 and engine.f_memo, (left.as_text(), right.as_text())
+            assert intermediate_F(left.disjoint_union(right), engine=engine).poly == 0
+            before = engine.nodes
+            assert verify_split_F([left, right], engine=engine).passed
+            assert engine.nodes - before == fresh.nodes, (left.as_text(), right.as_text())
+
+    @pytest.mark.parametrize("strands, nodes", [(4, 477), (5, 3498), (6, 31233)])
+    def test_the_whole_link_is_walked_once(self, strands, nodes):
+        # the full twist has a complete crossing graph, so the parts of the
+        # whole link are every subset of the other components: enumerated
+        # once, for the split rule and the sum alike; a second call reads
+        # F off the memo
+        word = f"strands={strands}; " + " ".join(
+            " ".join(map(str, range(1, strands))) for _ in range(strands))
+        link = parse_braid(word)
+        engine = SkeinEngine()
+        intermediate_F(link, engine=engine)
+        assert engine.nodes == nodes
+        intermediate_F(link, engine=engine)
+        assert engine.nodes == nodes
 
 
 class TestProp31:

@@ -68,7 +68,9 @@ def json_text(value) -> str:
     strings: an int is its repr, a string is escaped as `json.dumps` escapes
     it, and any other scalar is encoded by `json.dumps`.  A list of ints (a
     polynomial's term), or a list of such lists (a polynomial), is joined
-    in one step."""
+    in one step.  It writes the JSON of `verify` and `catalog`; `homfly`
+    prints `skein.CoeffTable.to_json_text`, which writes its one layout
+    without a dict."""
     parts: list[str] = []
     _json_parts(value, "\n", parts)
     return "".join(parts)
@@ -197,7 +199,7 @@ def cmd_homfly(args, out) -> int:
         raise _InputError("the empty diagram has no coefficient table")
     table = coeff_table(link, SkeinEngine(_max_nodes(args)))
     if args.format == "json":
-        print(json_text(dict(table.to_json_dict(), link=label)), file=out)
+        print(table.to_json_text(label), file=out)
         return EXIT_OK
     print(f"link: {label}", file=out)
     print(

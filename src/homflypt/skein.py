@@ -23,7 +23,8 @@ and evaluates by the Hecke trace of `homflypt.hecke` in place of resolving
 crossings, and it braids and traces every diagram that `_trace_width`
 allows.  A `CoeffTable` stores R alone and reads Hf = R * (t - t^-1),
 the HOMFLY-PT polynomial ``P = t**(-writhe) * z**(1-L) * R`` and the
-coefficients h and p off R's z-levels.  Nothing in the package divides
+coefficients h and p off R's z-levels, and writes them all as JSON in
+one pass over R's terms.  Nothing in the package divides
 one polynomial by another.
 """
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
 
 from .hecke import framed_trace
@@ -301,6 +303,8 @@ class CoeffTable:
     z**(2g) coefficient of Hf (at z-power 2g-L in the unframed expansion)
     and ``p_at(g)`` = R_g * t**(-writhe) the z**(2g+1-L) coefficient of P,
     so ``h_at(g) == p_at(g) * t**writhe * (t - t^-1)`` for every g.
+    `to_json_text` writes all of these as ``homfly --format json`` prints
+    them, in one pass over R's terms, without `cli.json_text`.
     """
 
     components: int
@@ -343,18 +347,57 @@ class CoeffTable:
     def genus_range(self) -> list[int]:
         return [ez >> 1 for ez, _ in self.reduced.by_z()]
 
-    def to_json_dict(self) -> dict:
-        """The table as JSON, h and p read off the z-levels of Hf and P."""
-        framed, homfly, L = self.framed, self.homfly, self.components
-        return {
-            "components": L,
-            "writhe": self.writhe,
-            "total_linking": self.total_linking,
-            "framed": framed.to_quadruples(),
-            "homfly": homfly.to_quadruples(),
-            "h": {str(ez >> 1): h.to_triples() for ez, h in framed.by_z()},
-            "p": {str((ez + L - 1) >> 1): p.to_triples() for ez, p in homfly.by_z()},
-        }
+    def to_json_text(self, label: str) -> str:
+        """``json.dumps(layout, sort_keys=True, indent=2)`` of the table
+        with its ``link`` label, written in one pass over R's terms:
+        ``framed`` and ``homfly`` are the quadruples of Hf and P, ``h`` and
+        ``p`` map ``str(g)`` to the triples of h_at(g) and p_at(g), and the
+        other keys hold the ints of the table.  Hf = R * (t - t^-1) is
+        summed into one dict, P is R's terms shifted by (1 - L, -writhe),
+        and each row is filled into a fixed template at its depth."""
+        shift_z, writhe = 1 - self.components, self.writhe
+        framed: dict[tuple[int, int], int] = {}
+        homfly, p_rows = [], {}
+        for (ez, et), c in self.reduced.terms():
+            framed[ez, et + 1] = framed.get((ez, et + 1), 0) + c
+            framed[ez, et - 1] = framed.get((ez, et - 1), 0) - c
+            homfly.append(_QUAD % (ez + shift_z, et - writhe, c))
+            p_rows.setdefault(ez >> 1, []).append(_TRIPLE % (et - writhe, c))
+        framed_rows, h_rows = [], {}
+        for (ez, et), c in sorted(framed.items()):
+            if c:
+                framed_rows.append(_QUAD % (ez, et, c))
+                h_rows.setdefault(ez >> 1, []).append(_TRIPLE % (et, c))
+        return _TABLE % (
+            self.components,
+            ",\n".join(framed_rows),
+            _levels_text(h_rows),
+            ",\n".join(homfly),
+            encode_basestring_ascii(label),
+            _levels_text(p_rows),
+            self.total_linking,
+            writhe,
+        )
+
+
+# `json.dumps(..., sort_keys=True, indent=2)` of a coefficient table, filled
+# in by `CoeffTable.to_json_text`: the keys in sorted order, a polynomial's
+# quadruple at depth 2 and a z-level's triple at depth 3.  No list or
+# object is empty, since a link's R is not zero.
+_TABLE = (
+    '{\n  "components": %d,\n  "framed": [\n%s\n  ],\n  "h": {\n%s\n  },'
+    '\n  "homfly": [\n%s\n  ],\n  "link": %s,\n  "p": {\n%s\n  },'
+    '\n  "total_linking": %d,\n  "writhe": %d\n}'
+)
+_QUAD = "    [\n      %d,\n      %d,\n      %d,\n      1\n    ]"
+_TRIPLE = "      [\n        %d,\n        %d,\n        1\n      ]"
+
+
+def _levels_text(levels: dict[int, list[str]]) -> str:
+    """The members of the JSON object of z-levels, keyed by ``str(g)`` in
+    the string order of `json.dumps`, so "10" precedes "2"."""
+    items = sorted((str(g), rows) for g, rows in levels.items())
+    return ",\n".join(f'    "{g}": [\n' + ",\n".join(rows) + "\n    ]" for g, rows in items)
 
 
 def coeff_table(diagram: Link, engine: SkeinEngine | None = None) -> CoeffTable:

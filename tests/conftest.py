@@ -19,6 +19,7 @@ from homflypt import (
 )
 from homflypt import catalog as cat
 from homflypt import cli
+from homflypt.skein import CoeffTable
 
 
 def no_charge(nodes: int) -> None:
@@ -180,10 +181,29 @@ def markov_variant(word: ClosedBraid, rng: SplitMix64, moves: int = 3) -> Closed
     return out
 
 
+def table_layout(table: CoeffTable, label: str) -> dict:
+    """The documented layout of ``homfly --format json``, read off the
+    table's public values: the oracle of `CoeffTable.to_json_text`, which
+    prints ``json.dumps(table_layout(table, label), sort_keys=True,
+    indent=2)``."""
+    return {
+        "components": table.components,
+        "writhe": table.writhe,
+        "total_linking": table.total_linking,
+        "framed": table.framed.to_quadruples(),
+        "homfly": table.homfly.to_quadruples(),
+        "h": {str(g): table.h_at(g).to_triples() for g in table.genus_range()},
+        "p": {str(g): table.p_at(g).to_triples() for g in table.genus_range()},
+        "link": label,
+    }
+
+
 @pytest.fixture(autouse=True)
 def json_text_is_json_dumps(monkeypatch):
     """Every JSON payload the CLI prints in a test is also checked against
-    ``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte."""
+    ``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte: those
+    of `cli.json_text` and the coefficient tables of `homfly`, which
+    `CoeffTable.to_json_text` writes from the table itself."""
     written = cli.json_text
 
     def checked(value):
@@ -192,6 +212,14 @@ def json_text_is_json_dumps(monkeypatch):
         return text
 
     monkeypatch.setattr(cli, "json_text", checked)
+    table_text = CoeffTable.to_json_text
+
+    def checked_table(table, label):
+        text = table_text(table, label)
+        assert text == json.dumps(table_layout(table, label), sort_keys=True, indent=2)
+        return text
+
+    monkeypatch.setattr(CoeffTable, "to_json_text", checked_table)
 
 
 @pytest.fixture(scope="session")

@@ -9,11 +9,16 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homflypt import BivarLaurent, SplitMix64, T, Z, close_braid, parse_braid
+from homflypt import catalog as cat
 from homflypt.links import MAX_STRANDS
 from homflypt import cli
 from homflypt.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
+from homflypt.skein import coeff_table
+
+from conftest import seeded_closures, table_layout
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -261,6 +266,74 @@ class TestHomfly:
                 main(argv, out=io.StringIO())
             assert exit_info.value.code == 0
             assert capsys.readouterr().out.startswith("usage: homflypt")
+
+
+def table_json(link, label: str) -> str:
+    """What ``homfly --format json`` must print for `link`: the oracle
+    layout of a fresh engine's table, dumped by `json.dumps`."""
+    return json.dumps(table_layout(coeff_table(link), label), sort_keys=True, indent=2) + "\n"
+
+
+class TestHomflyJson:
+    """`CoeffTable.to_json_text` against `json.dumps` of the layout that
+    conftest reads off the table's public values, byte for byte."""
+
+    def test_catalog_by_name_and_by_file(self, tmp_path):
+        for name in cat.names():
+            code, text = run_cli(["homfly", "--catalog", name, "--format", "json"])
+            assert code == EXIT_OK and text == table_json(cat.get(name).word(), name), name
+            diagram = cat.diagram(name)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(diagram.to_json_dict()))
+            code, text = run_cli(["homfly", "--file", str(path), "--format", "json"])
+            assert code == EXIT_OK and text == table_json(diagram, str(path)), name
+
+    def test_seeded_closures(self):
+        for word, _ in seeded_closures(31, 300, strands=(2, 3, 4, 5)):
+            label = word.as_text()
+            code, text = run_cli(["homfly", "--braid", label, "--format", "json"])
+            assert code == EXIT_OK and text == table_json(word, label), label
+
+    def test_genus_keys_sort_as_strings(self):
+        # T(2,25) has z-levels up to z^24, so json.dumps puts "10" before "2"
+        label = "strands=2;" + " 1" * 25
+        code, text = run_cli(["homfly", "--braid", label, "--format", "json"])
+        assert code == EXIT_OK and text == table_json(parse_braid(label), label)
+        keys = sorted(str(g) for g in range(13))
+        assert keys[:4] == ["0", "1", "10", "11"]
+        obj = json.loads(text)
+        assert list(obj["h"]) == list(obj["p"]) == keys
+
+    @pytest.mark.parametrize("strands", [1, 5])
+    def test_unlinks(self, strands):
+        label = f"strands={strands};"
+        code, text = run_cli(["homfly", "--braid", label, "--format", "json"])
+        assert code == EXIT_OK and text == table_json(parse_braid(label), label)
+        # P = z**(1-L) * (t - t**-1)**(L-1) at writhe 0
+        assert min(ez for ez, _, _, _ in json.loads(text)["homfly"]) == 1 - strands
+
+    def test_labels_are_escaped_as_json_dumps_escapes_them(self, tmp_path):
+        table = coeff_table(parse_braid("strands=3; 1 -2 1 -2"))
+        labels = ["", '"', "\\", '\\"', "a\nb\tc\r", "\x00\x01\x1f\x7f", "é€\U0001f600"]
+        labels += ["\u2028\u2029", "\udc80", "</script>"]
+        for label in labels:
+            assert table.to_json_text(label) == json.dumps(
+                table_layout(table, label), sort_keys=True, indent=2
+            ), label
+        path = tmp_path / 'quote" back\\slash é€.json'
+        diagram = cat.diagram("borromean")
+        path.write_text(json.dumps(diagram.to_json_dict()))
+        code, text = run_cli(["homfly", "--file", str(path), "--format", "json"])
+        assert code == EXIT_OK and text == table_json(diagram, str(path))
+        assert text.isascii()
+
+    @settings(max_examples=200, deadline=None)
+    @given(label=st.text())
+    def test_any_label(self, label):
+        table = coeff_table(parse_braid("strands=2; 1 1"))
+        assert table.to_json_text(label) == json.dumps(
+            table_layout(table, label), sort_keys=True, indent=2
+        )
 
 
 class TestProcess:

@@ -4,7 +4,7 @@ A diagram is Gauss-code-like: each component is a cyclic sequence of
 *passages*, a passage being a crossing id paired with the role the strand
 plays there (``"o"`` over / ``"u"`` under), and each crossing carries a sign
 in {+1, -1}.  Every diagram is planar: the constructor rejects a signed
-Gauss code that no plane diagram realizes (`planar.euler_characteristic`),
+Gauss code that no plane diagram realizes (`planar.faces`),
 and every surgery (crossing switch, oriented smoothing, sublink
 extraction, disjoint union) is well defined on this data alone and keeps
 a plane diagram planar, so none checks again.
@@ -29,7 +29,7 @@ import re
 from collections import Counter
 from typing import Callable, Iterable, Mapping
 
-from .planar import euler_characteristic, vogel_braid
+from . import planar
 
 __all__ = [
     "OVER",
@@ -232,20 +232,90 @@ def _cut(n: int, letters: tuple[int, ...]) -> int:
     return 0
 
 
+def _has_kink(components) -> bool:
+    """Whether some component passes one crossing twice in a row, counted
+    cyclically: an R1 kink."""
+    for comp in components:
+        last = comp[-1][0] if comp else None
+        for cid, _ in comp:
+            if cid == last:
+                return True
+            last = cid
+    return False
+
+
 def _is_int(value) -> bool:
     """An integer of the JSON schema: a bool is not one, nor is 1.0."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
-def _trusted(components: Iterable[tuple[Passage, ...]], signs: dict[int, int]) -> "LinkDiagram":
-    """A diagram on data an internal surgery derived from a valid diagram:
-    tuples of (int, str) passages and an int -> int sign dict, planar since
-    every surgery keeps a plane diagram planar.  Skips the conversion and
-    validation of the public constructor."""
+def _diagram(
+    components: Iterable[tuple[Passage, ...]], signs: dict[int, int], embedding=None
+) -> "LinkDiagram":
+    """A diagram on data that is already checked: tuples of (int, str)
+    passages and an int -> int sign dict that `_planar_map` accepted, with
+    its map `embedding`, or that an internal surgery derived from a valid
+    diagram, planar since every surgery keeps a plane diagram planar, with
+    no map.  Skips the conversion and validation of the public
+    constructor."""
     out = LinkDiagram.__new__(LinkDiagram)
     object.__setattr__(out, "components", tuple(components))
     object.__setattr__(out, "signs", signs)
+    object.__setattr__(out, "_map", embedding)
     return out
+
+
+def _planar_map(components: tuple[tuple[Passage, ...], ...], signs: dict[int, int]):
+    """The `planar.faces` map of a planar signed Gauss code.  Raises
+    DiagramError naming the first defect, checked in this order: a role
+    other than "o"/"u", crossing ids without a sign or signs without a
+    crossing, a crossing without exactly one over and one under passage, a
+    sign other than +1/-1, and a code that no plane diagram realizes."""
+    embedding = planar.faces(components, signs)
+    if embedding is None:
+        raise DiagramError(_defect(components, signs))
+    # every crossing has four ends and every edge two, so V - E = -crossings
+    euler, pieces = embedding[2] - len(signs), planar.connected_pieces(components)
+    if euler != 2 * pieces:
+        raise DiagramError(
+            f"the signed Gauss code is not planar (V - E + F = {euler} over {pieces}"
+            f" connected pieces, a plane diagram has 2 per piece); no link has this diagram"
+        )
+    return embedding
+
+
+def _defect(components, signs: dict[int, int]) -> str:
+    """The first structural defect of data that `planar.faces` refused, in
+    the order `_planar_map` lists."""
+    roles: dict[int, list[str]] = {}
+    for comp in components:
+        for cid, role in comp:
+            if role not in (OVER, UNDER):
+                return f"invalid passage role {role!r} for crossing {cid}"
+            roles.setdefault(cid, []).append(role)
+    if set(roles) != set(signs):
+        missing = sorted(set(signs) - set(roles))
+        stray = sorted(set(roles) - set(signs))
+        return f"crossing ids inconsistent (unused signs: {missing}, unsigned passages: {stray})"
+    for cid in sorted(roles):
+        if sorted(roles[cid]) != [OVER, UNDER]:
+            return f"crossing {cid} must appear exactly once as over and once as under"
+    cid = next(cid for cid in sorted(signs) if signs[cid] not in (1, -1))
+    return f"crossing {cid} has sign {signs[cid]}, expected +1/-1"
+
+
+def _reference_defect(ref, comps, cid: int, role: str) -> str | None:
+    """What is wrong with `ref` as the [component, position] of the passage
+    (cid, role) in `comps`, or None."""
+    if isinstance(ref, (list, tuple)) and len(ref) == 2:
+        ci, pi = ref
+        if _is_int(ci) and _is_int(pi):
+            if not (0 <= ci < len(comps) and 0 <= pi < len(comps[ci])):
+                return f"passage reference [{ci}, {pi}] out of range"
+            if comps[ci][pi] != (cid, role):
+                return f"passage reference [{ci}, {pi}] does not hold ({cid}, {role!r})"
+            return None
+    return "expected [component, position]"
 
 
 class LinkDiagram(_Linking):
@@ -256,44 +326,19 @@ class LinkDiagram(_Linking):
     a signed Gauss code that is not planar raises DiagramError.
     """
 
-    __slots__ = ("components", "signs")
+    __slots__ = ("components", "signs", "_map")
 
     def __init__(self, components: Iterable[Iterable[Passage]], signs: Mapping[int, int]):
         comps = tuple(tuple((int(cid), role) for cid, role in comp) for comp in components)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "signs", {int(cid): int(s) for cid, s in signs.items()})
-        self._validate()
+        signs = {int(cid): int(s) for cid, s in signs.items()}
+        put = object.__setattr__
+        put(self, "components", comps)
+        put(self, "signs", signs)
+        # the map of the planarity check, the first map `braid` scans
+        put(self, "_map", _planar_map(comps, signs))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinkDiagram is immutable")
-
-    def _validate(self) -> None:
-        roles: dict[int, list[str]] = {}
-        for comp in self.components:
-            for cid, role in comp:
-                if role not in (OVER, UNDER):
-                    raise DiagramError(f"invalid passage role {role!r} for crossing {cid}")
-                roles.setdefault(cid, []).append(role)
-        if set(roles) != set(self.signs):
-            missing = sorted(set(self.signs) - set(roles))
-            stray = sorted(set(roles) - set(self.signs))
-            raise DiagramError(
-                f"crossing ids inconsistent (unused signs: {missing}, unsigned passages: {stray})"
-            )
-        for cid in sorted(roles):
-            if sorted(roles[cid]) != [OVER, UNDER]:
-                raise DiagramError(
-                    f"crossing {cid} must appear exactly once as over and once as under"
-                )
-        for cid in sorted(self.signs):
-            if self.signs[cid] not in (1, -1):
-                raise DiagramError(f"crossing {cid} has sign {self.signs[cid]}, expected +1/-1")
-        euler, pieces = euler_characteristic(self.components, self.signs)
-        if euler != 2 * pieces:
-            raise DiagramError(
-                f"the signed Gauss code is not planar (V - E + F = {euler} over {pieces}"
-                f" connected pieces, a plane diagram has 2 per piece); no link has this diagram"
-            )
 
     # -- basic queries ----------------------------------------------------
 
@@ -368,7 +413,7 @@ class LinkDiagram(_Linking):
             tuple(p for p in self.components[ci] if p[0] in keep_ids) for ci in kept
         )
         signs = {cid: self.signs[cid] for cid in sorted(keep_ids)}
-        return _trusted(comps, signs)
+        return _diagram(comps, signs)
 
     def switch_crossing(self, cid: int) -> "LinkDiagram":
         """Swap the over/under roles of one crossing and negate its sign."""
@@ -380,7 +425,7 @@ class LinkDiagram(_Linking):
         )
         signs = dict(self.signs)
         signs[cid] = -signs[cid]
-        return _trusted(comps, signs)
+        return _diagram(comps, signs)
 
     def smooth_crossing(self, cid: int) -> "LinkDiagram":
         """Delete one crossing and rejoin the strands respecting orientation.
@@ -402,7 +447,7 @@ class LinkDiagram(_Linking):
             merged = a[p1 + 1 :] + a[:p1] + b[p2 + 1 :] + b[:p2]
             comps[c1] = merged
             del comps[c2]
-        return _trusted(comps, signs)
+        return _diagram(comps, signs)
 
     def disjoint_union(self, other: "LinkDiagram") -> "LinkDiagram":
         """Place two diagrams side by side; no new crossings."""
@@ -414,7 +459,7 @@ class LinkDiagram(_Linking):
         signs = dict(self.signs)
         for cid, s in sorted(other.signs.items()):
             signs[relabel[cid]] = s
-        return _trusted(comps, signs)
+        return _diagram(comps, signs)
 
     def braid(
         self, charge: Callable[[int], None], max_strands: int
@@ -425,21 +470,25 @@ class LinkDiagram(_Linking):
         add.  The braid is found by `planar.vogel_braid`, which calls
         `charge` with the number of passages of each scan and returns None,
         as this method does, when the diagram has more than `max_strands`
-        Seifert circles."""
-        # an R1 kink is two passages of one crossing in a row: with the
-        # passages of crossing k coded k + 1 (over) and -k - 1 (under),
-        # `_cancel` takes out every kink, nested ones too
-        ids = list(self.signs)
-        code = {cid: k + 1 for k, cid in enumerate(ids)}
-        comps = []
-        for comp in self.components:
-            kept = _cancel(tuple(code[cid] if role == OVER else -code[cid] for cid, role in comp))
-            comps.append([(ids[abs(x) - 1], OVER if x > 0 else UNDER) for x in kept])
-        signs = {cid: self.signs[cid] for comp in comps for cid, _ in comp}
-        braided = vogel_braid(comps, signs, charge, max_strands)
+        Seifert circles.  A diagram without kinks gives Vogel's first scan
+        the map its constructor checked, when it has one; only the scans
+        after a move build theirs."""
+        comps, signs, embedding, power = self.components, self.signs, self._map, 0
+        if _has_kink(comps):
+            # with the passages of crossing k coded k + 1 (over) and -k - 1
+            # (under), `_cancel` takes out every kink, nested ones too
+            ids = list(signs)
+            code = {cid: k + 1 for k, cid in enumerate(ids)}
+            comps = []
+            for comp in self.components:
+                kept = _cancel(tuple(code[c] if role == OVER else -code[c] for c, role in comp))
+                comps.append([(ids[abs(x) - 1], OVER if x > 0 else UNDER) for x in kept])
+            signs = {cid: self.signs[cid] for comp in comps for cid, _ in comp}
+            power = sum(sign for cid, sign in self.signs.items() if cid not in signs)
+            embedding = None
+        braided = planar.vogel_braid(comps, signs, charge, max_strands, embedding)
         if braided is None:
             return None
-        power = sum(sign for cid, sign in self.signs.items() if cid not in signs)
         return power, ClosedBraid._of(braided[0], tuple(braided[1]))
 
     # -- identity and serialization -----------------------------------------
@@ -488,7 +537,15 @@ class LinkDiagram(_Linking):
 
     @classmethod
     def from_json_dict(cls, obj) -> "LinkDiagram":
-        """Parse the documented schema, reporting the path of any defect."""
+        """Parse the documented schema, reporting the path of any defect.
+
+        One pass over the document builds the passages and signs and
+        checks each field; the structure and planarity of the code are
+        then checked once, by the constructor's `_planar_map`, whose map
+        the diagram keeps for `braid`.  Defects are reported in the order
+        of the schema: the components, then each crossing record, then
+        the code as a whole (as ``$: ...``), then the first passage
+        reference, by crossing id, that does not hold."""
 
         def fail(path: str, message: str):
             raise DiagramError(f"{path}: {message}")
@@ -500,64 +557,51 @@ class LinkDiagram(_Linking):
                 fail("$", f"missing key {key!r}")
         if not isinstance(obj["components"], list):
             fail("components", "expected a list")
-        comps: list[list[Passage]] = []
+        comps = []
         for ci, comp in enumerate(obj["components"]):
             if not isinstance(comp, list):
                 fail(f"components[{ci}]", "expected a list of passages")
-            passages: list[Passage] = []
-            for pi, passage in enumerate(comp):
-                where = f"components[{ci}][{pi}]"
-                if (
-                    not isinstance(passage, (list, tuple))
-                    or len(passage) != 2
-                    or not _is_int(passage[0])
-                    or passage[1] not in (OVER, UNDER)
-                ):
-                    fail(where, "expected [crossing_id, 'o'|'u']")
-                passages.append((passage[0], passage[1]))
-            comps.append(passages)
+            passages = []
+            for passage in comp:
+                if isinstance(passage, (list, tuple)) and len(passage) == 2:
+                    cid, role = passage
+                    if _is_int(cid) and (role == OVER or role == UNDER):
+                        passages.append((cid, role))
+                        continue
+                fail(f"components[{ci}][{len(passages)}]", "expected [crossing_id, 'o'|'u']")
+            comps.append(tuple(passages))
         if not isinstance(obj["crossings"], list):
             fail("crossings", "expected a list")
         signs: dict[int, int] = {}
-        declared: dict[int, tuple[int, dict]] = {}
+        bad_ref = None  # (crossing id, path, message) of the first bad reference
         for ki, rec in enumerate(obj["crossings"]):
-            where = f"crossings[{ki}]"
             if not isinstance(rec, dict):
-                fail(where, "expected an object")
+                fail(f"crossings[{ki}]", "expected an object")
             for key in ("id", "sign", "over", "under"):
                 if key not in rec:
-                    fail(where, f"missing key {key!r}")
-            if not _is_int(rec["id"]):
-                fail(f"{where}.id", "expected an integer")
-            if not _is_int(rec["sign"]) or rec["sign"] not in (1, -1):
-                fail(f"{where}.sign", "expected +1 or -1")
-            if rec["id"] in signs:
-                fail(f"{where}.id", f"duplicate crossing id {rec['id']}")
-            signs[rec["id"]] = rec["sign"]
-            declared[rec["id"]] = (ki, rec)
+                    fail(f"crossings[{ki}]", f"missing key {key!r}")
+            cid, sign = rec["id"], rec["sign"]
+            if not _is_int(cid):
+                fail(f"crossings[{ki}].id", "expected an integer")
+            if not _is_int(sign) or sign not in (1, -1):
+                fail(f"crossings[{ki}].sign", "expected +1 or -1")
+            if cid in signs:
+                fail(f"crossings[{ki}].id", f"duplicate crossing id {cid}")
+            signs[cid] = sign
+            if bad_ref is not None and bad_ref[0] < cid:
+                continue
+            for role, key in ((OVER, "over"), (UNDER, "under")):
+                message = _reference_defect(rec[key], comps, cid, role)
+                if message:
+                    bad_ref = (cid, f"crossings[{ki}].{key}", message)
+                    break
         try:
-            diagram = cls(comps, signs)
+            embedding = _planar_map(comps, signs)
         except DiagramError as exc:
             raise DiagramError(f"$: {exc}") from None
-        for cid in sorted(declared):
-            ki, rec = declared[cid]
-            for role, key in ((OVER, "over"), (UNDER, "under")):
-                ref = rec[key]
-                where = f"crossings[{ki}].{key}"
-                if (
-                    not isinstance(ref, (list, tuple))
-                    or len(ref) != 2
-                    or not all(_is_int(v) for v in ref)
-                ):
-                    fail(where, "expected [component, position]")
-                ci, pi = ref
-                if not (0 <= ci < len(diagram.components)) or not (
-                    0 <= pi < len(diagram.components[ci])
-                ):
-                    fail(where, f"passage reference [{ci}, {pi}] out of range")
-                if diagram.components[ci][pi] != (cid, role):
-                    fail(where, f"passage reference [{ci}, {pi}] does not hold ({cid}, {role!r})")
-        return diagram
+        if bad_ref is not None:
+            fail(*bad_ref[1:])
+        return _diagram(comps, signs, embedding)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinkDiagram):

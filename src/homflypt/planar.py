@@ -6,67 +6,90 @@ sequences of (crossing id, role) passages, role "o" (over) or "u" (under),
 and a sign per crossing.  The signs and roles fix the cyclic order of the
 four ends of each crossing, so the code fixes a map on a closed surface,
 and a diagram is planar when that surface is a sphere for every connected
-piece.
+piece.  The map `faces` builds for the constructor's planarity check is
+kept with the diagram, and `vogel_braid` takes it as its first scan's map.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-__all__ = ["faces", "euler_characteristic", "vogel_braid"]
+__all__ = ["faces", "connected_pieces", "vogel_braid"]
 
 # The four ends of a crossing counterclockwise, by its sign: the in ("i")
 # and out ("o") ends of the over ("o") and under ("u") strands.  The over
 # strand's two ends face each other and the sign says on which side the
 # under strand comes in.  The mirror convention reverses every rotation at
 # once, which leaves every face count unchanged.
-_ROTATION = {1: ("oi", "ui", "oo", "uo"), -1: ("oi", "uo", "oo", "ui")}
+#
+#     sign +1: ("oi", "ui", "oo", "uo")     sign -1: ("oi", "uo", "oo", "ui")
+#
+# So the over strand leaves by end 2 and the under strand by end 2 + sign,
+# and every strand enters by the end opposite the one it leaves by, e ^ 2.
+
+PlanarMap = tuple[list[int], list[int], int]
 
 
-def faces(components, signs: Mapping[int, int]) -> tuple[list[int], list[int], int]:
+def faces(components, signs: Mapping[int, int]) -> PlanarMap | None:
     """(out, face, F) for the 4-valent graph of the crossings, embedded by
-    the rotations the signs and roles fix.
+    the rotations the signs and roles fix; None when the data is not a
+    signed Gauss code: a sign other than +1 or -1, a passage that is not
+    the over or the under passage of a signed crossing, or a crossing
+    without exactly one of each.
 
     Crossing k, in sorted id order, has the ends 4k..4k+3 in the order of
-    `_ROTATION`.  Passage q, counting through the components in order,
-    leaves its crossing by end out[q] and enters it by out[q] ^ 2.  The
-    F faces are the orbits of "cross the edge, then turn to the next end
-    counterclockwise"; face[e] is the face of the orbit that leaves by end
-    e, the face on the right of that edge.
+    the rotation above.  Passage q, counting through the components in
+    order, leaves its crossing by end out[q] and enters it by out[q] ^ 2.
+    The F faces are the orbits of "cross the edge, then turn to the next
+    end counterclockwise"; face[e] is the face of the orbit that leaves by
+    end e, the face on the right of that edge.
     """
-    index = {cid: k for k, cid in enumerate(sorted(signs))}
-    out = [
-        4 * index[cid] + _ROTATION[signs[cid]].index(role + "o")
-        for comp in components
-        for cid, role in comp
-    ]
-    across = [0] * (4 * len(index))
+    end = {}
+    for k, cid in enumerate(sorted(signs)):
+        sign = signs[cid]
+        if sign != 1 and sign != -1:
+            return None
+        end[cid, "o"] = 4 * k + 2
+        end[cid, "u"] = 4 * k + 2 + sign
+    try:
+        out = [end[p] for comp in components for p in comp]
+    except (KeyError, TypeError):
+        return None
+    if len(out) != len(end) or len(set(out)) != len(out):
+        return None
+    # turn[e]: the end after e's edge is crossed and the turn is made
+    turn = [0] * (2 * len(end))
     q = 0
     for comp in components:
-        for j in range(len(comp)):
-            leave, enter = out[q + j], out[q + (j + 1) % len(comp)] ^ 2
-            across[leave], across[enter] = enter, leave
+        if comp:
+            leave = out[q + len(comp) - 1]
+            for e in out[q : q + len(comp)]:
+                enter = e ^ 2
+                turn[leave] = enter + 1 if enter & 3 != 3 else enter - 3
+                turn[enter] = leave + 1 if leave & 3 != 3 else leave - 3
+                leave = e
         q += len(comp)
-    face = [-1] * len(across)
+    face = [-1] * len(turn)
     count = 0
-    for start in range(len(across)):
+    for start in range(len(turn)):
         if face[start] < 0:
             e = start
             while face[e] < 0:
                 face[e] = count
-                e = across[e]
-                e += 1 if e % 4 < 3 else -3
+                e = turn[e]
             count += 1
     return out, face, count
 
 
-def euler_characteristic(components, signs: Mapping[int, int]) -> tuple[int, int]:
-    """(V - E + F, number of connected pieces) of the graph `faces` embeds.
-
-    A piece has V - E + F = 2 - 2 * genus <= 2, so the sum is 2 per piece
-    exactly when every piece is planar.  Crossing-free circles are planar
-    pieces of their own and are not counted.
-    """
+def connected_pieces(components) -> int:
+    """The connected pieces of the graph `faces` embeds, crossing-free
+    circles not counted.  Each piece has V - E + F = 2 - 2 * genus <= 2,
+    and V - E = -(crossings) since every crossing has four ends and every
+    edge two, so a signed Gauss code is planar exactly when its F is
+    crossings + 2 * pieces."""
+    pieces = sum(1 for comp in components if comp)
+    if pieces < 2:
+        return pieces
     parent = list(range(len(components)))
 
     def root(ci: int) -> int:
@@ -77,10 +100,34 @@ def euler_characteristic(components, signs: Mapping[int, int]) -> tuple[int, int
     met: dict[int, int] = {}
     for ci, comp in enumerate(components):
         for cid, _ in comp:
-            parent[root(met.setdefault(cid, ci))] = root(ci)
-    pieces = len({root(ci) for ci, comp in enumerate(components) if comp})
-    # every crossing has four ends, and every edge two
-    return faces(components, signs)[2] - len(signs), pieces
+            a, b = root(met.setdefault(cid, ci)), root(ci)
+            if a != b:
+                parent[a] = b
+                pieces -= 1
+    return pieces
+
+
+def _search(right, left, circle, count):
+    """(move, first_right, first_left) for the arcs' faces on the right
+    and on the left and their circles.  move is (b, a, side) for the first
+    arc a, in arc order, that has a face on the same side (0 right, 1 left)
+    as an earlier arc b of another circle, b the first arc with that face
+    on that side, and None when no face has two circles on one side.
+    first_right[f] and first_left[f] are the first arcs with face f on
+    their right and on their left, -1 for none, among the arcs before a."""
+    first_right, first_left = [-1] * count, [-1] * count
+    for a, c in enumerate(circle):
+        b = first_right[right[a]]
+        if b < 0:
+            first_right[right[a]] = a
+        elif circle[b] != c:
+            return (b, a, 0), first_right, first_left
+        b = first_left[left[a]]
+        if b < 0:
+            first_left[left[a]] = a
+        elif circle[b] != c:
+            return (b, a, 1), first_right, first_left
+    return None, first_right, first_left
 
 
 def vogel_braid(
@@ -88,77 +135,89 @@ def vogel_braid(
     signs: Mapping[int, int],
     charge: Callable[[int], None],
     max_strands: int,
+    embedding: PlanarMap | None = None,
 ) -> tuple[int, list[int]] | None:
     """(strand count, letters) of a braid whose closure is the planar
     diagram given, by Vogel's algorithm (P. Vogel, Comment. Math. Helv. 65,
     1990) on the map of `faces`; None when the diagram has more than
-    `max_strands` Seifert circles.
+    `max_strands` Seifert circles.  `embedding`, when given, is the `faces`
+    map of the diagram, and the first scan reads it instead of building it.
 
     An arc runs from a passage to the next passage of its component, and
     the arc that ends at a crossing continues from the crossing's other
     passage: the cycles of arcs are the Seifert circles.  While a face lies
     on the same side of two arcs a and b on distinct circles, a
     Reidemeister II move pushes a over b across it, which keeps the number
-    of circles; each scan for such a face calls `charge` with the number of
-    passages.  Then the faces joined through the corners between the two
-    circles of each crossing form regions; along each connected piece the
-    circles form a path whose inner regions lie on opposite sides of their
-    two circles.  Circle k of a path is cut at an arc a_k, with a_(k+1) on
-    the face of region (k, k+1) that a_k borders, and the crossing
-    sequences of the circles from their cuts merge into a word in which a
-    crossing between circles k and k + 1 is the letter sign * (k + 1).
-    Pieces take disjoint strand ranges, and crossing-free components are
-    free strands after them.  The moves keep the writhe, so the closure is
-    the same framed link, on one strand per Seifert circle (S. Yamada,
-    Invent. Math. 89, 1987).  A planar diagram that cannot be read so
-    raises RuntimeError.
+    of circles; each scan for such a face, the first included, calls
+    `charge` with the number of passages.  Then the faces joined through the
+    corners between the two circles of each crossing form regions; along
+    each connected piece the circles form a path whose inner regions lie on
+    opposite sides of their two circles.  Circle k of a path is cut at an
+    arc a_k, with a_(k+1) on the face of region (k, k+1) that a_k borders,
+    and the crossing sequences of the circles from their cuts merge into a
+    word in which a crossing between circles k and k + 1 is the letter
+    sign * (k + 1).  Pieces take disjoint strand ranges, and crossing-free
+    components are free strands after them.  The moves keep the writhe, so
+    the closure is the same framed link, on one strand per Seifert circle
+    (S. Yamada, Invent. Math. 89, 1987).  A planar diagram that cannot be
+    read so raises RuntimeError.
     """
-    comps = [list(comp) for comp in components]
-    signs = dict(signs)
+    comps = components
     while True:
         charge(2 * len(signs))
-        out, face, count = faces(comps, signs)
-        where = [(ci, j) for ci, comp in enumerate(comps) for j in range(len(comp))]
-        flat = [p for comp in comps for p in comp]
+        out, face, count = embedding or faces(comps, signs)
+        embedding = None
+        arcs = len(out)
         succ: list[int] = []  # the next passage of the same component
         for comp in comps:
             q = len(succ)
             succ.extend(range(q + 1, q + len(comp)))
             if comp:
                 succ.append(q)
-        other, first = [0] * len(flat), {}  # the other passage of the crossing
-        for q, (cid, _) in enumerate(flat):
-            p = first.setdefault(cid, q)
-            other[q], other[p] = p, q
+        # the other passage of the crossing, found by the crossing's index
+        other, first = [0] * arcs, [-1] * len(signs)
+        for q, e in enumerate(out):
+            p = first[e >> 2]
+            if p < 0:
+                first[e >> 2] = q
+            else:
+                other[q], other[p] = p, q
         # the faces on the right and on the left of each arc
-        sides = [(face[out[a]], face[out[succ[a]] ^ 2]) for a in range(len(flat))]
-        circle, firsts = [-1] * len(flat), []  # the first arc of each circle
-        for a in range(len(flat)):
+        right = [face[e] for e in out]
+        left = [face[out[s] ^ 2] for s in succ]
+        circle, firsts = [-1] * arcs, []  # the first arc of each circle
+        for a in range(arcs):
             if circle[a] < 0:
                 firsts.append(a)
                 while circle[a] < 0:
                     circle[a], a = len(firsts) - 1, other[succ[a]]
         if len(firsts) > max_strands:
             return None
-        seen: dict[tuple[int, int], int] = {}
-        for a, key in ((a, (f, side)) for a in range(len(flat)) for side, f in enumerate(sides[a])):
-            b = seen.setdefault(key, a)
-            if circle[b] != circle[a]:
-                break
-        else:
+        move, first_right, first_left = _search(right, left, circle, count)
+        if move is None:
             break
-        # push arc b over arc a across face key[0]
+        # push arc b over arc a across the face on side `side` of both
+        b, a, side = move
         x, y = max(signs) + 1, max(signs) + 2
-        signs[x], signs[y] = (1, -1) if key[1] else (-1, 1)
-        for ci, j, new in sorted(
-            [(*where[b], [(x, "o"), (y, "o")]), (*where[a], [(y, "u"), (x, "u")])],
-            reverse=True,
-        ):
+        signs = {**signs, x: 1 if side else -1, y: -1 if side else 1}
+        comps = [list(comp) for comp in comps]
+        sites = []
+        for q, new in ((b, [(x, "o"), (y, "o")]), (a, [(y, "u"), (x, "u")])):
+            ci = 0
+            while q >= len(comps[ci]):
+                q, ci = q - len(comps[ci]), ci + 1
+            sites.append((ci, q, new))
+        for ci, j, new in sorted(sites, reverse=True):
             comps[ci][j + 1 : j + 1] = new
 
     def fail():
         raise RuntimeError("the diagram is not a closed braid after its Vogel moves")
 
+    # crossing k is positive when its under strand leaves by end 4k + 3
+    sign = [0] * len(signs)
+    for e in out:
+        if e & 3 != 2:
+            sign[e >> 2] = (e & 3) - 2
     # Seifert regions: the corners 0-1 and 2-3 of a positive crossing's
     # rotation, and 1-2 and 3-0 of a negative one's, lie between its
     # two circles; the corner before end e lies in face[e]
@@ -169,22 +228,25 @@ def vogel_braid(
             region[f] = f = region[region[f]]
         return f
 
-    for q, (cid, role) in enumerate(flat):
-        if role == "o":
-            e = (out[q] & ~3) + (signs[cid] > 0)
-            region[root(face[e])] = root(face[e + 2])
-    borders: dict[int, dict[int, int]] = {}  # region -> circle -> side
-    for a, pair in enumerate(sides):
-        for side, f in enumerate(pair):
-            if borders.setdefault(root(f), {}).setdefault(circle[a], side) != side:
-                fail()
+    for k in range(len(sign)):
+        e = 4 * k + (sign[k] > 0)
+        region[root(face[e])] = root(face[e + 2])
+    region = [root(f) for f in range(count)]
+    # the one circle that has each region on its right, and on its left
+    on_right, on_left = [-1] * count, [-1] * count
+    for on, side in ((on_right, right), (on_left, left)):
+        for f, c in zip(side, circle):
+            r = region[f]
+            if on[r] != c:
+                if on[r] >= 0:
+                    fail()  # two circles on the same side
+                on[r] = c
     circles = len(firsts)
     links: list[list[tuple[int, int]]] = [[] for _ in range(circles)]
-    for r, by_circle in borders.items():
-        if len(set(by_circle.values())) != len(by_circle):
-            fail()  # more than two circles, or two on the same side
-        if len(by_circle) == 2:
-            c, d = by_circle
+    for r, (c, d) in enumerate(zip(on_right, on_left)):
+        if c >= 0 and d >= 0:
+            if c == d:
+                fail()  # a circle on both sides
             links[c].append((d, r))
             links[d].append((c, r))
     position, cut, strands = [-1] * circles, firsts, 0
@@ -198,36 +260,41 @@ def vogel_braid(
             if not step:
                 break
             d, r = step[0]
-            far = next((f for f in sides[cut[c]] if root(f) == r), None)
-            arcs = [b for b in range(len(flat)) if circle[b] == d and far in sides[b]]
-            if position[d] >= 0 or not arcs:
+            far = next((f for f in (right[cut[c]], left[cut[c]]) if region[f] == r), None)
+            # no face has two circles on one side now, so the first arc
+            # with a face on one side is the first such arc of its circle
+            arcs_on = [] if far is None else (first_right[far], first_left[far])
+            arcs_on = [b for b in arcs_on if b >= 0 and circle[b] == d]
+            if position[d] >= 0 or not arcs_on:
                 fail()
-            c, cut[d] = d, arcs[0]
+            c, cut[d] = d, min(arcs_on)
     if -1 in position:
         fail()
-    heads, waiting, ready, letters = [], {}, [], []
-
-    def advance(c: int) -> None:
-        x = next(heads[c], None)
-        if x in waiting:
-            ready.append((x, waiting.pop(x), c))
-        elif x is not None:
-            waiting[x] = c
-
+    # merge the crossing sequences of the circles from their cuts: a
+    # crossing is ready when it heads the sequences of both its circles
+    heads, waiting, ready, letters = [], [-1] * len(sign), [], []
     for c in range(circles):
         seq, a = [], cut[c]
         while not seq or a != cut[c]:
-            seq.append(flat[succ[a]][0])
+            seq.append(out[succ[a]] >> 2)
             a = other[succ[a]]
         heads.append(iter(seq))
-        advance(c)
-    while ready:
-        x, c, d = ready.pop()
+    advanced = range(circles)
+    while True:
+        for c in advanced:
+            k = next(heads[c], -1)
+            if k >= 0:
+                if waiting[k] < 0:
+                    waiting[k] = c
+                else:
+                    ready.append((k, waiting[k], c))
+        if not ready:
+            break
+        k, c, d = ready.pop()
         if abs(position[c] - position[d]) != 1:
             fail()
-        letters.append(signs[x] * (min(position[c], position[d]) + 1))
-        advance(c)
-        advance(d)
+        letters.append(sign[k] * (min(position[c], position[d]) + 1))
+        advanced = (c, d)
     if len(letters) != len(signs):
         fail()
     return strands + sum(1 for comp in comps if not comp), letters

@@ -113,8 +113,9 @@ class SkeinEngine:
     first simplified by `ClosedBraid.pieces` (cancellation, splitting at
     unused generators, Markov destabilization, connected-sum cuts):
     ``R = t**power * prod R(piece) * (t - t**-1)**(pieces - 1 - cuts)``, with
-    each piece memoized on its own key.  Only a word no move simplifies is
-    evaluated by the Hecke trace (`homflypt.hecke`), whose relation
+    each piece memoized on its own key and, since no move simplifies a
+    piece, traced without another pass of `pieces`.  Only a word no move
+    simplifies is evaluated by the Hecke trace (`homflypt.hecke`), whose relation
     t g_i - t**-1 g_i**-1 = z is the skein relation on braids.  No value
     is ever divided.
 
@@ -186,7 +187,7 @@ class SkeinEngine:
             if pieces == [link]:  # no move applies
                 value = framed_trace(link, self._add)
             else:
-                factors = [self.skein_invariant(piece) for piece in pieces]
+                factors = [self._piece_value(piece) for piece in pieces]
                 factors.append(self._unlink(len(pieces) - 1 - cuts))
                 value = self._product(factors).shift(0, power)
         else:
@@ -210,6 +211,17 @@ class SkeinEngine:
                 value = switched + smoothed if link.signs[cid] > 0 else switched - smoothed
         if len(self._memo) < MEMO_CAP:
             self._memo[key] = value
+        return value
+
+    def _piece_value(self, piece: ClosedBraid) -> BivarLaurent:
+        """R of a piece of `ClosedBraid.pieces`, which no move simplifies:
+        memoized, else traced, without another pass of `pieces`."""
+        key = piece.canonical_key()
+        value = self._memo.get(key)
+        if value is None:
+            value = framed_trace(piece, self._add)
+            if len(self._memo) < MEMO_CAP:
+                self._memo[key] = value
         return value
 
     def charge(self, nodes: int) -> None:

@@ -4,9 +4,10 @@ Every braid, times t to the power of the diagram's R1 kinks, is checked
 against the value `SkeinEngine.skein_invariant` resolves on the diagram
 itself, and against the diagram's writhe, components and total linking
 number.  Each scan of the Vogel-move loop is also checked to see a planar
-diagram, and the braid has at most as many strands as the diagram has
-Seifert circles.  The engine braids every diagram file that the width
-rule lets through, under `homfly` and `verify` alike.
+diagram (the first on the map the constructor checked), and the braid has
+at most as many strands as the diagram has Seifert circles.  The engine
+braids every diagram file that the width rule lets through, under `homfly`
+and `verify` alike.
 """
 
 import io
@@ -85,22 +86,36 @@ def braid_of(diagram: LinkDiagram):
     return diagram.braid(no_charge, MAX_STRANDS)[1]
 
 
+def has_kink(diagram: LinkDiagram) -> bool:
+    """Whether some component meets one crossing twice in a row, cyclically."""
+    return any(
+        comp[i][0] == comp[i - 1][0] for comp in diagram.components for i in range(len(comp))
+    )
+
+
 def braided(diagram: LinkDiagram) -> tuple:
     """(power, braid, Vogel moves) of `diagram`, checking that every scan of
-    the move loop sees a planar diagram: V - E + F = 2 on each piece."""
-    scans = []
+    the move loop sees a planar diagram: V - E + F = 2 on each piece.
+
+    Scans are counted through `charge`, which each scan calls once.  The
+    first scan of a diagram from the public constructor reads the map that
+    the constructor checked, unless its kinks were taken out first; every
+    other scan builds its map by `planar.faces`, and each of those maps is
+    checked here."""
+    charges, built = [], []
     faces = planar.faces
 
     def checked(components, signs):
         out, face, count = faces(components, signs)
-        scans.append(count - len(signs) - 2 * connected_pieces(components))
+        built.append(count - len(signs) - 2 * connected_pieces(components))
         return out, face, count
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(planar, "faces", checked)
-        power, braid = diagram.braid(no_charge, MAX_STRANDS)
-    assert scans and not any(scans)
-    return power, braid, len(scans) - 1
+        power, braid = diagram.braid(charges.append, MAX_STRANDS)
+    assert charges and not any(built)
+    assert len(built) == len(charges) - (not has_kink(diagram))
+    return power, braid, len(charges) - 1
 
 
 def check(diagram: LinkDiagram) -> int:
@@ -216,6 +231,58 @@ class TestDifferential:
             assert diagram.braid(charges.append, crossings - 1) is None
             assert charges == [2 * crossings]
             assert diagram.braid(no_charge, crossings) is not None
+
+
+class TestOneMap:
+    """A diagram file is loaded and braided over one planar map: the map of
+    the load's planarity check is Vogel's first scan, and only a scan after
+    a move, or after the kinks are taken out, builds another."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The calls of `planar.faces`, one entry each."""
+        calls = []
+        faces = planar.faces
+
+        def counted(components, signs):
+            calls.append(len(signs))
+            return faces(components, signs)
+
+        monkeypatch.setattr(planar, "faces", counted)
+        return calls
+
+    @staticmethod
+    def load_and_braid(diagram: LinkDiagram, built: list) -> tuple[int, int]:
+        """(maps built, Vogel moves) from loading `diagram`'s JSON to its braid."""
+        text, braid = json.dumps(diagram.to_json_dict()), diagram.braid(no_charge, MAX_STRANDS)
+        built.clear()
+        charges = []
+        loaded = LinkDiagram.from_json_dict(json.loads(text))
+        assert loaded.braid(charges.append, MAX_STRANDS) == braid
+        return len(built), len(charges) - 1
+
+    def test_a_seeded_closure_builds_one_map(self, built):
+        kinked = 0
+        for word, diagram in seeded_closures(seed=25, count=60, strands=(2, 3, 4)):
+            maps, moves = self.load_and_braid(diagram, built)
+            assert moves == 0, word.as_text()
+            # taking the kinks out changes the code, whose map is built again
+            assert maps == 1 + has_kink(diagram), word.as_text()
+            kinked += has_kink(diagram)
+        assert 0 < kinked < 60
+
+    def test_a_reversed_component_builds_one_map_per_move(self, built):
+        total = 0
+        for L in (2, 3):
+            for word, diagram in seeded_links_with_components(26, 20, L, max_length=10):
+                diagram = reversed_component(diagram, L - 1)
+                maps, moves = self.load_and_braid(diagram, built)
+                assert maps == 1 + has_kink(diagram) + moves, word.as_text()
+                total += moves
+        assert total > 20
+        for crossings in (4, 8):
+            maps, moves = self.load_and_braid(antiparallel_twist(crossings), built)
+            assert maps == 1 + moves == 1 + crossings**2 // 4 - crossings // 2
 
 
 def run(argv):

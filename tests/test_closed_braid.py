@@ -413,6 +413,35 @@ class TestPieces:
         _, _, pieces = link.pieces(no_charge)
         assert set(engine._memo) == {link.canonical_key()} | {p.canonical_key() for p in pieces}
 
+    def test_each_piece_is_passed_over_once(self, monkeypatch):
+        # the engine traces each piece of `pieces` after its memo lookup,
+        # without a second pass of `pieces` on it
+        pieces, passed = ClosedBraid.pieces, []
+
+        def counted(link, charge):
+            passed.append(link)
+            return pieces(link, charge)
+
+        monkeypatch.setattr(ClosedBraid, "pieces", counted)
+        several = 0
+        for link in self.words():
+            passed.clear()
+            assert SkeinEngine().reduced_invariant(link) == trace(link), link.as_text()
+            assert passed == [link], link.as_text()
+            several += len(pieces(link, no_charge)[2]) > 1
+        assert several > 100
+        # the Hopf chain of three: its one pass reads 4 + 2 + 2 letters, the
+        # first Hopf link is traced and the second read from the memo, and
+        # their product writes its terms; a pass over each Hopf link would
+        # add its 2 letters
+        hopf, charges = SkeinEngine(), []
+        value = hopf.reduced_invariant(parse_braid("strands=2; 1 1"))
+        parse_braid("strands=3; 1 1 2 2").pieces(charges.append)
+        engine = SkeinEngine()
+        engine.reduced_invariant(parse_braid("strands=3; 1 1 2 2"))
+        assert charges == [4, 2, 2]
+        assert engine.nodes == sum(charges) + (hopf.nodes - 2) + len(value * value)
+
     def test_products_are_charged_per_term_written(self):
         # the n-strand unlink is n unknots: one 1-node trace of R = 1,
         # memoized, and the split factor (t - t^-1)**(n - 1), multiplied out

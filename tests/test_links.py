@@ -25,7 +25,7 @@ from homflypt import catalog as cat
 from homflypt import links
 from homflypt.links import MAX_STRANDS
 
-from conftest import add_kink, reversed_component, rotate_base_point, seeded_closures
+from conftest import add_kink, no_charge, reversed_component, rotate_base_point, seeded_closures
 
 TREFOIL_CODE = [(0, OVER), (1, UNDER), (2, OVER), (0, UNDER), (1, OVER), (2, UNDER)]
 # (components, signs) of signed Gauss codes that no plane diagram realizes;
@@ -55,6 +55,123 @@ def gauss_json(components, signs) -> dict:
             for cid in sorted(signs)
         ],
     }
+
+
+# A two-component diagram whose crossing ids are not its list order: the
+# closure of strands=3; 1 1 -2 1 -2 with ids 14, 11, 8, 5, 2, the base point
+# of component 0 moved, and the crossing records in reverse id order
+DOCUMENT = {
+    "components": [
+        [[5, "o"], [2, "u"], [8, "o"], [5, "u"], [14, "o"], [11, "u"]],
+        [[14, "u"], [11, "o"], [8, "u"], [2, "o"]],
+    ],
+    "crossings": [
+        {"id": 14, "sign": 1, "over": [0, 4], "under": [1, 0]},
+        {"id": 11, "sign": 1, "over": [1, 1], "under": [0, 5]},
+        {"id": 8, "sign": -1, "over": [0, 2], "under": [1, 2]},
+        {"id": 5, "sign": 1, "over": [0, 0], "under": [0, 3]},
+        {"id": 2, "sign": -1, "over": [1, 3], "under": [0, 1]},
+    ],
+}
+DROP = object()
+
+
+def mutated(path, change) -> dict:
+    """DOCUMENT with the field at `path` dropped (DROP), mapped by a
+    callable, or set to a value."""
+    obj = json.loads(json.dumps(DOCUMENT))
+    *head, last = path
+    target = obj
+    for key in head:
+        target = target[key]
+    if change is DROP:
+        del target[last]
+    else:
+        target[last] = change(target[last]) if callable(change) else change
+    return obj
+
+
+def _swapped(passage):
+    """A passage with its role swapped."""
+    return [passage[0], UNDER if passage[1] == OVER else OVER]
+
+
+def _moved(dc: int, dp: int):
+    """A passage reference moved by dc components and dp positions."""
+    return lambda ref: [ref[0] + dc, ref[1] + dp]
+
+
+def _exchanged(i: int, j: int):
+    """A component with its passages i and j exchanged."""
+
+    def exchange(comp):
+        comp = list(comp)
+        comp[i], comp[j] = comp[j], comp[i]
+        return comp
+
+    return exchange
+
+
+ONCE = "$: crossing {} must appear exactly once as over and once as under"
+IDS = "$: crossing ids inconsistent (unused signs: {}, unsigned passages: {})"
+SIGN = "crossings[{}].sign: expected +1 or -1"
+HOLD = "crossings[{}].{}: passage reference {} does not hold {}"
+RANGE = "crossings[{}].{}: passage reference {} out of range"
+NOT_PLANAR_BY = (
+    "$: the signed Gauss code is not planar (V - E + F = {} over 1 connected pieces,"
+    " a plane diagram has 2 per piece); no link has this diagram"
+)
+# (path, change, message or None), the messages as the loader wrote them
+# before it read the document in one pass
+MUTATIONS = [
+    (("components", 0, 1), _swapped, ONCE.format(2)),
+    (("components", 1, 0), _swapped, ONCE.format(14)),
+    (("crossings", 1), DROP, IDS.format([], [11])),
+    (("crossings", 1, "id"), DROP, "crossings[1]: missing key 'id'"),
+    (("crossings", 1, "id"), 14, "crossings[1].id: duplicate crossing id 14"),
+    (("crossings", 1, "id"), 3, IDS.format([3], [11])),
+    (("crossings", 2, "sign"), 0, SIGN.format(2)),
+    (("crossings", 2, "sign"), True, SIGN.format(2)),
+    (("crossings", 2, "sign"), 1.0, SIGN.format(2)),
+    (("components", 0, 3), tuple, None),
+    (("components", 0, 3), lambda p: p + [0], "components[0][3]: expected [crossing_id, 'o'|'u']"),
+    (("crossings", 3, "over"), tuple, None),
+    (("crossings", 3, "over"), _moved(0, 1), HOLD.format(3, "over", [0, 1], (5, "o"))),
+    (("crossings", 3, "under"), _moved(0, -1), HOLD.format(3, "under", [0, 2], (5, "u"))),
+    (("crossings", 0, "over"), _moved(1, 0), RANGE.format(0, "over", [1, 4])),
+    (("crossings", 4, "under"), _moved(0, 5), RANGE.format(4, "under", [0, 6])),
+    (("components", 0), _exchanged(0, 1), NOT_PLANAR_BY.format(-2)),
+    (("components", 0), _exchanged(2, 3), NOT_PLANAR_BY.format(-2)),
+    (("components", 1), _exchanged(0, 1), NOT_PLANAR_BY.format(0)),
+]
+# ([(path, change), ...], message) for documents with two defects
+FIRST_DEFECTS = [
+    (
+        [(("crossings", 0, "over"), _moved(1, 0)), (("crossings", 4, "under"), _moved(0, 5))],
+        RANGE.format(4, "under", [0, 6]),
+    ),
+    (
+        [(("crossings", 4, "under"), _moved(0, 5)), (("crossings", 4, "over"), "x")],
+        "crossings[4].over: expected [component, position]",
+    ),
+    (
+        [(("crossings", 0, "over"), _moved(1, 0)), (("components", 1), _exchanged(0, 1))],
+        NOT_PLANAR_BY.format(0),
+    ),
+    ([(("crossings", 0, "sign"), 2), (("components", 1, 0), _swapped)], SIGN.format(0)),
+    ([(("components", 1, 0), _swapped), (("crossings", 1, "id"), 3)], IDS.format([3], [11])),
+    ([(("components", 1, 0), _swapped), (("components", 0, 1), _swapped)], ONCE.format(2)),
+]
+# (components, signs, message) of the public constructor
+CONSTRUCTOR_DEFECTS = [
+    ([[(0, "x"), (0, UNDER)]], {0: 1}, "invalid passage role 'x' for crossing 0"),
+    ([[(0, OVER), (0, UNDER)]], {0: 0}, "crossing 0 has sign 0, expected +1/-1"),
+    ([[(0, OVER), (0, UNDER)]], {0: 2}, "crossing 0 has sign 2, expected +1/-1"),
+    ([[(0, OVER), (0, OVER)]], {0: 1}, ONCE.format(0)[3:]),
+    ([[(0, OVER), (0, UNDER), (1, OVER)]], {0: 1, 2: 1}, IDS.format([2], [1])[3:]),
+    ([[(0, OVER), (0, UNDER), (0, OVER)]], {0: 1}, ONCE.format(0)[3:]),
+    ([[(1, OVER), (1, UNDER)], [(0, OVER)]], {0: 5, 1: 1}, ONCE.format(0)[3:]),
+]
 
 
 def random_gauss_code(rng: SplitMix64) -> tuple[list[list[tuple[int, str]]], dict[int, int]]:
@@ -581,6 +698,53 @@ class TestJson:
                 LinkDiagram.from_json_dict(json.loads(json.dumps(gauss_json(components, signs))))
         trefoil = LinkDiagram([TREFOIL_CODE], {0: 1, 1: 1, 2: 1})
         assert LinkDiagram.from_json_dict(gauss_json([TREFOIL_CODE], trefoil.signs)) == trefoil
+
+    def test_single_field_mutations_keep_their_messages(self):
+        # one field of a valid document changed at a time: the message and
+        # the path of each, or None where the document stays valid
+        for path, change, message in MUTATIONS:
+            obj = mutated(path, change)
+            if message is None:
+                assert LinkDiagram.from_json_dict(obj) == LinkDiagram.from_json_dict(DOCUMENT)
+                continue
+            with pytest.raises(DiagramError) as caught:
+                LinkDiagram.from_json_dict(obj)
+            assert str(caught.value) == message, path
+
+    def test_the_first_defect_is_reported(self):
+        # components, then each record in list order, then the code as a
+        # whole, then the passage references by crossing id
+        for changes, message in FIRST_DEFECTS:
+            obj = json.loads(json.dumps(DOCUMENT))
+            for path, change in changes:
+                *head, last = path
+                target = obj
+                for key in head:
+                    target = target[key]
+                target[last] = change(target[last]) if callable(change) else change
+            with pytest.raises(DiagramError) as caught:
+                LinkDiagram.from_json_dict(obj)
+            assert str(caught.value) == message, changes
+
+    def test_constructor_messages(self):
+        for components, signs, message in CONSTRUCTOR_DEFECTS:
+            with pytest.raises(DiagramError) as caught:
+                LinkDiagram(components, signs)
+            assert str(caught.value) == message, (components, signs)
+
+    def test_seeded_loads_equal_the_constructed_diagram_and_its_braid(self):
+        rng = SplitMix64(59)
+        for _, closure in seeded_closures(seed=59, count=60, strands=(2, 3, 4, 5), max_length=14):
+            flipped = reversed_component(closure, rng.below(closure.num_components))
+            for diagram in (closure, flipped, rotate_base_point(flipped, 0, 1 + rng.below(5))):
+                loaded = LinkDiagram.from_json_dict(json.loads(json.dumps(diagram.to_json_dict())))
+                built = LinkDiagram(diagram.components, diagram.signs)
+                assert loaded == built
+                # the whole sublink is a surgery's diagram, without the map
+                # of a planarity check
+                whole = built.sublink(range(built.num_components))
+                braids = [d.braid(no_charge, MAX_STRANDS) for d in (loaded, built, whole)]
+                assert braids[0] == braids[1] == braids[2]
 
     def test_braid_closures_and_their_surgeries_are_planar(self):
         # the surgeries build their diagrams without the constructor's

@@ -158,18 +158,18 @@ def _load_file(path: str) -> LinkDiagram:
 def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, Link]]:
     """Resolve the link selection flags into labeled links: a ClosedBraid
     for a braid or catalog link, a LinkDiagram for a diagram file."""
-    given = [flag for flag in ("catalog", "braid", "file") if getattr(args, flag, None)]
+    given = [flag for flag in ("catalog", "braid", "file") if getattr(args, flag) is not None]
     if len(given) > 1:
         raise _InputError("give exactly one of --catalog, --braid, --file")
-    if args.catalog:
+    if args.catalog is not None:
         try:
             entry = catalog.get(args.catalog)
         except KeyError as exc:
             raise _InputError(str(exc.args[0])) from None
         return [(entry.name, entry.word())]
-    if args.braid:
+    if args.braid is not None:
         return [(args.braid.strip(), parse_braid(args.braid))]
-    if getattr(args, "file", None):
+    if args.file is not None:
         return [(args.file, _load_file(args.file))]
     if allow_stdin:
         try:
@@ -242,7 +242,7 @@ def _needs_two_components(diagram: Link) -> str | None:
 
 
 def _inter_crossings(diagram: Link) -> list[int]:
-    return [cid for cid in diagram.crossing_ids() if not diagram.is_self_crossing(cid)]
+    return sorted(cid for *_, cid in diagram._linking())
 
 
 # link target -> (skip reason of a nonempty diagram or None, report builder);
@@ -275,7 +275,7 @@ _LINK_TARGETS = {
         _needs_two_components,
         lambda d, engine, label: [
             verify_split_F(
-                [d.sublink([alpha]) for alpha in range(d.num_components)],
+                [engine.sublink(d, [alpha]) for alpha in range(d.num_components)],
                 engine=engine,
                 label=f"{label} (components split)",
             )
@@ -425,8 +425,9 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
         " Hecke traces of a braid's irreducible pieces write, and per term"
         " of each product of values (braid pieces and their factors t - 1/t;"
         " the k - 1 unlink factors of a descending diagram of k components);"
-        " under verify also per sublink the identity checks build and per"
-        " part of a component set their walk enumerates (default: 10^7)",
+        " under verify also per sublink the identity checks build (the"
+        " components splitF splits off included) and per part of a component"
+        " set their walk enumerates (default: 10^7)",
     )
 
 

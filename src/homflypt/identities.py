@@ -39,7 +39,7 @@ from .combinatorics import set_partitions
 from .laurent import BivarLaurent
 from .links import Link
 from .report import VerificationReport
-from .skein import _T_FACTOR, MEMO_CAP, CoeffTable, SkeinEngine, coeff_table
+from .skein import _T_FACTOR, CoeffTable, SkeinEngine, coeff_table
 
 __all__ = [
     "FValue",
@@ -123,7 +123,7 @@ def intermediate_F(diagram: Link, engine: SkeinEngine | None = None) -> FValue:
     """
     eng = engine if engine is not None else SkeinEngine()
     adjacent: list[set[int]] = [set() for _ in range(diagram.num_components)]
-    for a, b, _sign in diagram._linking():
+    for a, b, *_ in diagram._linking():
         adjacent[a].add(b)
         adjacent[b].add(a)
 
@@ -164,8 +164,9 @@ def _subset_F(
 
     H = (t - t^-1) * h with h(S) = z**(-|S|) * R(S), the engine's value, so
     F(S) = (t - t^-1) * (h(S) - sum of F(T) * h(S - T)): one multiplication
-    by t - t^-1 per F, and none per H.  Each sublink built is charged one
-    node of the engine's budget; the whole link is no sublink."""
+    by t - t^-1 per F, and none per H.  Each sublink is built by
+    `SkeinEngine.sublink`, which charges it one node; the whole link is no
+    sublink.  Every F is stored by `SkeinEngine.remember`."""
     L = diagram.num_components
     if L < 1:
         raise ValueError("F needs at least one component")
@@ -176,17 +177,14 @@ def _subset_F(
     whole = tuple(range(1, L))
     order = list(parts(whole))
     if order[-1] != whole:  # the link is split
-        if len(memo) < MEMO_CAP:
-            memo[whole_key] = BivarLaurent.zero()
-        return FValue(L, BivarLaurent.zero())
+        return FValue(L, engine.remember(memo, whole_key, BivarLaurent.zero()))
     F: dict[tuple[int, ...], BivarLaurent | None] = {}
     h: dict[tuple[int, ...], BivarLaurent] = {}
     for others in order:
         if others == whole:
             sublink, key, its_parts = diagram, whole_key, order
         else:
-            engine.charge(1)
-            sublink = diagram.sublink((0,) + others)
+            sublink = engine.sublink(diagram, (0,) + others)
             key = sublink.canonical_key()
             F[others] = memo.get(key)
             if F[others] is not None:
@@ -199,12 +197,10 @@ def _subset_F(
             if F[part]:
                 rest = tuple(i for i in others if i not in part)
                 if rest not in h:
-                    engine.charge(1)
-                    h[rest] = engine.reduced_invariant(diagram.sublink(rest)).shift(-len(rest))
+                    rest_link = engine.sublink(diagram, rest)
+                    h[rest] = engine.reduced_invariant(rest_link).shift(-len(rest))
                 value = value - F[part] * h[rest]
-        F[others] = value * _T_FACTOR
-        if len(memo) < MEMO_CAP:
-            memo[key] = F[others]
+        F[others] = engine.remember(memo, key, value * _T_FACTOR)
     return FValue(L, F[whole])
 
 
@@ -307,13 +303,6 @@ def verify_thm13_all(
     return reports
 
 
-def _sublink_table(diagram: Link, subset: Iterable[int], engine: SkeinEngine) -> CoeffTable:
-    """The table of the sublink on `subset`, charged one node of the
-    engine's budget for the sublink built, as `_subset_F` charges it."""
-    engine.charge(1)
-    return coeff_table(diagram.sublink(subset), engine=engine)
-
-
 def _two_form_report(
     identity: str, diagram: Link, label: str | None, g: int, h_lhs, h_rhs, p_lhs, p_rhs
 ) -> VerificationReport:
@@ -349,7 +338,7 @@ def verify_thm14(
     if L < 1:
         raise ValueError("needs at least one component")
     eng = engine if engine is not None else SkeinEngine()
-    knots = [_sublink_table(diagram, [alpha], eng) for alpha in range(L)]
+    knots = [coeff_table(eng.sublink(diagram, [alpha]), engine=eng) for alpha in range(L)]
     full = coeff_table(diagram, engine=eng)
 
     h_lhs = full.h_at(0)
@@ -386,7 +375,7 @@ def verify_thm15(
         raise ValueError("the pair-sum identity needs at least 2 components")
     eng = engine if engine is not None else SkeinEngine()
     tables = {
-        subset: _sublink_table(diagram, subset, eng)
+        subset: coeff_table(eng.sublink(diagram, subset), engine=eng)
         for size in (1, 2)
         for subset in itertools.combinations(range(L), size)
     }

@@ -171,9 +171,9 @@ def close_braid(word: "ClosedBraid") -> "LinkDiagram":
 
 class _Linking:
     """The linking numbers of both link types, read off the (component,
-    component, sign) triples of their inter-component crossings that
-    `_linking()` lists in one pass.  Two closed curves in the plane cross
-    an even number of times, so every signed count halves exactly."""
+    component, sign, crossing id) rows of their inter-component crossings
+    that `_linking()` lists in one pass.  Two closed curves in the plane
+    cross an even number of times, so every signed count halves exactly."""
 
     __slots__ = ()
 
@@ -184,11 +184,11 @@ class _Linking:
         for idx in (a, b):
             if not 0 <= idx < self.num_components:
                 raise IndexError(f"component index {idx} out of range")
-        return sum(sign for c, d, sign in self._linking() if {c, d} == {a, b}) // 2
+        return sum(sign for c, d, sign, _ in self._linking() if {c, d} == {a, b}) // 2
 
     def total_linking(self) -> int:
         """Sum of the linking numbers over all component pairs."""
-        return sum(sign for _, _, sign in self._linking()) // 2
+        return sum(sign for _, _, sign, _ in self._linking()) // 2
 
 
 def _cancel(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -379,15 +379,15 @@ class LinkDiagram(_Linking):
         counts = Counter(cid for cid, _ in self.components[comp])
         return sum(self.signs[cid] for cid, k in sorted(counts.items()) if k == 2)
 
-    def _linking(self) -> list[tuple[int, int, int]]:
-        """(component, component, sign) of each inter-component crossing."""
+    def _linking(self) -> list[tuple[int, int, int, int]]:
+        """(component, component, sign, id) of each inter-component crossing."""
         first: dict[int, int] = {}
         crossings = []
         for ci, comp in enumerate(self.components):
             for cid, _ in comp:
                 other = first.setdefault(cid, ci)
                 if other != ci:
-                    crossings.append((other, ci, self.signs[cid]))
+                    crossings.append((other, ci, self.signs[cid], cid))
         return crossings
 
     # -- surgeries ---------------------------------------------------------
@@ -734,12 +734,12 @@ class ClosedBraid(_Linking):
     def writhe(self) -> int:
         return sum(1 if letter > 0 else -1 for letter in self.letters)
 
-    def _linking(self) -> list[tuple[int, int, int]]:
-        """(component, component, sign) of each inter-component crossing."""
+    def _linking(self) -> list[tuple[int, int, int, int]]:
+        """(component, component, sign, index) of each inter-component crossing."""
         component = self._component
         return [
-            (component[a], component[b], 1 if letter > 0 else -1)
-            for (a, b), letter in zip(self._lines, self.letters)
+            (component[a], component[b], 1 if letter > 0 else -1, k)
+            for k, ((a, b), letter) in enumerate(zip(self._lines, self.letters))
             if component[a] != component[b]
         ]
 

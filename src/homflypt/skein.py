@@ -113,11 +113,11 @@ class SkeinEngine:
     first simplified by `ClosedBraid.pieces` (cancellation, splitting at
     unused generators, Markov destabilization, connected-sum cuts):
     ``R = t**power * prod R(piece) * (t - t**-1)**(pieces - 1 - cuts)``, with
-    each piece memoized on its own key and, since no move simplifies a
-    piece, traced without another pass of `pieces`.  Only a word no move
-    simplifies is evaluated by the Hecke trace (`homflypt.hecke`), whose relation
-    t g_i - t**-1 g_i**-1 = z is the skein relation on braids.  No value
-    is ever divided.
+    each piece (the word itself when no move applies) memoized on its own
+    key and, since no move simplifies a piece, traced by `_piece_value`
+    without another pass of `pieces`: that is the one call of the Hecke
+    trace (`homflypt.hecke`), whose relation t g_i - t**-1 g_i**-1 = z is
+    the skein relation on braids.  No value is ever divided.
 
     One budget counts the work on both.  A node is one expanded
     (non-memoized) skein resolution, one coefficient term the trace writes
@@ -126,21 +126,22 @@ class SkeinEngine:
     leaf's, or a braid's split factor) is written in closed form but
     charged, up front, as multiplying out its factors t - t**-1 one at a
     time would be.  So an N-component crossing-free diagram costs what
-    ``strands=N;`` costs.  `LinkDiagram.braid` charges its scans, and
-    `ClosedBraid.pieces` its passes, through `charge` as well.  `max_nodes`
-    bounds the nodes over every value the engine computes; exceeding it
-    raises ResourceLimitExceeded.  No element of the trace holds more than
-    MEMO_CAP permutations.
+    ``strands=N;`` costs.  `LinkDiagram.braid` charges its scans,
+    `ClosedBraid.pieces` its passes and `sublink` each sublink through
+    `charge` as well.  `max_nodes` bounds the nodes over every value the
+    engine computes; exceeding it raises ResourceLimitExceeded.  No
+    element of the trace holds more than MEMO_CAP permutations.
 
-    Values of R are memoized on `link.canonical_key()` (at most MEMO_CAP
-    of them): a tuple of ints for a diagram, and (strand count, letters)
-    for a braid, so no two links of different types share a key; a
-    braided diagram is memoized under its own key and its braid's.  Equal
-    diagrams up to crossing relabeling share one entry, and `f_memo` holds
-    values of `identities.intermediate_F` under the same key (splitF, which
-    checks the split rule, keeps its own).  The
-    intermediate words of `pieces` are not memoized, nor are the
-    intermediate powers of an unlink value: only the powers asked for.
+    Values of R are memoized on `link.canonical_key()`: a tuple of ints
+    for a diagram, and (strand count, letters) for a braid, so no two
+    links of different types share a key; a braided diagram is memoized
+    under its own key and its braid's.  Equal diagrams up to crossing
+    relabeling share one entry, and `f_memo` holds values of
+    `identities.intermediate_F` under the same key (splitF, which checks
+    the split rule, keeps its own).  Every memo stores through `remember`,
+    which stops at MEMO_CAP entries.  The intermediate words of `pieces`
+    are not memoized, nor are the intermediate powers of an unlink value:
+    only the powers asked for.
     """
 
     def __init__(self, max_nodes: int | None = None):
@@ -169,9 +170,7 @@ class SkeinEngine:
             braided = link.braid(self.charge, _trace_width(link.num_crossings))
             if braided is not None:
                 value = self.skein_invariant(braided[1]).shift(0, braided[0])
-                if len(self._memo) < MEMO_CAP:
-                    self._memo[key] = value
-                return value
+                return self.remember(self._memo, key, value)
         return self.skein_invariant(link)
 
     def skein_invariant(self, link: Link) -> BivarLaurent:
@@ -184,12 +183,11 @@ class SkeinEngine:
             return cached
         if isinstance(link, ClosedBraid):
             power, cuts, pieces = link.pieces(self.charge)
-            if pieces == [link]:  # no move applies
-                value = framed_trace(link, self._add)
-            else:
-                factors = [self._piece_value(piece) for piece in pieces]
-                factors.append(self._unlink(len(pieces) - 1 - cuts))
-                value = self._product(factors).shift(0, power)
+            factors = [self._piece_value(piece) for piece in pieces]
+            factors.append(self._unlink(len(pieces) - 1 - cuts))
+            value = self._product(factors)
+            if power:
+                value = value.shift(0, power)
         else:
             # one skein step, recursing through this method so that a
             # resolution level costs one stack frame
@@ -209,20 +207,29 @@ class SkeinEngine:
                 if smoothing.num_components < k:
                     smoothed = smoothed.shift(2)
                 value = switched + smoothed if link.signs[cid] > 0 else switched - smoothed
-        if len(self._memo) < MEMO_CAP:
-            self._memo[key] = value
-        return value
+        return self.remember(self._memo, key, value)
 
     def _piece_value(self, piece: ClosedBraid) -> BivarLaurent:
         """R of a piece of `ClosedBraid.pieces`, which no move simplifies:
-        memoized, else traced, without another pass of `pieces`."""
+        memoized, else traced (the one trace call), with no pass of `pieces`."""
         key = piece.canonical_key()
         value = self._memo.get(key)
         if value is None:
-            value = framed_trace(piece, self._add)
-            if len(self._memo) < MEMO_CAP:
-                self._memo[key] = value
+            value = self.remember(self._memo, key, framed_trace(piece, self._add))
         return value
+
+    @staticmethod
+    def remember(memo: dict, key: tuple, value):
+        """Store `value` under `key` if `memo` holds fewer than MEMO_CAP
+        entries; return `value`."""
+        if len(memo) < MEMO_CAP:
+            memo[key] = value
+        return value
+
+    def sublink(self, link: Link, components: Iterable[int]) -> Link:
+        """``link.sublink(components)``, charged one node first."""
+        self.charge(1)
+        return link.sublink(components)
 
     def charge(self, nodes: int) -> None:
         """Count `nodes` more nodes; raise ResourceLimitExceeded past the budget."""

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -571,6 +572,47 @@ class TestVerify:
         code, _ = run_cli(["verify", "thm14"])
         assert code == EXIT_INPUT
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["homfly"],
+        ["verify", "thm14"],
+        ["verify", "all"],
+    ])
+    @pytest.mark.parametrize("flag, message", [
+        ("--braid", "error: expected a 'strands=N;' header (at offset 0)\n"),
+        ("--catalog", "error: unknown catalog link ''; known: "),
+        ("--file", "error: cannot read : "),
+    ])
+    def test_an_empty_flag_value_is_given(self, argv, flag, message, monkeypatch, capsys):
+        # an empty value is read as the flag's input and refused in the
+        # words of the braid parser, the catalog or the file loader: it
+        # neither reads the link piped on stdin nor runs the catalog
+        code, text = run_cli([*argv, flag, ""], "strands=2; 1 1\n", monkeypatch)
+        assert (code, text) == (EXIT_INPUT, "")
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+
+    def test_an_empty_flag_value_counts_as_a_link_flag(self, capsys):
+        code, _ = run_cli(["homfly", "--catalog", "unknot", "--braid", ""])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: give exactly one of --catalog, --braid, --file\n"
+
+    def test_the_budget_stops_the_setup_on_wide_inputs(self, tmp_path, capsys):
+        # splitF charges each of the 8000 components it splits off, and
+        # skeinF lists the 8000 inter-component crossings of T(2,8000) in
+        # one pass, so both stop at a budget of 10 at once; splitting every
+        # component uncharged, or testing each crossing by a scan of the
+        # diagram, takes 6-9 s on 2 vCPUs
+        torus = tmp_path / "t2_8000.json"
+        diagram = close_braid(parse_braid("strands=2;" + " 1" * 8000))
+        torus.write_text(json.dumps(diagram.to_json_dict()))
+        for argv in (["splitF", "--braid", "strands=8000;"], ["skeinF", "--file", str(torus)]):
+            start = time.perf_counter()
+            code, _ = run_cli(["verify", *argv, "--max-nodes", "10"])
+            seconds = time.perf_counter() - start
+            assert code == EXIT_RESOURCE, argv
+            assert capsys.readouterr().err == f"error: node budget of 10 exceeded [{argv[2]}]\n"
+            assert seconds < 1, (argv, seconds)
 
 
 class TestRandom:

@@ -31,7 +31,7 @@ from homflypt import (
     verify_thm15,
 )
 from homflypt import catalog as cat
-from homflypt import cli
+from homflypt import cli, skein
 from homflypt.identities import _F_partition_sum
 
 from conftest import seeded_links_with_components
@@ -373,9 +373,10 @@ class TestThm15:
 
 
 class TestSublinkCharge:
-    # each sublink thm14 and thm15 build is charged one node, as `_subset_F`
-    # charges its sublinks, also when the sublink's value is memoized: L of
-    # them for thm14, L + C(L, 2) for thm15
+    # every sublink the identity checks build is built by
+    # `SkeinEngine.sublink`, which charges it one node, also when its value
+    # is memoized: L of them for thm14, L + C(L, 2) for thm15, and the L
+    # components that verify splitF splits off
 
     @pytest.mark.parametrize("verify, nodes", [(verify_thm14, 3), (verify_thm15, 6)])
     def test_borromean_on_a_warm_engine(self, catalog_diagrams, verify, nodes):
@@ -388,6 +389,60 @@ class TestSublinkCharge:
             engine.max_nodes = engine.nodes + nodes - 1
             with pytest.raises(ResourceLimitExceeded):
                 verify(link, engine=engine)
+
+    @pytest.mark.parametrize("word, nodes", [
+        ("strands=5; 1 1 2 2 3 3 4 4",
+         {"prop31": 143, "thm13": 143, "thm14": 71, "thm15": 83, "skeinF": 1159, "splitF": 78}),
+        ("strands=3; 1 -2 1 -2 1 -2",
+         {"prop31": 77, "thm13": 77, "thm14": 65, "thm15": 68, "skeinF": 790, "splitF": 19}),
+        ("strands=6;",
+         {"prop31": 1, "thm13": 20, "thm14": 25, "thm15": 40, "skeinF": None, "splitF": 146}),
+        ("strands=4;" + " 1 2 3" * 4,
+         {"prop31": 477, "thm13": 477, "thm14": 384, "thm15": 400, "skeinF": 7425, "splitF": 40}),
+    ])
+    def test_nodes_per_target(self, word, nodes):
+        # each target on a fresh engine, as `verify` runs it; None marks a
+        # target the link skips
+        link = parse_braid(word)
+        found = {}
+        for target, (skip_reason, build) in cli._LINK_TARGETS.items():
+            if skip_reason(link):
+                found[target] = None
+                continue
+            engine = SkeinEngine()
+            assert all(report.passed for report in build(link, engine, word)), target
+            found[target] = engine.nodes
+        assert found == nodes
+
+
+class TestMemoCap:
+    def test_memos_stay_capped_and_values_hold(self, monkeypatch):
+        # with the cap at 3, every memo stops growing at 3 entries and the
+        # values past it are recomputed, not lost: F of a 5-chain (5 subsets
+        # contain component 0) and splitF's own memo (16 subsets of its
+        # union) outgrow it
+        chain = parse_braid("strands=5; 1 1 2 2 3 3 4 4")
+        unknots = [cat.diagram("unknot")] * 5
+        expected_F = intermediate_F(chain).poly
+        expected_split = verify_split_F(unknots)
+        sizes = {}
+        remember = SkeinEngine.remember
+
+        def recording(memo, key, value):
+            result = remember(memo, key, value)
+            sizes[id(memo)] = max(sizes.get(id(memo), 0), len(memo))
+            return result
+
+        monkeypatch.setattr(skein, "MEMO_CAP", 3)
+        monkeypatch.setattr(SkeinEngine, "remember", staticmethod(recording))
+        engine = SkeinEngine()
+        assert intermediate_F(chain, engine=engine).poly == expected_F
+        assert len(engine.f_memo) == 3 and len(engine._memo) == 3
+        split = verify_split_F(unknots, engine=engine)
+        assert split.passed and split.lhs == expected_split.lhs
+        memos = {id(engine.f_memo), id(engine._memo)}
+        assert len(sizes) == 3 and memos < set(sizes)  # splitF's memo is the third
+        assert set(sizes.values()) == {3}
 
 
 class TestSkeinF:

@@ -14,7 +14,9 @@ A `verify` link that hits a resource limit prints one `error:` line and
 loses its reports; the other links are reported as usual, and the run
 exits 2.
 A reader that closes the output pipe early (``homflypt random --count
-100000 | head -1``) ends the run with exit 1 and no message.
+100000 | head -1``) ends the run with exit 1 and no message, and so does
+a closed standard output, before the command runs.  A closed standard
+input reads as an empty one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import functools
 import json
 import os
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -66,11 +67,10 @@ def json_text(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for values made of
     dicts with string keys, lists, tuples and scalars, built by joining
     strings: an int is its repr, a string is escaped as `json.dumps` escapes
-    it, and any other scalar is encoded by `json.dumps`.  A list of ints (a
-    polynomial's term), or a list of such lists (a polynomial), is joined
-    in one step.  It writes the JSON of `verify` and `catalog`; `homfly`
-    prints `skein.CoeffTable.to_json_text`, which writes its one layout
-    without a dict."""
+    it, and any other scalar is encoded by `json.dumps`; a list or tuple is
+    walked item by item, as a dict is.  It writes the JSON of `verify` and
+    `catalog`; `homfly` prints `skein.CoeffTable.to_json_text`, which
+    writes its one layout without a dict."""
     parts: list[str] = []
     _json_parts(value, "\n", parts)
     return "".join(parts)
@@ -93,29 +93,14 @@ def _json_parts(value, indent: str, parts: list[str]) -> None:
             sep = ","
         parts.append(indent + "}")
     elif (kind is list or kind is tuple) and value:
-        inner = indent + "  "
-        kinds = set(map(type, value))
-        if kinds == _INT:  # a polynomial's term
-            parts += ("[", inner, ("," + inner).join(map(repr, value)), indent, "]")
-        elif kinds <= _ROWS and all(value) and set(map(type, chain.from_iterable(value))) == _INT:
-            # a polynomial: nonempty rows of ints
-            row = inner + "  "
-            start, sep, end = "[" + row, "," + row, inner + "]"
-            rows = [start + sep.join(map(repr, item)) + end for item in value]
-            parts += ("[", inner, ("," + inner).join(rows), indent, "]")
-        else:
-            sep = "["
-            for item in value:
-                parts += (sep, inner)
-                _json_parts(item, inner, parts)
-                sep = ","
-            parts.append(indent + "]")
+        inner, sep = indent + "  ", "["
+        for item in value:
+            parts += (sep, inner)
+            _json_parts(item, inner, parts)
+            sep = ","
+        parts.append(indent + "]")
     else:  # another scalar or an empty container
         parts.append(json.dumps(value))
-
-
-_INT = {int}
-_ROWS = {list, tuple}
 
 
 class _InputError(Exception):
@@ -148,10 +133,16 @@ def _load_file(path: str) -> LinkDiagram:
             text = handle.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not UTF-8 text ({exc})") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a syntax error, or an int past Python's digit limit
         raise _InputError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        # the schema nests four deep; deeper nesting is bad input, not a
+        # resource limit
+        raise _InputError(f"{path}: invalid JSON (nested too deeply)") from None
     return LinkDiagram.from_json_dict(obj)
 
 
@@ -172,8 +163,9 @@ def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, Link]]:
     if args.file is not None:
         return [(args.file, _load_file(args.file))]
     if allow_stdin:
+        stdin = sys.stdin  # None when file descriptor 0 is closed
         try:
-            lines = [] if sys.stdin.isatty() else sys.stdin.read().splitlines()
+            lines = [] if stdin is None or stdin.isatty() else stdin.read().splitlines()
         except (OSError, ValueError):
             lines = []
         links = []
@@ -510,6 +502,10 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
 
 
 def entry_point() -> None:
+    if sys.stdout is None:
+        # file descriptor 1 is closed: there is no reader, as after a
+        # closed pipe
+        sys.exit(EXIT_INPUT)
     try:
         code = main()
         sys.stdout.flush()

@@ -199,16 +199,10 @@ def _cancel(letters: tuple[int, ...]) -> tuple[int, ...]:
             kept.pop()
         else:
             kept.append(x)
-    return _trim(tuple(kept))
-
-
-def _trim(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """A word without adjacent pairs x, -x, with its first and last letters
-    cancelled while they are such a pair."""
-    i, j = 0, len(letters) - 1
-    while i < j and letters[i] == -letters[j]:
+    i, j = 0, len(kept) - 1
+    while i < j and kept[i] == -kept[j]:
         i, j = i + 1, j - 1
-    return letters[i : j + 1]
+    return tuple(kept[i : j + 1])
 
 
 def _cut(n: int, letters: tuple[int, ...]) -> int:
@@ -750,8 +744,6 @@ class ClosedBraid(_Linking):
         for idx in kept:
             if not 0 <= idx < self.num_components:
                 raise IndexError(f"component index {idx} out of range")
-        if len(kept) == self.num_components:
-            return self
         where = {}  # position of each kept line among the kept lines
         for line, comp in enumerate(self._component):
             if comp in kept:
@@ -781,8 +773,8 @@ class ClosedBraid(_Linking):
     def pieces(self, charge: Callable[[int], None]) -> tuple[int, int, list["ClosedBraid"]]:
         """(power, cuts, pieces) with R(self) = t**power times the product of
         R over the pieces times (t - t**-1)**(len(pieces) - 1 - cuts), where
-        R = Hf / (t - t**-1) is the engine's value; (0, 0, [self]) when none
-        of these moves applies:
+        R = Hf / (t - t**-1) is the engine's value; (0, 0, [an equal
+        closure]) when none of these moves applies:
 
         * free and cyclic cancellation of adjacent letters x, -x (braid
           relations and conjugation, which keep the framed link);
@@ -802,9 +794,9 @@ class ClosedBraid(_Linking):
           closures along strand k.  R is multiplicative under connected
           sum, so each cut, counted in `cuts`, saves one factor t - t**-1.
 
-        The moves run in a loop over a work list until none applies, so a
-        piece is a word on which `pieces` returns (0, 0, [piece]).  Each
-        pass reads its whole word, and calls `charge` with its length.
+        The moves run in a loop over a work list until none applies, so on
+        a piece `pieces` returns (0, 0, [an equal closure]).  Each pass
+        reads its whole word, and calls `charge` with its length.
         """
         power = cuts = 0
         done: list[tuple[int, tuple[int, ...]]] = []
@@ -831,11 +823,12 @@ class ClosedBraid(_Linking):
                 if letters.count(gen) + letters.count(-gen) == 1:
                     k = letters.index(gen) if gen in letters else letters.index(-gen)
                     power += 1 if letters[k] > 0 else -1
-                    # only the letters that now meet at the ends can cancel
+                    # the letters on either side of letter k now meet at
+                    # the ends, the only place where the rest can cancel
                     rest = letters[k + 1:] + letters[:k]
                     if shift:
                         rest = tuple(x - 1 if x > 0 else x + 1 for x in rest)
-                    work.append((n - 1, _trim(rest)))
+                    work.append((n - 1, _cancel(rest)))
                     break
             else:
                 k = _cut(n, letters)
@@ -846,8 +839,6 @@ class ClosedBraid(_Linking):
                     work += [(n - k + 1, _cancel(b)), (k, _cancel(a))]
                 else:
                     done.append((n, letters))
-        if power == 0 and done == [(self.strand_count, self.letters)]:
-            return 0, 0, [self]
         made = {word: ClosedBraid._of(*word) for word in set(done)}
         return power, cuts, [made[word] for word in done]
 

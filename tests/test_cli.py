@@ -209,6 +209,38 @@ class TestHomfly:
         assert code == EXIT_INPUT
         assert "components[0][0]" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{}")
+        code, text = run_cli(["homfly", "--file", str(path)])
+        assert (code, text) == (EXIT_INPUT, "")
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte)\n"
+        )
+
+    def test_json_nested_too_deeply_is_bad_input(self, tmp_path, capsys):
+        # the schema nests four deep; json.loads raises RecursionError long
+        # before 200,000, which is the document's fault, not a resource limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        for command in ("homfly", "verify thm14"):
+            code, text = run_cli([*command.split(), "--file", str(path)])
+            assert (code, text) == (EXIT_INPUT, ""), command
+            assert capsys.readouterr().err == f"error: {path}: invalid JSON (nested too deeply)\n"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int digits"
+    )
+    def test_int_past_the_digit_limit_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        path.write_text('{"components": [], "crossings": [{"id": %s}]}' % digits)
+        code, text = run_cli(["homfly", "--file", str(path)])
+        assert (code, text) == (EXIT_INPUT, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON (Exceeds the limit") and err.count("\n") == 1
+
     def test_non_planar_file_is_bad_input(self, tmp_path, capsys):
         path = tmp_path / "virtual.json"
         path.write_text(
@@ -350,6 +382,18 @@ class TestProcess:
             proc.stderr.close()
             assert proc.wait(timeout=60) == EXIT_INPUT, argv
             assert b"Traceback" not in err and b"Error" not in err, (argv, err)
+
+    def test_closed_stdout_prints_no_traceback(self):
+        # with file descriptor 1 closed, sys.stdout is None: the run exits 1
+        # before the command, as it does when the reader closes the pipe
+        proc = python(
+            ["-m", "homflypt", "homfly", "--braid", "strands=2; 1 1"],
+            stderr=subprocess.PIPE,
+            preexec_fn=lambda: os.close(1),
+        )
+        err = proc.communicate(timeout=60)[1]
+        assert proc.returncode == EXIT_INPUT
+        assert err == b""
 
     def test_reimports_leave_one_laurent_class(self):
         # The benchmark re-imports the package for each block; a cache that
@@ -572,6 +616,15 @@ class TestVerify:
         code, _ = run_cli(["verify", "thm14"])
         assert code == EXIT_INPUT
         capsys.readouterr()
+
+    def test_closed_stdin_reads_as_empty(self, monkeypatch, capsys):
+        # with file descriptor 0 closed, sys.stdin is None
+        monkeypatch.setattr(sys, "stdin", None)
+        code, text = run_cli(["verify", "thm14"])
+        assert (code, text) == (EXIT_INPUT, "")
+        assert capsys.readouterr().err == (
+            "error: give one of --catalog, --braid, --file, or pipe braid lines on stdin\n"
+        )
 
     @pytest.mark.parametrize("argv", [
         ["homfly"],

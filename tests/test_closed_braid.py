@@ -33,6 +33,7 @@ from homflypt import catalog as cat
 from homflypt import cli, skein
 from homflypt.hecke import framed_trace
 from homflypt.identities import _F_partition_sum
+from homflypt.links import _cancel
 
 from conftest import no_charge, seeded_closures
 
@@ -147,6 +148,14 @@ class TestSurgeries:
                 assert engine.reduced_invariant(link.smooth_crossing(cid)) == resolve(
                     diagram.smooth_crossing(cid)
                 ), (link.as_text(), cid)
+
+    def test_sublink_of_every_component_is_the_link(self):
+        words = [word for word, _ in seeded_closures(seed=68, count=60, strands=(2, 3, 4, 5))]
+        words += [entry.word() for entry in cat.CATALOG]
+        for link in words:
+            full = link.sublink(range(link.num_components))
+            assert full == link, link.as_text()
+            assert full.canonical_key() == link.canonical_key(), link.as_text()
 
     def test_union_is_the_diagram_union(self):
         words = [word for word, _ in seeded_closures(seed=64, count=20)]
@@ -323,6 +332,32 @@ def summed_words(seed: int, count: int) -> list[ClosedBraid]:
     return words
 
 
+def destabilized_words(seed: int, count: int) -> list[tuple[ClosedBraid, int]]:
+    """Seeded (word, stabilizations) pairs: a word on 2 or 3 strands given
+    2 to 4 new top or bottom strands, each crossed by one letter.  The new
+    letter is wrapped in a pair x, -x on the old strands, which meet at the
+    ends of the word once its destabilization takes the letter out."""
+    rng = SplitMix64(seed)
+    words = []
+    for _ in range(count):
+        n = 2 + rng.below(2)
+        letters = list(random_braid(rng, n, 2 + rng.below(5)).letters)
+        chain = 2 + rng.below(3)
+        for _ in range(chain):
+            x = (1 + rng.below(n - 1)) * (1 if rng.below(2) else -1)
+            sign = 1 if rng.below(2) else -1
+            if rng.below(2):
+                new = sign * n  # a new top strand
+            else:
+                letters = [v + 1 if v > 0 else v - 1 for v in letters]
+                x, new = x + 1 if x > 0 else x - 1, sign  # a new bottom strand
+            k = rng.below(len(letters) + 1)
+            letters[k:k] = [x, new, -x]
+            n += 1
+        words.append((ClosedBraid(n, tuple(letters)), chain))
+    return words
+
+
 def product_of_pieces(link) -> BivarLaurent:
     """t**power * prod R(piece) * (t - t^-1)**(pieces - 1 - cuts), each
     piece traced as it stands."""
@@ -405,6 +440,21 @@ class TestPieces:
         )
         # destabilization comes before the cut, which would leave an unknot
         assert pieces("strands=3; -2 -2 1") == (1, 0, [(2, (-1, -1))])
+
+    def test_destabilized_pieces_are_cancelled(self):
+        # each Markov destabilization cancels its rest with `_cancel`, and
+        # every word `pieces` returns is its own cancellation
+        shrunk = 0
+        for link, chain in destabilized_words(69, 80):
+            passes = []
+            pieces = link.pieces(passes.append)[2]
+            assert len(passes) > chain, link.as_text()
+            for piece in pieces:
+                assert _cancel(piece.letters) == piece.letters, link.as_text()
+            # every wrapping pair x, -x cancelled
+            shrunk += sum(len(p.letters) for p in pieces) <= link.num_crossings - 3 * chain
+            assert product_of_pieces(link) == trace(link), link.as_text()
+        assert shrunk > 40
 
     def test_memo_holds_the_link_and_its_pieces_only(self):
         link = parse_braid("strands=6; 1 -1 2 1 1 1 4 4 4 -5 4")

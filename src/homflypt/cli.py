@@ -148,7 +148,8 @@ def _load_file(path: str) -> LinkDiagram:
 
 def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, Link]]:
     """Resolve the link selection flags into labeled links: a ClosedBraid
-    for a braid or catalog link, a LinkDiagram for a diagram file."""
+    for a braid or catalog link, a LinkDiagram for a diagram file.  A braid
+    line on stdin that does not parse is named by its number from 1."""
     given = [flag for flag in ("catalog", "braid", "file") if getattr(args, flag) is not None]
     if len(given) > 1:
         raise _InputError("give exactly one of --catalog, --braid, --file")
@@ -169,11 +170,14 @@ def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, Link]]:
         except (OSError, ValueError):
             lines = []
         links = []
-        for line in lines:
+        for number, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
                 continue
-            links.append((line, parse_braid(line)))
+            try:
+                links.append((line, parse_braid(line)))
+            except ValueError as exc:  # a ParseError, or an int past the digit limit
+                raise _InputError(f"line {number}: {exc}") from None
         if links:
             return links
     return []

@@ -8,6 +8,8 @@ four ends of each crossing, so the code fixes a map on a closed surface,
 and a diagram is planar when that surface is a sphere for every connected
 piece.  The map `faces` builds for the constructor's planarity check is
 kept with the diagram, and `vogel_braid` takes it as its first scan's map.
+After its moves, `vogel_braid` reads the braid by walking the circles that
+share crossings, with no regions of faces.
 """
 
 from __future__ import annotations
@@ -135,13 +137,13 @@ def vogel_braid(
     signs: Mapping[int, int],
     charge: Callable[[int], None],
     max_strands: int,
-    embedding: PlanarMap | None = None,
+    embedding: PlanarMap | None,
 ) -> tuple[int, list[int]] | None:
     """(strand count, letters) of a braid whose closure is the planar
     diagram given, by Vogel's algorithm (P. Vogel, Comment. Math. Helv. 65,
     1990) on the map of `faces`; None when the diagram has more than
-    `max_strands` Seifert circles.  `embedding`, when given, is the `faces`
-    map of the diagram, and the first scan reads it instead of building it.
+    `max_strands` Seifert circles.  `embedding` is the `faces` map of the
+    diagram, which the first scan reads instead of building it, or None.
 
     An arc runs from a passage to the next passage of its component, and
     the arc that ends at a crossing continues from the crossing's other
@@ -149,18 +151,18 @@ def vogel_braid(
     on the same side of two arcs a and b on distinct circles, a
     Reidemeister II move pushes a over b across it, which keeps the number
     of circles; each scan for such a face, the first included, calls
-    `charge` with the number of passages.  Then the faces joined through the
-    corners between the two circles of each crossing form regions; along
-    each connected piece the circles form a path whose inner regions lie on
-    opposite sides of their two circles.  Circle k of a path is cut at an
-    arc a_k, with a_(k+1) on the face of region (k, k+1) that a_k borders,
-    and the crossing sequences of the circles from their cuts merge into a
-    word in which a crossing between circles k and k + 1 is the letter
-    sign * (k + 1).  Pieces take disjoint strand ranges, and crossing-free
-    components are free strands after them.  The moves keep the writhe, so
-    the closure is the same framed link, on one strand per Seifert circle
-    (S. Yamada, Invent. Math. 89, 1987).  A planar diagram that cannot be
-    read so raises RuntimeError.
+    `charge` with the number of passages.  Then each crossing joins two
+    circles, and the circles of each connected piece that share crossings
+    form a path, walked from one end with no regions of faces built.
+    Circle k of a path is cut at an arc a_k, with a_(k+1) the first arc of
+    circle k + 1 that borders a face of a_k, and the crossing sequences of
+    the circles from their cuts merge into a word in which a crossing
+    between circles k and k + 1 is the letter sign * (k + 1).  Pieces take
+    disjoint strand ranges, and crossing-free components are free strands
+    after them.  The moves keep the writhe, so the closure is the same
+    framed link, on one strand per Seifert circle (S. Yamada, Invent. Math.
+    89, 1987).  A planar diagram that cannot be read so raises
+    RuntimeError.
     """
     comps = components
     while True:
@@ -213,66 +215,44 @@ def vogel_braid(
     def fail():
         raise RuntimeError("the diagram is not a closed braid after its Vogel moves")
 
-    # crossing k is positive when its under strand leaves by end 4k + 3
-    sign = [0] * len(signs)
-    for e in out:
-        if e & 3 != 2:
-            sign[e >> 2] = (e & 3) - 2
-    # Seifert regions: the corners 0-1 and 2-3 of a positive crossing's
-    # rotation, and 1-2 and 3-0 of a negative one's, lie between its
-    # two circles; the corner before end e lies in face[e]
-    region = list(range(count))
-
-    def root(f: int) -> int:
-        while region[f] != f:
-            region[f] = f = region[region[f]]
-        return f
-
-    for k in range(len(sign)):
-        e = 4 * k + (sign[k] > 0)
-        region[root(face[e])] = root(face[e + 2])
-    region = [root(f) for f in range(count)]
-    # the one circle that has each region on its right, and on its left
-    on_right, on_left = [-1] * count, [-1] * count
-    for on, side in ((on_right, right), (on_left, left)):
-        for f, c in zip(side, circle):
-            r = region[f]
-            if on[r] != c:
-                if on[r] >= 0:
-                    fail()  # two circles on the same side
-                on[r] = c
+    # the circles of each crossing are neighbours
     circles = len(firsts)
-    links: list[list[tuple[int, int]]] = [[] for _ in range(circles)]
-    for r, (c, d) in enumerate(zip(on_right, on_left)):
-        if c >= 0 and d >= 0:
-            if c == d:
-                fail()  # a circle on both sides
-            links[c].append((d, r))
-            links[d].append((c, r))
+    near: list[set[int]] = [set() for _ in range(circles)]
+    for q in range(arcs):
+        c, d = circle[q], circle[other[q]]
+        if c == d:
+            fail()  # a crossing on one circle
+        near[c].add(d)
+    # walk each piece's path of circles from an end; no face has two
+    # circles on one side now, so the first arc with a face on one side is
+    # the first such arc of its circle
     position, cut, strands = [-1] * circles, firsts, 0
     for start in range(circles):
-        if position[start] >= 0 or len(links[start]) > 1:
+        if position[start] >= 0 or len(near[start]) > 1:
             continue
-        c, r = start, -1
+        c = start
         while True:
             position[c], strands = strands, strands + 1
-            step = [(d, s) for d, s in links[c] if s != r]
+            step = [d for d in near[c] if position[d] < 0]
             if not step:
                 break
-            d, r = step[0]
-            far = next((f for f in (right[cut[c]], left[cut[c]]) if region[f] == r), None)
-            # no face has two circles on one side now, so the first arc
-            # with a face on one side is the first such arc of its circle
-            arcs_on = [] if far is None else (first_right[far], first_left[far])
-            arcs_on = [b for b in arcs_on if b >= 0 and circle[b] == d]
-            if position[d] >= 0 or not arcs_on:
+            if len(step) > 1:
+                fail()  # a circle with two unvisited neighbours
+            d = step[0]
+            arcs_on = [
+                b
+                for f in (right[cut[c]], left[cut[c]])
+                for b in (first_right[f], first_left[f])
+                if b >= 0 and circle[b] == d
+            ]
+            if not arcs_on:
                 fail()
             c, cut[d] = d, min(arcs_on)
     if -1 in position:
-        fail()
+        fail()  # a circle on no path
     # merge the crossing sequences of the circles from their cuts: a
     # crossing is ready when it heads the sequences of both its circles
-    heads, waiting, ready, letters = [], [-1] * len(sign), [], []
+    ids, heads, waiting, ready, letters = sorted(signs), [], [-1] * len(signs), [], []
     for c in range(circles):
         seq, a = [], cut[c]
         while not seq or a != cut[c]:
@@ -292,8 +272,8 @@ def vogel_braid(
             break
         k, c, d = ready.pop()
         if abs(position[c] - position[d]) != 1:
-            fail()
-        letters.append(sign[k] * (min(position[c], position[d]) + 1))
+            fail()  # a letter between strands that are not adjacent
+        letters.append(signs[ids[k]] * (min(position[c], position[d]) + 1))
         advanced = (c, d)
     if len(letters) != len(signs):
         fail()

@@ -5,9 +5,9 @@ against the value `SkeinEngine.skein_invariant` resolves on the diagram
 itself, and against the diagram's writhe, components and total linking
 number.  Each scan of the Vogel-move loop is also checked to see a planar
 diagram (the first on the map the constructor checked), and the braid has
-at most as many strands as the diagram has Seifert circles.  The engine
-braids every diagram file that the width rule lets through, under `homfly`
-and `verify` alike.
+at most as many strands as the diagram has Seifert circles, exactly as
+many when the diagram has no kink.  The engine braids every diagram file
+that the width rule lets through, under `homfly` and `verify` alike.
 """
 
 import io
@@ -125,7 +125,10 @@ def check(diagram: LinkDiagram) -> int:
     assert braid.num_components == diagram.num_components
     assert braid.writhe() + power == diagram.writhe()
     assert braid.total_linking() == diagram.total_linking()
-    assert braid.strand_count <= seifert_circles(diagram)
+    circles = seifert_circles(diagram)
+    assert braid.strand_count <= circles
+    if not has_kink(diagram):
+        assert braid.strand_count == circles  # one strand per circle
     value = SkeinEngine().reduced_invariant(braid).shift(0, power)
     assert value == SkeinEngine().skein_invariant(diagram)
     return moves
@@ -214,6 +217,18 @@ class TestDifferential:
             union = kinked(union, rng, rng.below(2))
             check(gauss_variant(rng, union))
         assert braid_of(LinkDiagram([[], []], {})) == parse_braid("strands=2;")
+        # a reversed component makes a piece need Vogel moves, and every
+        # piece's circles are walked as a path after its moves
+        links = seeded_links_with_components(19, 20, 2, strands=(2, 3), max_length=8)
+        both = 0
+        for k in range(10):
+            left, right = (reversed_component(d, 1) for _, d in links[2 * k : 2 * k + 2])
+            pieces = check(left), check(right)
+            union = left.disjoint_union(unknot).disjoint_union(right)
+            moves = check(gauss_variant(rng, kinked(union, rng, rng.below(2))))
+            assert (moves > 0) == any(pieces)
+            both += min(pieces) > 0
+        assert both >= 3
 
     def test_each_scan_charges_its_passages(self):
         for diagram in (cat.diagram("borromean"), antiparallel_twist(8)):

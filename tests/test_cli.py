@@ -74,15 +74,15 @@ class TestHomfly:
         # refused from the header, before a closure allocates per strand
         for strands in ("999999999", "100001", "9" * 5000):
             braid = f"strands={strands}; 1 -1"
-            for argv, stdin in (
-                (["homfly", "--braid", braid], None),
-                (["verify", "prop31", "--braid", braid], None),
-                (["verify", "prop31"], braid + "\n"),
+            for argv, stdin, line in (
+                (["homfly", "--braid", braid], None, ""),
+                (["verify", "prop31", "--braid", braid], None, ""),
+                (["verify", "prop31"], braid + "\n", "line 1: "),
             ):
                 code, text = run_cli(argv, stdin_text=stdin, monkeypatch=monkeypatch)
                 assert code == EXIT_INPUT and text == "", argv
                 assert capsys.readouterr().err == (
-                    "error: strand count must be at most 100000 (at offset 8)\n"
+                    f"error: {line}strand count must be at most 100000 (at offset 8)\n"
                 )
         code, text = run_cli(["verify", "prop31", "--braid", "strands=100000;"])
         assert code == EXIT_OK and text.endswith("1/1 checks passed\n")
@@ -563,6 +563,20 @@ class TestVerify:
              "--n-max", "2", "--include-lemma54-n1"]
         )
         assert code == EXIT_RESOURCE and "lemma5.4(n=1): FAIL" in text
+
+    def test_a_bad_stdin_line_is_named(self, monkeypatch, capsys):
+        # lines count from 1, blank ones included; nothing is reported
+        message = "expected a signed integer, got 'x' (at offset 15)"
+        for pipe, number in (
+            ("strands=2; 1 1\nstrands=3; 1 2 x\n", 2),
+            ("\nstrands=2; 1 1\n  \nstrands=3; 1 2 x\nstrands=2; 1\n", 4),
+        ):
+            code, text = run_cli(["verify", "thm14"], stdin_text=pipe, monkeypatch=monkeypatch)
+            assert (code, text) == (EXIT_INPUT, "")
+            assert capsys.readouterr().err == f"error: line {number}: {message}\n"
+        # a --braid value is not a line
+        code, _ = run_cli(["verify", "thm14", "--braid", "strands=3; 1 2 x"])
+        assert code == EXIT_INPUT and capsys.readouterr().err == f"error: {message}\n"
 
     def test_stdin_skips_knots(self, monkeypatch):
         braids = "strands=2; 1 1 1\n"

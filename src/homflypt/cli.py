@@ -166,7 +166,7 @@ def _resolve_links(args, allow_stdin: bool) -> list[tuple[str, Link]]:
     if allow_stdin:
         stdin = sys.stdin  # None when file descriptor 0 is closed
         try:
-            lines = [] if stdin is None or stdin.isatty() else stdin.read().splitlines()
+            lines = [] if stdin is None or stdin.isatty() else stdin.read().split("\n")
         except (OSError, ValueError):
             lines = []
         links = []

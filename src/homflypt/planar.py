@@ -90,8 +90,6 @@ def connected_pieces(components) -> int:
     edge two, so a signed Gauss code is planar exactly when its F is
     crossings + 2 * pieces."""
     pieces = sum(1 for comp in components if comp)
-    if pieces < 2:
-        return pieces
     parent = list(range(len(components)))
 
     def root(ci: int) -> int:

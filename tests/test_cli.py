@@ -565,11 +565,14 @@ class TestVerify:
         assert code == EXIT_RESOURCE and "lemma5.4(n=1): FAIL" in text
 
     def test_a_bad_stdin_line_is_named(self, monkeypatch, capsys):
-        # lines count from 1, blank ones included; nothing is reported
+        # lines count from 1, blank ones included, and only a newline ends
+        # one (a form feed or a line separator is whitespace within a line);
+        # nothing is reported
         message = "expected a signed integer, got 'x' (at offset 15)"
         for pipe, number in (
             ("strands=2; 1 1\nstrands=3; 1 2 x\n", 2),
             ("\nstrands=2; 1 1\n  \nstrands=3; 1 2 x\nstrands=2; 1\n", 4),
+            ("strands=2; 1\x0c1\u20281\nstrands=3; 1 2 x\n", 2),
         ):
             code, text = run_cli(["verify", "thm14"], stdin_text=pipe, monkeypatch=monkeypatch)
             assert (code, text) == (EXIT_INPUT, "")

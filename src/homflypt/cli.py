@@ -26,7 +26,6 @@ import functools
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import catalog
@@ -61,46 +60,6 @@ LEMMA_N_LIMIT = 20
 # printed.  `random --strands` is bounded by `links.MAX_STRANDS`, the
 # largest strand count `parse_braid` reads back.
 RANDOM_LENGTH_LIMIT = 10**6
-
-
-def json_text(value) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for values made of
-    dicts with string keys, lists, tuples and scalars, built by joining
-    strings: an int is its repr, a string is escaped as `json.dumps` escapes
-    it, and any other scalar is encoded by `json.dumps`; a list or tuple is
-    walked item by item, as a dict is.  It writes the JSON of `verify` and
-    `catalog`; `homfly` prints `skein.CoeffTable.to_json_text`, which
-    writes its one layout without a dict."""
-    parts: list[str] = []
-    _json_parts(value, "\n", parts)
-    return "".join(parts)
-
-
-def _json_parts(value, indent: str, parts: list[str]) -> None:
-    """Append the text of `value`, whose lines start with `indent`; the
-    branches go by ``type(value)``, so a dict, list or tuple subclass is
-    a scalar here, as a bool is."""
-    kind = type(value)
-    if kind is int:
-        parts.append(repr(value))
-    elif kind is str:
-        parts.append(encode_basestring_ascii(value))
-    elif kind is dict and value:
-        inner, sep = indent + "  ", "{"
-        for key in sorted(value):
-            parts += (sep, inner, encode_basestring_ascii(key), ": ")
-            _json_parts(value[key], inner, parts)
-            sep = ","
-        parts.append(indent + "}")
-    elif (kind is list or kind is tuple) and value:
-        inner, sep = indent + "  ", "["
-        for item in value:
-            parts += (sep, inner)
-            _json_parts(item, inner, parts)
-            sep = ","
-        parts.append(indent + "]")
-    else:  # another scalar or an empty container
-        parts.append(json.dumps(value))
 
 
 class _InputError(Exception):
@@ -340,7 +299,7 @@ def cmd_verify(args, out) -> int:
             "skipped": skipped,
             "passed": all_passed,
         }
-        print(json_text(obj), file=out)
+        print(json.dumps(obj, sort_keys=True, indent=2), file=out)
     else:
         for r in reports:
             print(r.summary(), file=out)
@@ -391,7 +350,7 @@ def cmd_catalog(args, out) -> int:
             }
         )
     if args.format == "json":
-        print(json_text({"links": rows}), file=out)
+        print(json.dumps({"links": rows}, sort_keys=True, indent=2), file=out)
     else:
         for row in rows:
             print(

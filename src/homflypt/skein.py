@@ -323,7 +323,7 @@ class CoeffTable:
     and ``p_at(g)`` = R_g * t**(-writhe) the z**(2g+1-L) coefficient of P,
     so ``h_at(g) == p_at(g) * t**writhe * (t - t^-1)`` for every g.
     `to_json_text` writes all of these as ``homfly --format json`` prints
-    them, in one pass over R's terms, without `cli.json_text`.
+    them, in one pass over R's terms, without `json.dumps`.
     """
 
     components: int

@@ -18,7 +18,6 @@ from homflypt import (
     random_braid,
 )
 from homflypt import catalog as cat
-from homflypt import cli
 from homflypt.skein import CoeffTable
 
 
@@ -200,18 +199,10 @@ def table_layout(table: CoeffTable, label: str) -> dict:
 
 @pytest.fixture(autouse=True)
 def json_text_is_json_dumps(monkeypatch):
-    """Every JSON payload the CLI prints in a test is also checked against
-    ``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte: those
-    of `cli.json_text` and the coefficient tables of `homfly`, which
-    `CoeffTable.to_json_text` writes from the table itself."""
-    written = cli.json_text
-
-    def checked(value):
-        text = written(value)
-        assert text == json.dumps(value, sort_keys=True, indent=2)
-        return text
-
-    monkeypatch.setattr(cli, "json_text", checked)
+    """Every coefficient table that `homfly` prints as JSON in a test is
+    also checked against ``json.dumps(layout, sort_keys=True, indent=2)``
+    of its documented layout, byte for byte: `CoeffTable.to_json_text`
+    writes it from the table itself."""
     table_text = CoeffTable.to_json_text
 
     def checked_table(table, label):

@@ -393,6 +393,19 @@ class TestCounts:
         assert catalog_diagrams["trefoil"].total_linking() == 0
         assert catalog_diagrams["t24"].total_linking() == 2
 
+    def test_catalog_records_its_counts(self):
+        # each entry's recorded facts, against the closed braid and against
+        # the diagram it closes to
+        assert len(cat.CATALOG) == 15
+        for entry in cat.CATALOG:
+            for link in (entry.word(), entry.diagram()):
+                counts = {
+                    "components": link.num_components,
+                    "writhe": link.writhe(),
+                    "total_linking": link.total_linking(),
+                }
+                assert counts == entry.expected, entry.name
+
     def test_total_linking_is_the_pairwise_sum(self):
         for _, diagram in seeded_closures(seed=56, count=60, strands=(2, 3, 4, 5)):
             pairs = range(diagram.num_components)

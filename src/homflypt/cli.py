@@ -38,10 +38,10 @@ from .identities import (
     verify_thm15,
 )
 from .combinatorics import LEMMA_RANGES, verify_lemma, verify_partition_identity
-from .links import MAX_STRANDS, DiagramError, Link, LinkDiagram, ParseError, parse_braid
+from .links import MAX_STRANDS, Link, LinkDiagram, parse_braid
 from .report import VerificationReport
 from .rng import SplitMix64, random_braid
-from .skein import DEFAULT_MAX_NODES, ResourceLimitExceeded, SkeinEngine, coeff_table
+from .skein import ResourceLimitExceeded, SkeinEngine, coeff_table
 
 VERIFY_TARGETS = ("prop31", "thm13", "thm14", "thm15", "lemmas", "skeinF", "splitF", "all")
 
@@ -78,10 +78,8 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(f"{message} (see '{self.prog} --help')")
 
 
-def _max_nodes(args) -> int:
-    if args.max_nodes is None:
-        return DEFAULT_MAX_NODES
-    if args.max_nodes < 1:
+def _max_nodes(args) -> int | None:
+    if args.max_nodes is not None and args.max_nodes < 1:
         raise _InputError(f"--max-nodes must be at least 1, got {args.max_nodes}")
     return args.max_nodes
 
@@ -240,7 +238,7 @@ _LINK_TARGETS = {
 
 
 def _link_reports(
-    target: str, label: str, diagram: Link, max_nodes: int
+    target: str, label: str, diagram: Link, max_nodes: int | None
 ) -> tuple[list[VerificationReport], list[str]]:
     if diagram.num_components == 0:
         return [], [f"{target} [{label}]: SKIP (empty diagram)"]
@@ -262,9 +260,12 @@ def cmd_verify(args, out) -> int:
     reports: list[VerificationReport] = []
     skipped: list[str] = []
 
-    # every link input and the node budget are checked before the lemmas run
+    # link inputs and the node budget are checked before the lemmas run, which take neither
     links: list[tuple[str, Link]] = []
-    if target != "lemmas":
+    if target == "lemmas":
+        if any(v is not None for v in (args.catalog, args.braid, args.file, args.max_nodes)):
+            raise _InputError("verify lemmas takes no --catalog, --braid, --file or --max-nodes")
+    else:
         # `verify all` with no link flags runs the catalog; it never reads
         # stdin, which may be an open pipe that never closes.
         links = _resolve_links(args, allow_stdin=target != "all")
@@ -454,7 +455,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args, stream)
-    except (_InputError, ParseError, DiagramError, ValueError) as exc:
+    except (_InputError, ValueError) as exc:  # ParseError and DiagramError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ResourceLimitExceeded, RecursionError) as exc:

@@ -634,7 +634,7 @@ class ClosedBraid(_Linking):
 
     Smoothing moves the component numbers and base points of the diagram
     surgery, which leaves every invariant unchanged.  `pieces` simplifies
-    the word by braid moves into the pieces the engine traces.
+    the word by braid moves into the words of the pieces the engine traces.
     """
 
     __slots__ = ("strand_count", "letters", "num_components", "_lines", "_component")
@@ -770,11 +770,13 @@ class ClosedBraid(_Linking):
         shifted = tuple(x + n if x > 0 else x - n for x in other.letters)
         return ClosedBraid._of(n + other.strand_count, self.letters + shifted)
 
-    def pieces(self, charge: Callable[[int], None]) -> tuple[int, int, list["ClosedBraid"]]:
-        """(power, cuts, pieces) with R(self) = t**power times the product of
-        R over the pieces times (t - t**-1)**(len(pieces) - 1 - cuts), where
-        R = Hf / (t - t**-1) is the engine's value; (0, 0, [an equal
-        closure]) when none of these moves applies:
+    def pieces(
+        self, charge: Callable[[int], None]
+    ) -> tuple[int, int, list[tuple[int, tuple[int, ...]]]]:
+        """(power, cuts, words) with R(self) = t**power times the product of
+        R over the pieces times (t - t**-1)**(len(words) - 1 - cuts), where
+        R = Hf / (t - t**-1) is the engine's value and a piece is given by
+        its word alone; (0, 0, [self.canonical_key()]) when no move applies:
 
         * free and cyclic cancellation of adjacent letters x, -x (braid
           relations and conjugation, which keep the framed link);
@@ -795,8 +797,8 @@ class ClosedBraid(_Linking):
           sum, so each cut, counted in `cuts`, saves one factor t - t**-1.
 
         The moves run in a loop over a work list until none applies, so on
-        a piece `pieces` returns (0, 0, [an equal closure]).  Each pass
-        reads its whole word, and calls `charge` with its length.
+        the closure of a piece's word `pieces` returns (0, 0, [that word]).
+        Each pass reads its whole word, and calls `charge` with its length.
         """
         power = cuts = 0
         done: list[tuple[int, tuple[int, ...]]] = []
@@ -839,8 +841,7 @@ class ClosedBraid(_Linking):
                     work += [(n - k + 1, _cancel(b)), (k, _cancel(a))]
                 else:
                     done.append((n, letters))
-        made = {word: ClosedBraid._of(*word) for word in set(done)}
-        return power, cuts, [made[word] for word in done]
+        return power, cuts, done
 
 
 # A link in either representation; both answer the queries of the verifiers.

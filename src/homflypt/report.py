@@ -17,10 +17,6 @@ def _encode(value: Any):
         return value.to_quadruples()
     if isinstance(value, Fraction):
         return [value.numerator, value.denominator]
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
     return value
 
 
@@ -62,7 +58,7 @@ class VerificationReport:
             "lhs": _encode(self.lhs),
             "rhs": _encode(self.rhs),
             "residual": _encode(self.residual),
-            "context": _encode(self.context),
+            "context": {key: _encode(value) for key, value in self.context.items()},
         }
 
     def summary(self) -> str:

@@ -113,11 +113,11 @@ class SkeinEngine:
     first simplified by `ClosedBraid.pieces` (cancellation, splitting at
     unused generators, Markov destabilization, connected-sum cuts):
     ``R = t**power * prod R(piece) * (t - t**-1)**(pieces - 1 - cuts)``, with
-    each piece (the word itself when no move applies) memoized on its own
-    key and, since no move simplifies a piece, traced by `_piece_value`
-    without another pass of `pieces`: that is the one call of the Hecke
-    trace (`homflypt.hecke`), whose relation t g_i - t**-1 g_i**-1 = z is
-    the skein relation on braids.  No value is ever divided.
+    each piece given as its word, its memo key (the link's own when no move
+    applies).  `_piece_value` closes a word only to trace one the memo lacks,
+    with no second pass of `pieces`: the one call of the Hecke trace
+    (`homflypt.hecke`), whose relation t g_i - t**-1 g_i**-1 = z is the
+    skein relation on braids.  No value is ever divided.
 
     One budget counts the work on both.  A node is one expanded
     (non-memoized) skein resolution, one coefficient term the trace writes
@@ -182,9 +182,9 @@ class SkeinEngine:
         if cached is not None:
             return cached
         if isinstance(link, ClosedBraid):
-            power, cuts, pieces = link.pieces(self.charge)
-            factors = [self._piece_value(piece) for piece in pieces]
-            factors.append(self._unlink(len(pieces) - 1 - cuts))
+            power, cuts, words = link.pieces(self.charge)
+            factors = [self._piece_value(word) for word in words]
+            factors.append(self._unlink(len(words) - 1 - cuts))
             value = self._product(factors)
             if power:
                 value = value.shift(0, power)
@@ -209,13 +209,13 @@ class SkeinEngine:
                 value = switched + smoothed if link.signs[cid] > 0 else switched - smoothed
         return self.remember(self._memo, key, value)
 
-    def _piece_value(self, piece: ClosedBraid) -> BivarLaurent:
-        """R of a piece of `ClosedBraid.pieces`, which no move simplifies:
-        memoized, else traced (the one trace call), with no pass of `pieces`."""
-        key = piece.canonical_key()
-        value = self._memo.get(key)
+    def _piece_value(self, word: tuple[int, tuple[int, ...]]) -> BivarLaurent:
+        """R of a word from `ClosedBraid.pieces`, which no move simplifies:
+        memoized, else closed and traced, with no pass of `pieces`."""
+        value = self._memo.get(word)
         if value is None:
-            value = self.remember(self._memo, key, framed_trace(piece, self._add))
+            value = framed_trace(ClosedBraid._of(*word), self._add)
+            self.remember(self._memo, word, value)
         return value
 
     @staticmethod

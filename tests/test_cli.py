@@ -188,6 +188,17 @@ class TestHomfly:
         assert len(builds) == 1
         assert code == EXIT_OK and "homfly: 1" in text
 
+    def test_no_link_is_bad_input(self, tmp_path, capsys):
+        # no link flag, or a file holding the empty diagram
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"components": [], "crossings": []}))
+        for argv, message in (
+            (["homfly"], "give one of --catalog, --braid, --file"),
+            (["homfly", "--file", str(path)], "the empty diagram has no coefficient table"),
+        ):
+            assert run_cli(argv) == (EXIT_INPUT, "")
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_two_link_flags_rejected(self, capsys):
         code, _ = run_cli(["homfly", "--catalog", "unknot", "--braid", "strands=1;"])
         assert code == EXIT_INPUT
@@ -504,6 +515,29 @@ class TestVerify:
         code, text = run_cli(["verify", "thm14", "--file", str(path)])
         assert code == EXIT_OK
         assert text == f"thm14 [{path}]: SKIP (empty diagram)\n0/0 checks passed\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--braid", "garbage", "--max-nodes", "0"],
+        ["--catalog", "hopf+"],
+        ["--file", "missing.json"],
+        ["--max-nodes", "100"],
+    ])
+    def test_lemmas_refuse_link_flags_and_a_budget(self, flags, monkeypatch, capsys):
+        # the lemmas read no link and spend no nodes: a link flag or a
+        # budget is refused, not ignored, and no piped link is read
+        class Unread:
+            def isatty(self):
+                return False
+
+            def read(self):
+                raise AssertionError("verify lemmas read stdin")
+
+        monkeypatch.setattr("sys.stdin", Unread())
+        code, text = run_cli(["verify", "lemmas", *flags, "--m-max", "2", "--n-max", "2"])
+        assert (code, text) == (EXIT_INPUT, "")
+        assert capsys.readouterr().err == (
+            "error: verify lemmas takes no --catalog, --braid, --file or --max-nodes\n"
+        )
 
     def test_lemma54_n1_is_excluded_by_default(self):
         code, text = run_cli(["verify", "lemmas", "--m-max", "4"])

@@ -360,11 +360,11 @@ def destabilized_words(seed: int, count: int) -> list[tuple[ClosedBraid, int]]:
 
 def product_of_pieces(link) -> BivarLaurent:
     """t**power * prod R(piece) * (t - t^-1)**(pieces - 1 - cuts), each
-    piece traced as it stands."""
-    power, cuts, pieces = link.pieces(no_charge)
-    value = (T - T**-1) ** (len(pieces) - 1 - cuts)
-    for piece in pieces:
-        value = value * trace(piece)
+    piece's word closed and traced as it stands."""
+    power, cuts, words = link.pieces(no_charge)
+    value = (T - T**-1) ** (len(words) - 1 - cuts)
+    for word in words:
+        value = value * trace(ClosedBraid(*word))
     return value.shift(0, power)
 
 
@@ -389,8 +389,8 @@ class TestPieces:
     def test_pieces_multiply_to_the_trace_of_the_word(self):
         moved = cut = 0
         for link in self.words():
-            _, cuts, pieces = link.pieces(no_charge)
-            moved += pieces != [link]
+            _, cuts, words = link.pieces(no_charge)
+            moved += words != [link.canonical_key()]
             cut += cuts > 0
             assert product_of_pieces(link) == trace(link), link.as_text()
             assert SkeinEngine().reduced_invariant(link) == trace(link), link.as_text()
@@ -404,15 +404,15 @@ class TestPieces:
             assert SkeinEngine().framed_invariant(link) == T ** (n - 1) * (T - T**-1), n
 
     def test_pieces_are_irreducible(self):
-        for word in self.words():
-            for piece in word.pieces(no_charge)[2]:
-                assert piece.pieces(no_charge) == (0, 0, [piece]), word.as_text()
+        for link in self.words():
+            for word in link.pieces(no_charge)[2]:
+                piece = ClosedBraid(*word)
+                assert piece.pieces(no_charge) == (0, 0, [word]), link.as_text()
                 assert piece.num_components >= 1
 
     def test_each_move(self):
         def pieces(text):
-            power, cuts, parts = parse_braid(text).pieces(no_charge)
-            return power, cuts, [(p.strand_count, p.letters) for p in parts]
+            return parse_braid(text).pieces(no_charge)
 
         trefoil = (2, (1, 1, 1))
         hopf = (2, (1, 1))
@@ -447,12 +447,12 @@ class TestPieces:
         shrunk = 0
         for link, chain in destabilized_words(69, 80):
             passes = []
-            pieces = link.pieces(passes.append)[2]
+            words = link.pieces(passes.append)[2]
             assert len(passes) > chain, link.as_text()
-            for piece in pieces:
-                assert _cancel(piece.letters) == piece.letters, link.as_text()
+            for _, letters in words:
+                assert _cancel(letters) == letters, link.as_text()
             # every wrapping pair x, -x cancelled
-            shrunk += sum(len(p.letters) for p in pieces) <= link.num_crossings - 3 * chain
+            shrunk += sum(len(letters) for _, letters in words) <= link.num_crossings - 3 * chain
             assert product_of_pieces(link) == trace(link), link.as_text()
         assert shrunk > 40
 
@@ -460,8 +460,25 @@ class TestPieces:
         link = parse_braid("strands=6; 1 -1 2 1 1 1 4 4 4 -5 4")
         engine = SkeinEngine()
         engine.framed_invariant(link)
-        _, _, pieces = link.pieces(no_charge)
-        assert set(engine._memo) == {link.canonical_key()} | {p.canonical_key() for p in pieces}
+        _, _, words = link.pieces(no_charge)
+        assert set(engine._memo) == {link.canonical_key()} | set(words)
+
+    def test_a_closure_is_built_only_to_trace(self, monkeypatch):
+        # `pieces` returns words and builds no closure; the engine closes a
+        # piece's word only when the memo misses: the Hopf chain of four
+        # falls into three equal Hopf links, of which one is traced
+        of, built = ClosedBraid._of.__func__, []
+
+        def counted(cls, strand_count, letters):
+            built.append((strand_count, letters))
+            return of(cls, strand_count, letters)
+
+        monkeypatch.setattr(ClosedBraid, "_of", classmethod(counted))
+        link = parse_braid("strands=4; 1 1 2 2 3 3")
+        assert link.pieces(no_charge) == (0, 2, [(2, (1, 1))] * 3)
+        assert built == []
+        SkeinEngine().reduced_invariant(link)
+        assert built == [(2, (1, 1))]
 
     def test_each_piece_is_passed_over_once(self, monkeypatch):
         # the engine traces each piece of `pieces` after its memo lookup,

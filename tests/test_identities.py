@@ -9,6 +9,7 @@ import pytest
 
 from homflypt import (
     BivarLaurent,
+    FValue,
     GOutOfRange,
     LinkDiagram,
     NotInterComponent,
@@ -17,6 +18,7 @@ from homflypt import (
     SplitMix64,
     T,
     VerificationReport,
+    Z,
     close_braid,
     coeff_table,
     framed_homfly,
@@ -58,6 +60,11 @@ class TestIntermediateF:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             intermediate_F(LinkDiagram([], {}))
+
+    def test_z_shape_is_enforced(self):
+        # F of a 2-component link is z**-2 times a polynomial in z**2
+        with pytest.raises(ValueError, match="cannot have a z\\^1 term"):
+            FValue(2, Z)
 
     # the nonzero z-levels of F, by z exponent 2g - L
 
@@ -278,6 +285,9 @@ class TestThm13:
             verify_thm13(catalog_diagrams["hopf+"], 1)
         with pytest.raises(GOutOfRange):
             verify_thm13(catalog_diagrams["hopf+"], -1)
+        # a knot has no admissible g
+        with pytest.raises(ValueError, match="needs at least 2 components"):
+            verify_thm13(cat.diagram("unknot"), 0)
 
     def test_random_corpus(self):
         engine = SkeinEngine()
@@ -502,6 +512,10 @@ class TestReportShape:
         assert report.residual == one and not report.passed
         assert VerificationReport.of("x", Fraction(1, 2), Fraction(1, 2), {}).passed
         assert not VerificationReport.of("x", 3, 3, {}, also=False).passed
+
+    def test_summary_of_a_failing_report_shows_both_sides(self):
+        report = VerificationReport.of("x", T, Z, {"label": "k"})
+        assert report.summary() == "x [k]: FAIL  lhs=t  rhs=(1)*z"
 
     def test_pass_iff_residual_zero(self, catalog_diagrams):
         for name in ("hopf+", "borromean"):

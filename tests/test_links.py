@@ -511,8 +511,10 @@ class TestSurgeries:
         assert catalog_diagrams["trefoil"].switch_crossing(0).writhe() == 1
 
     def test_switch_unknown(self, catalog_diagrams):
-        with pytest.raises(UnknownCrossing):
-            catalog_diagrams["hopf+"].switch_crossing(99)
+        hopf = catalog_diagrams["hopf+"]
+        for query in (hopf.switch_crossing, hopf.smooth_crossing, hopf.is_self_crossing):
+            with pytest.raises(UnknownCrossing):
+                query(99)
 
     def test_smooth_hopf(self, catalog_diagrams):
         smoothed = catalog_diagrams["hopf+"].smooth_crossing(0)
@@ -663,6 +665,14 @@ class TestJson:
         bad["crossings"][0]["over"] = [0, 1]
         with pytest.raises(DiagramError, match=r"crossings\[0\]\.over"):
             LinkDiagram.from_json_dict(bad)
+        for obj, message in (
+            ({"components": {}, "crossings": []}, "components: expected a list"),
+            ({"components": [{}], "crossings": []}, r"components\[0\]: expected a list of passages"),
+            ({"components": [], "crossings": {}}, "crossings: expected a list"),
+            ({"components": [], "crossings": [[]]}, r"crossings\[0\]: expected an object"),
+        ):
+            with pytest.raises(DiagramError, match=f"^{message}$"):
+                LinkDiagram.from_json_dict(obj)
 
     def test_integers_are_not_bools_or_floats(self):
         # JSON true passes isinstance(x, int) and 1.0 == 1; neither is an integer

@@ -174,7 +174,8 @@ def cmd_homfly(args, out) -> int:
 
 def _lemma_reports(args) -> list[VerificationReport]:
     top = {"m": args.m_max, "n": args.n_max}
-    for name, limit in (("m", LEMMA_M_LIMIT), ("n", LEMMA_N_LIMIT)):
+    for name, limit, default in (("m", LEMMA_M_LIMIT, 10), ("n", LEMMA_N_LIMIT, 12)):
+        top[name] = default if top[name] is None else top[name]
         if top[name] < 1:
             raise _InputError(f"--{name}-max must be at least 1, got {top[name]}")
         if top[name] > limit:
@@ -260,12 +261,15 @@ def cmd_verify(args, out) -> int:
     reports: list[VerificationReport] = []
     skipped: list[str] = []
 
-    # link inputs and the node budget are checked before the lemmas run, which take neither
+    # flags a target does not take are refused before a link is read or a lemma runs
     links: list[tuple[str, Link]] = []
     if target == "lemmas":
         if any(v is not None for v in (args.catalog, args.braid, args.file, args.max_nodes)):
             raise _InputError("verify lemmas takes no --catalog, --braid, --file or --max-nodes")
     else:
+        lemma_flags = (args.m_max, args.n_max, args.include_lemma54_n1)
+        if target != "all" and lemma_flags != (None, None, False):
+            raise _InputError(f"verify {target} takes no --m-max, --n-max or --include-lemma54-n1")
         # `verify all` with no link flags runs the catalog; it never reads
         # stdin, which may be an open pipe that never closes.
         links = _resolve_links(args, allow_stdin=target != "all")
@@ -375,9 +379,9 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="node budget per link, in homfly and verify alike: one node per"
         " passage of each scan that braids a --file diagram (or any diagram"
-        " verify derives from it) with few Seifert circles for its"
-        " crossings, per skein resolution step of any other diagram, per"
-        " letter of each pass of the braid moves, per coefficient term the"
+        " verify derives from it), per skein resolution step of a diagram"
+        " whose braid has a piece too wide to trace, per letter of each"
+        " pass of the braid moves, per coefficient term the"
         " Hecke traces of a braid's irreducible pieces write, and per term"
         " of each product of values (braid pieces and their factors t - 1/t;"
         " the k - 1 unlink factors of a descending diagram of k components);"
@@ -403,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("target", choices=VERIFY_TARGETS)
     _add_link_flags(p_verify)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--m-max", type=int, default=10, help="largest m for the counting lemmas")
-    p_verify.add_argument("--n-max", type=int, default=12, help="largest n for the binomial lemma")
+    p_verify.add_argument("--m-max", type=int, help="largest m for the counting lemmas")
+    p_verify.add_argument("--n-max", type=int, help="largest n for the binomial lemma")
     p_verify.add_argument(
         "--include-lemma54-n1",
         action="store_true",

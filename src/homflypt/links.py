@@ -455,18 +455,14 @@ class LinkDiagram(_Linking):
             signs[relabel[cid]] = s
         return _diagram(comps, signs)
 
-    def braid(
-        self, charge: Callable[[int], None], max_strands: int
-    ) -> tuple[int, "ClosedBraid"] | None:
+    def braid(self, charge: Callable[[int], None]) -> tuple[int, "ClosedBraid"]:
         """(power, braid) with R(self) = t**power * R(braid), R the engine's
         value: the braid's closure is this planar diagram without its R1
         kinks, and power is the sum of the kinks' signs, the writhe they
         add.  The braid is found by `planar.vogel_braid`, which calls
-        `charge` with the number of passages of each scan and returns None,
-        as this method does, when the diagram has more than `max_strands`
-        Seifert circles.  A diagram without kinks gives Vogel's first scan
-        the map its constructor checked, when it has one; only the scans
-        after a move build theirs."""
+        `charge` with the number of passages of each scan.  A diagram
+        without kinks gives Vogel's first scan the map its constructor
+        checked, when it has one; only the scans after a move build theirs."""
         comps, signs, embedding, power = self.components, self.signs, self._map, 0
         if _has_kink(comps):
             # with the passages of crossing k coded k + 1 (over) and -k - 1
@@ -480,10 +476,8 @@ class LinkDiagram(_Linking):
             signs = {cid: self.signs[cid] for comp in comps for cid, _ in comp}
             power = sum(sign for cid, sign in self.signs.items() if cid not in signs)
             embedding = None
-        braided = planar.vogel_braid(comps, signs, charge, max_strands, embedding)
-        if braided is None:
-            return None
-        return power, ClosedBraid._of(braided[0], tuple(braided[1]))
+        strands, letters = planar.vogel_braid(comps, signs, charge, embedding)
+        return power, ClosedBraid._of(strands, tuple(letters))
 
     # -- identity and serialization -----------------------------------------
 

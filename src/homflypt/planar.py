@@ -9,7 +9,8 @@ and a diagram is planar when that surface is a sphere for every connected
 piece.  The map `faces` builds for the constructor's planarity check is
 kept with the diagram, and `vogel_braid` takes it as its first scan's map.
 After its moves, `vogel_braid` reads the braid by walking the circles that
-share crossings, with no regions of faces.
+share crossings, with no regions of faces.  It braids every planar diagram,
+whatever its width: whether the braid is traced is the engine's decision.
 """
 
 from __future__ import annotations
@@ -134,13 +135,11 @@ def vogel_braid(
     components: Sequence[Sequence[tuple[int, str]]],
     signs: Mapping[int, int],
     charge: Callable[[int], None],
-    max_strands: int,
     embedding: PlanarMap | None,
-) -> tuple[int, list[int]] | None:
+) -> tuple[int, list[int]]:
     """(strand count, letters) of a braid whose closure is the planar
     diagram given, by Vogel's algorithm (P. Vogel, Comment. Math. Helv. 65,
-    1990) on the map of `faces`; None when the diagram has more than
-    `max_strands` Seifert circles.  `embedding` is the `faces` map of the
+    1990) on the map of `faces`.  `embedding` is the `faces` map of the
     diagram, which the first scan reads instead of building it, or None.
 
     An arc runs from a passage to the next passage of its component, and
@@ -191,8 +190,6 @@ def vogel_braid(
                 firsts.append(a)
                 while circle[a] < 0:
                     circle[a], a = len(firsts) - 1, other[succ[a]]
-        if len(firsts) > max_strands:
-            return None
         move, first_right, first_left = _search(right, left, circle, count)
         if move is None:
             break

@@ -20,12 +20,12 @@ R(unknot) = 1: the same recursion on R ends in
 ``(t - t^-1)**(components - 1)`` at a nonempty descending diagram.  It also
 takes a braid closure, a `ClosedBraid`, which it simplifies by braid moves
 and evaluates by the Hecke trace of `homflypt.hecke` in place of resolving
-crossings, and it braids and traces every diagram that `_trace_width`
-allows.  A `CoeffTable` stores R alone and reads Hf = R * (t - t^-1),
-the HOMFLY-PT polynomial ``P = t**(-writhe) * z**(1-L) * R`` and the
-coefficients h and p off R's z-levels, and writes them all as JSON in
-one pass over R's terms.  Nothing in the package divides
-one polynomial by another.
+crossings, and it braids every diagram and traces its braid's pieces
+when `_trace_width` allows.  A `CoeffTable` stores R alone and reads
+Hf = R * (t - t^-1), the HOMFLY-PT polynomial
+``P = t**(-writhe) * z**(1-L) * R`` and the coefficients h and p off R's
+z-levels, and writes them all as JSON in one pass over R's terms.
+Nothing in the package divides one polynomial by another.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ def _trace_width(crossings: int) -> int:
     """The most strands n with n! <= 2**crossings.  The Hecke trace of a
     braid on n strands writes at most n! permutations per element, and
     skein resolution of a diagram with c crossings has at most 2**c leaves,
-    so the engine traces the braid of a diagram only up to this width and
-    resolves a diagram with more Seifert circles as it stands."""
+    so the engine traces the pieces of a diagram's braid only when none is
+    wider than this, and otherwise resolves the diagram as it stands."""
     n, bits = 1, 0.0
     while bits + math.log2(n + 1) <= crossings:
         n += 1
@@ -105,19 +105,18 @@ class SkeinEngine:
     `ClosedBraid`, so that R(unknot) = 1; `framed_invariant` returns
     Hf = R * (t - t**-1).
 
-    A diagram with at most `_trace_width` Seifert circles for its
-    crossings is evaluated as its braid; any other diagram is resolved
+    A braid closure, or the braid `LinkDiagram.braid` finds for a diagram,
+    is simplified by `ClosedBraid.pieces` (cancellation, splitting at unused
+    generators, Markov destabilization, connected-sum cuts):
+    ``R = t**power * prod R(piece) * (t - t**-1)**(pieces - 1 - cuts)``, with
+    each piece given as its word, its memo key.  `_piece_value` closes a
+    word only to trace one the memo lacks: the one call of the Hecke trace
+    (`homflypt.hecke`), whose relation t g_i - t**-1 g_i**-1 = z is the
+    skein relation on braids.  A diagram whose braid has a piece wider
+    than `_trace_width` allows for the diagram's crossings is resolved
     crossing by crossing as in the module docstring, on R: the skein
     relation is linear, and a descending leaf of k components is
-    ``t**framing * (t - t**-1)**(k - 1)``.  A braid closure is
-    first simplified by `ClosedBraid.pieces` (cancellation, splitting at
-    unused generators, Markov destabilization, connected-sum cuts):
-    ``R = t**power * prod R(piece) * (t - t**-1)**(pieces - 1 - cuts)``, with
-    each piece given as its word, its memo key (the link's own when no move
-    applies).  `_piece_value` closes a word only to trace one the memo lacks,
-    with no second pass of `pieces`: the one call of the Hecke trace
-    (`homflypt.hecke`), whose relation t g_i - t**-1 g_i**-1 = z is the
-    skein relation on braids.  No value is ever divided.
+    ``t**framing * (t - t**-1)**(k - 1)``.  No value is ever divided.
 
     One budget counts the work on both.  A node is one expanded
     (non-memoized) skein resolution, one coefficient term the trace writes
@@ -135,13 +134,13 @@ class SkeinEngine:
     Values of R are memoized on `link.canonical_key()`: a tuple of ints
     for a diagram, and (strand count, letters) for a braid, so no two
     links of different types share a key; a braided diagram is memoized
-    under its own key and its braid's.  Equal diagrams up to crossing
-    relabeling share one entry, and `f_memo` holds values of
-    `identities.intermediate_F` under the same key (splitF, which checks
-    the split rule, keeps its own).  Every memo stores through `remember`,
-    which stops at MEMO_CAP entries.  The intermediate words of `pieces`
-    are not memoized, nor are the intermediate powers of an unlink value:
-    only the powers asked for.
+    under its own key only, and its pieces under their words.  Equal
+    diagrams up to crossing relabeling share one entry, and `f_memo` holds
+    values of `identities.intermediate_F` under the same key (splitF,
+    which checks the split rule, keeps its own).  Every memo stores
+    through `remember`, which stops at MEMO_CAP entries.  The intermediate
+    words of `pieces` are not memoized, nor are the intermediate powers of
+    an unlink value: only the powers asked for.
     """
 
     def __init__(self, max_nodes: int | None = None):
@@ -158,36 +157,31 @@ class SkeinEngine:
         return self.reduced_invariant(link) * _T_FACTOR
 
     def reduced_invariant(self, link: Link) -> BivarLaurent:
-        """R = Hf / (t - t**-1) of a nonempty link; a diagram that
-        `LinkDiagram.braid` braids within `_trace_width` strands is
-        evaluated as its braid times t**power, and memoized under its own
-        key as well, so that it is braided once."""
+        """R = Hf / (t - t**-1) of a nonempty link.  A diagram is braided
+        and its braid's `pieces` found once, and they are traced when none
+        is wider than `_trace_width` of the diagram's crossings, memoized
+        under its own key; otherwise the diagram is resolved as it stands."""
         if isinstance(link, LinkDiagram) and link.num_components:
             key = link.canonical_key()
             cached = self._memo.get(key)
             if cached is not None:
                 return cached
-            braided = link.braid(self.charge, _trace_width(link.num_crossings))
-            if braided is not None:
-                value = self.skein_invariant(braided[1]).shift(0, braided[0])
+            power, braid = link.braid(self.charge)
+            shift, cuts, words = braid.pieces(self.charge)
+            if max(n for n, _ in words) <= _trace_width(link.num_crossings):
+                value = self._braid_value(power + shift, cuts, words)
                 return self.remember(self._memo, key, value)
         return self.skein_invariant(link)
 
     def skein_invariant(self, link: Link) -> BivarLaurent:
         """R of a nonempty link as it stands: a braid closure by its pieces
-        and their traces, a diagram by skein resolution, never braided
-        (switching and smoothing keep the Seifert circles)."""
+        and their traces, a diagram by skein resolution, never braided."""
         key = link.canonical_key()
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         if isinstance(link, ClosedBraid):
-            power, cuts, words = link.pieces(self.charge)
-            factors = [self._piece_value(word) for word in words]
-            factors.append(self._unlink(len(words) - 1 - cuts))
-            value = self._product(factors)
-            if power:
-                value = value.shift(0, power)
+            value = self._braid_value(*link.pieces(self.charge))
         else:
             # one skein step, recursing through this method so that a
             # resolution level costs one stack frame
@@ -208,6 +202,14 @@ class SkeinEngine:
                     smoothed = smoothed.shift(2)
                 value = switched + smoothed if link.signs[cid] > 0 else switched - smoothed
         return self.remember(self._memo, key, value)
+
+    def _braid_value(self, power: int, cuts: int, words: list) -> BivarLaurent:
+        """R of a braid from the result of its `pieces`:
+        ``t**power * prod R(word) * (t - t**-1)**(len(words) - 1 - cuts)``."""
+        factors = [self._piece_value(word) for word in words]
+        factors.append(self._unlink(len(words) - 1 - cuts))
+        value = self._product(factors)
+        return value.shift(0, power) if power else value
 
     def _piece_value(self, word: tuple[int, tuple[int, ...]]) -> BivarLaurent:
         """R of a word from `ClosedBraid.pieces`, which no move simplifies:

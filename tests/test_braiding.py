@@ -6,8 +6,9 @@ itself, and against the diagram's writhe, components and total linking
 number.  Each scan of the Vogel-move loop is also checked to see a planar
 diagram (the first on the map the constructor checked), and the braid has
 at most as many strands as the diagram has Seifert circles, exactly as
-many when the diagram has no kink.  The engine braids every diagram file
-that the width rule lets through, under `homfly` and `verify` alike.
+many when the diagram has no kink.  The engine braids every diagram file,
+under `homfly` and `verify` alike, and traces it when the width rule lets
+its braid's pieces through.
 """
 
 import io
@@ -23,12 +24,12 @@ from homflypt import (
     SkeinEngine,
     SplitMix64,
     close_braid,
+    framed_homfly_bruteforce,
     parse_braid,
 )
 from homflypt import catalog as cat
 from homflypt import planar, skein
 from homflypt.cli import EXIT_OK, EXIT_RESOURCE, main
-from homflypt.links import MAX_STRANDS
 from homflypt.skein import homfly as homfly_value
 
 from conftest import (
@@ -82,8 +83,8 @@ def connected_pieces(components) -> int:
 
 
 def braid_of(diagram: LinkDiagram):
-    """The braid of `diagram` without a budget or a width limit."""
-    return diagram.braid(no_charge, MAX_STRANDS)[1]
+    """The braid of `diagram` without a budget."""
+    return diagram.braid(no_charge)[1]
 
 
 def has_kink(diagram: LinkDiagram) -> bool:
@@ -112,7 +113,7 @@ def braided(diagram: LinkDiagram) -> tuple:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(planar, "faces", checked)
-        power, braid = diagram.braid(charges.append, MAX_STRANDS)
+        power, braid = diagram.braid(charges.append)
     assert charges and not any(built)
     assert len(built) == len(charges) - (not has_kink(diagram))
     return power, braid, len(charges) - 1
@@ -233,19 +234,10 @@ class TestDifferential:
     def test_each_scan_charges_its_passages(self):
         for diagram in (cat.diagram("borromean"), antiparallel_twist(8)):
             charges = []
-            diagram.braid(charges.append, MAX_STRANDS)
+            diagram.braid(charges.append)
             assert charges[0] == 2 * diagram.num_crossings
             # each move adds two crossings
             assert charges == [charges[0] + 4 * k for k in range(len(charges))]
-
-    def test_too_many_seifert_circles(self):
-        # the moves keep the number of circles, so no move is made
-        for crossings in (4, 12):
-            diagram = antiparallel_twist(crossings)
-            charges = []
-            assert diagram.braid(charges.append, crossings - 1) is None
-            assert charges == [2 * crossings]
-            assert diagram.braid(no_charge, crossings) is not None
 
 
 class TestOneMap:
@@ -269,11 +261,11 @@ class TestOneMap:
     @staticmethod
     def load_and_braid(diagram: LinkDiagram, built: list) -> tuple[int, int]:
         """(maps built, Vogel moves) from loading `diagram`'s JSON to its braid."""
-        text, braid = json.dumps(diagram.to_json_dict()), diagram.braid(no_charge, MAX_STRANDS)
+        text, braid = json.dumps(diagram.to_json_dict()), diagram.braid(no_charge)
         built.clear()
         charges = []
         loaded = LinkDiagram.from_json_dict(json.loads(text))
-        assert loaded.braid(charges.append, MAX_STRANDS) == braid
+        assert loaded.braid(charges.append) == braid
         return len(built), len(charges) - 1
 
     def test_a_seeded_closure_builds_one_map(self, built):
@@ -346,9 +338,9 @@ class TestHomflyFile:
         # each distinct diagram it derives once (24 for the Borromean rings)
         braid, keys = LinkDiagram.braid, []
 
-        def counted(diagram, charge, max_strands):
+        def counted(diagram, charge):
             keys.append(diagram.canonical_key())
-            return braid(diagram, charge, max_strands)
+            return braid(diagram, charge)
 
         monkeypatch.setattr(LinkDiagram, "braid", counted)
         small = ["--m-max", "2", "--n-max", "2"]
@@ -365,9 +357,35 @@ class TestHomflyFile:
             assert file_code == code == EXIT_OK
             assert file_text.replace(str(path), label) == text, label
 
+    @pytest.mark.parametrize("word", [
+        "strands=10; 1 1 2 2 3 3 4 4 5 5 6 6 7 7 8 8 9 9",  # Hopf chain
+        "strands=7; 1 -2 1 -2 3 -4 3 -4 5 -6 5 -6",  # sum of three figure-eights
+        "strands=7; 1 -2 1 -2 4 4 6 6 6",  # figure-eight, Hopf link and trefoil
+    ])
+    def test_narrow_pieces_are_traced_past_the_circle_count(self, word, tmp_path, monkeypatch):
+        # more Seifert circles than the crossings allow to trace, in pieces
+        # of at most three strands: verify traces the file and every
+        # diagram it derives, with no skein resolution step
+        diagram = close_braid(parse_braid(word))
+        assert seifert_circles(diagram) > skein._trace_width(diagram.num_crossings)
+        if diagram.num_crossings <= 12:
+            assert SkeinEngine().framed_invariant(diagram) == framed_homfly_bruteforce(diagram)
+
+        def refuse(diagram):
+            raise AssertionError("a diagram of narrow pieces reached skein resolution")
+
+        monkeypatch.setattr(skein, "is_descending", refuse)
+        path = tmp_path / "link.json"
+        path.write_text(json.dumps(diagram.to_json_dict()))
+        small = ["--m-max", "2", "--n-max", "2"]
+        file_code, file_text = run(["verify", "all", "--file", str(path), *small])
+        code, text = run(["verify", "all", "--braid", word, *small])
+        assert file_code == code == EXIT_OK
+        assert file_text.replace(str(path), word) == text
+
     def test_braiding_is_charged_to_the_node_budget(self, tmp_path, capsys):
-        # 62 Seifert circles on 360 crossings are few enough to braid, and
-        # the antiparallel twist takes 870 moves
+        # the antiparallel twist takes 870 moves, charged before any piece
+        # is traced
         torus = close_braid(parse_braid(f"strands=2; {' 1' * 300}"))
         path = tmp_path / "union.json"
         path.write_text(json.dumps(torus.disjoint_union(antiparallel_twist(60)).to_json_dict()))
@@ -378,8 +396,9 @@ class TestHomflyFile:
         assert capsys.readouterr().err == "error: node budget of 20000 exceeded\n"
 
     def test_wide_diagrams_are_resolved_as_they_stand(self, tmp_path, capsys):
-        # braided, the 12 Seifert circles of the antiparallel twist make a
-        # 12-strand word whose trace exceeds the default budget
+        # the braid of the antiparallel twist, 30 moves away, is one
+        # 12-strand piece, wider than the 6 strands 12 crossings allow to
+        # trace; traced, it would exceed the default budget
         diagram = antiparallel_twist(12)
         path = tmp_path / "antiparallel12.json"
         path.write_text(json.dumps(diagram.to_json_dict()))

@@ -15,11 +15,11 @@ from hypothesis import given, settings, strategies as st
 from homflypt import BivarLaurent, T, Z, close_braid, parse_braid
 from homflypt import catalog as cat
 from homflypt.links import MAX_STRANDS
-from homflypt import cli
+from homflypt import cli, skein
 from homflypt.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
 from homflypt.skein import coeff_table
 
-from conftest import seeded_closures, table_layout
+from conftest import reversed_component, seeded_closures, table_layout
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -29,6 +29,16 @@ UNLINK_1500 = {"components": [[]] * 1500, "crossings": []}
 def python(args, **kwargs) -> subprocess.Popen:
     """Start `python args` in a fresh interpreter that imports the package from src."""
     return subprocess.Popen([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC), **kwargs)
+
+
+class UnreadStdin:
+    """A piped standard input that fails the test when it is read."""
+
+    def isatty(self):
+        return False
+
+    def read(self):
+        raise AssertionError("stdin was read")
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -109,34 +119,52 @@ class TestHomfly:
         code, _ = run_cli(["homfly", "--catalog", "borromean", "--max-nodes", "100000"])
         assert code == EXIT_OK
 
-    def test_deep_braid_is_a_resource_error(self, tmp_path, capsys):
+    def test_deep_braid_is_a_resource_error(self, tmp_path, capsys, monkeypatch):
         # the engine braids a diagram file and traces it as it traces the
         # braid, in `verify` as in `homfly`: the T(2,120) closure prints
-        # what the braid prints
-        text = "strands=2; " + " ".join(["1"] * 120)
-        torus = close_braid(parse_braid(text))
-        path = tmp_path / "t2_120.json"
-        path.write_text(json.dumps(torus.to_json_dict()))
+        # what the braid prints, and so does the closure beside 30 split
+        # two-crossing unlinks, whose 62 Seifert circles fall into pieces
+        # of at most two strands
+        torus = parse_braid("strands=2;" + " 1" * 120)
+        unlinks = parse_braid("strands=60;" + "".join(f" {k} -{k}" for k in range(1, 60, 2)))
+        path = tmp_path / "link.json"
+        for word in (torus, torus.disjoint_union(unlinks)):
+            path.write_text(json.dumps(close_braid(word).to_json_dict()))
+            text = word.as_text()
+            for command in (["homfly"], ["verify", "thm14"]):
+                file_code, file_text = run_cli([*command, "--file", str(path)])
+                braid_code, braid_text = run_cli([*command, "--braid", text])
+                assert file_code == braid_code == EXIT_OK
+                assert file_text.replace(str(path), "L") == braid_text.replace(text, "L"), command
+        # resolved by skein, the torus link's 120 crossings nest the
+        # recursion past Python's stack limit: a resource limit too
+        with monkeypatch.context() as patch:
+            patch.setattr(skein, "_trace_width", lambda crossings: 0)
+            capsys.readouterr()
+            for command in (["homfly"], ["verify", "thm14"]):
+                code, _ = run_cli([*command, "--file", str(path)])
+                assert code == EXIT_RESOURCE, command
+                err = capsys.readouterr().err
+                assert err.startswith("error: maximum recursion depth exceeded"), command
+                assert err.count("\n") == 1 and "Traceback" not in err
+        # T(2,20) with one component reversed braids, 90 Vogel moves away,
+        # to one irreducible 20-strand piece, wider than the 9 strands that
+        # 20 crossings allow, so it is resolved by skein under the budget
+        reached = []
+        is_descending = skein.is_descending
+
+        def counted(diagram):
+            reached.append(diagram.num_crossings)
+            return is_descending(diagram)
+
+        monkeypatch.setattr(skein, "is_descending", counted)
+        antiparallel = reversed_component(close_braid(parse_braid("strands=2;" + " 1" * 20)), 1)
+        path.write_text(json.dumps(antiparallel.to_json_dict()))
         for command in (["homfly"], ["verify", "thm14"]):
-            file_code, file_text = run_cli([*command, "--file", str(path)])
-            braid_code, braid_text = run_cli([*command, "--braid", text])
-            assert file_code == braid_code == EXIT_OK
-            assert file_text.replace(str(path), "L") == braid_text.replace(text, "L"), command
-        # beside 30 split two-crossing unlinks (descending, so their skein
-        # resolution does not branch) it has 62 Seifert circles, more than
-        # its 180 crossings allow to braid, so it is resolved by skein, and
-        # the torus link's 120 crossings nest the recursion past Python's
-        # stack limit
-        unlinks = "strands=60;" + "".join(f" {k} -{k}" for k in range(1, 60, 2))
-        wide = torus.disjoint_union(close_braid(parse_braid(unlinks)))
-        path.write_text(json.dumps(wide.to_json_dict()))
-        capsys.readouterr()
-        for command in (["homfly"], ["verify", "thm14"]):
-            code, _ = run_cli([*command, "--file", str(path)])
-            assert code == EXIT_RESOURCE, command
-            err = capsys.readouterr().err
-            assert err.startswith("error: maximum recursion depth exceeded"), command
-            assert err.count("\n") == 1 and "Traceback" not in err
+            reached.clear()
+            code, _ = run_cli([*command, "--file", str(path), "--max-nodes", "25000"])
+            assert code == EXIT_RESOURCE and reached[0] == 20, command
+            assert capsys.readouterr().err.startswith("error: node budget of 25000 exceeded")
 
     def test_file_unlink_prints_the_braid_output(self, tmp_path):
         # 1500 crossing-free components are braided to strands=1500;, whose
@@ -525,19 +553,26 @@ class TestVerify:
     def test_lemmas_refuse_link_flags_and_a_budget(self, flags, monkeypatch, capsys):
         # the lemmas read no link and spend no nodes: a link flag or a
         # budget is refused, not ignored, and no piped link is read
-        class Unread:
-            def isatty(self):
-                return False
-
-            def read(self):
-                raise AssertionError("verify lemmas read stdin")
-
-        monkeypatch.setattr("sys.stdin", Unread())
+        monkeypatch.setattr("sys.stdin", UnreadStdin())
         code, text = run_cli(["verify", "lemmas", *flags, "--m-max", "2", "--n-max", "2"])
         assert (code, text) == (EXIT_INPUT, "")
         assert capsys.readouterr().err == (
             "error: verify lemmas takes no --catalog, --braid, --file or --max-nodes\n"
         )
+
+    @pytest.mark.parametrize("target", list(cli._LINK_TARGETS))
+    def test_link_targets_refuse_lemma_flags(self, target, monkeypatch, capsys):
+        # a link target runs no lemma: a lemma flag, in range or not, is
+        # refused, not ignored, before any link is read
+        monkeypatch.setattr("sys.stdin", UnreadStdin())
+        for flags in (["--m-max", "999"], ["--n-max", "-5"], ["--m-max", "10"],
+                      ["--include-lemma54-n1"]):
+            for link in (["--catalog", "hopf+"], ["--file", "missing.json"], []):
+                code, text = run_cli(["verify", target, *link, *flags])
+                assert (code, text) == (EXIT_INPUT, ""), (flags, link)
+                assert capsys.readouterr().err == (
+                    f"error: verify {target} takes no --m-max, --n-max or --include-lemma54-n1\n"
+                )
 
     def test_lemma54_n1_is_excluded_by_default(self):
         code, text = run_cli(["verify", "lemmas", "--m-max", "4"])
@@ -655,10 +690,9 @@ class TestVerify:
     def test_node_budget_on_braids(self, capsys):
         # the Hecke engine counts its terms over all of one link's traces
         chain = "strands=6; 1 1 2 2 3 3 4 4 5 5"
-        small = ["--m-max", "2", "--n-max", "2"]
-        for target in ("skeinF", "all"):
-            code, _ = run_cli(["verify", target, "--braid", chain, *small, "--max-nodes", "2"])
-            assert code == EXIT_RESOURCE, target
+        for argv in (["skeinF"], ["all", "--m-max", "2", "--n-max", "2"]):
+            code, _ = run_cli(["verify", *argv, "--braid", chain, "--max-nodes", "2"])
+            assert code == EXIT_RESOURCE, argv
             err = capsys.readouterr().err
             assert err.startswith("error: node budget of 2 exceeded")
             assert err.count("\n") == 1 and "Traceback" not in err

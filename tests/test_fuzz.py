@@ -50,7 +50,8 @@ def argv_for(rng: SplitMix64, link: list[str]) -> list[str]:
     fmt = ["--format", "json"] if rng.below(2) else []
     if target == "homfly":
         return ["homfly", *link, *budget, *fmt]
-    return ["verify", target, *link, *budget, *SMALL_LEMMAS, *fmt]
+    lemmas = SMALL_LEMMAS if target == "all" else []
+    return ["verify", target, *link, *budget, *lemmas, *fmt]
 
 
 def mutate(rng: SplitMix64, text: str, alphabet: str, times: int) -> str:

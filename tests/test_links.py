@@ -766,7 +766,7 @@ class TestJson:
                 # the whole sublink is a surgery's diagram, without the map
                 # of a planarity check
                 whole = built.sublink(range(built.num_components))
-                braids = [d.braid(no_charge, MAX_STRANDS) for d in (loaded, built, whole)]
+                braids = [d.braid(no_charge) for d in (loaded, built, whole)]
                 assert braids[0] == braids[1] == braids[2]
 
     def test_braid_closures_and_their_surgeries_are_planar(self):
